@@ -83,14 +83,16 @@ def _work(c) -> int:
     return sum(1 << t.fanin for t in tables)
 
 
-def _typical(make: Callable[[int], object], rng: random.Random, draws: int = 9):
+def _typical(make: Callable[[int], object], rng: random.Random, draws: int = 25):
     """Of ``draws`` instances ``make(seed)``, the one with the median ``_work``.
 
     The generators draw gate counts, gadgets and fanins at random, so the
     work of one instance varies several-fold between seeds: one gate of
     fanin 17 at n = 20 makes ``linearize`` five times slower.  The median
-    of a few draws keeps that spread out of the comparison between runs
-    with different ``--seed``.
+    of many draws keeps that spread out of the comparison between runs
+    with different ``--seed``; it matters most for the slowest command,
+    which sets ``op_tail_ms`` of ``certificates``.  A draw costs about a
+    millisecond.
     """
     made = [make(rng.randrange(1 << 30)) for _ in range(draws)]
     made.sort(key=lambda m: _work(m[0] if isinstance(m, tuple) else m))
@@ -148,7 +150,7 @@ def _balanced_suite_seed(rng: random.Random, trials: int) -> int:
 
 
 def battery(seed: int, tiny: bool, workdir: Path) -> Pool:
-    trials, batches = (2, 1) if tiny else (40, 2)
+    trials = 2 if tiny else 40
     rng = random.Random(seed)
     pool = Pool([])
 
@@ -164,10 +166,11 @@ def battery(seed: int, tiny: bool, workdir: Path) -> Pool:
         return f"seed {s}\n".encode() + "".join(
             f"{r.name} {r.trials} {r.failures} {r.notes}\n" for r in results).encode()
 
-    for _ in range(batches):
-        s = _balanced_suite_seed(rng, trials)
-        pool.ops.append(Op("battery", lambda s=s: suite.run_all(trials, BATTERY_N_MAX, s), tally,
-                           lambda results, s=s: digest(s, results)))
+    # one battery per pass: with two of different cost, the median latency
+    # of a run would fall at the gap between them and jump from run to run
+    s = _balanced_suite_seed(rng, trials)
+    pool.ops.append(Op("battery", lambda: suite.run_all(trials, BATTERY_N_MAX, s), tally,
+                       lambda results: digest(s, results)))
 
     golden = ROOT / "tests" / "data" / "bounds_table.golden"
 
