@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python evaluation kernels.
+"""Time the evaluation kernel on five fixed workloads.
 
 Times exhaustive evaluation (all 2**n inputs) of random depth-2 and
-general circuits under both backends and prints one table row per
-workload.  Run as ``python benchmarks/bench_kernels.py``.
+general circuits and prints one table row per workload.  Run as
+``python benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
@@ -11,14 +11,9 @@ from __future__ import annotations
 import random
 import time
 
-from wirelab._kernels import _pykernels
+from wirelab import _kernels
 from wirelab.circuit import Depth2Circuit, MiddleGate, OutputGate, TruthTable
 from wirelab.generators import random_general
-
-try:
-    from wirelab._kernels import _ckernels
-except ImportError:
-    _ckernels = None
 
 
 def bounded_depth2(n: int, r: int, fanin: int, seed: int) -> Depth2Circuit:
@@ -74,15 +69,10 @@ def main() -> None:
         c = random_general(n, g, seed=n)
         workloads.append((f"general n={n} gates={g}", general_args(c), "node_vectors_general"))
 
-    print(f"{'workload':24} {'python':>12} {'cython':>12} {'speedup':>9}")
+    print(f"{'workload':24} {'time':>12}")
     for name, args, fn_name in workloads:
-        py = time_call(getattr(_pykernels, fn_name), *args)
-        if _ckernels is None:
-            print(f"{name:24} {py * 1e3:10.3f}ms {'n/a':>12} {'n/a':>9}")
-            continue
-        cy = time_call(getattr(_ckernels, fn_name), *args)
-        assert getattr(_pykernels, fn_name)(*args) == getattr(_ckernels, fn_name)(*args)
-        print(f"{name:24} {py * 1e3:10.3f}ms {cy * 1e3:10.3f}ms {py / cy:8.1f}x")
+        t = time_call(getattr(_kernels, fn_name), *args)
+        print(f"{name:24} {t * 1e3:10.3f}ms")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from .circuit import (
     collapse,
     computes_linear,
     equivalent,
-    evaluate,
     is_linear_gate,
     weakly_computes,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "deserialize",
     "encode",
     "equivalent",
-    "evaluate",
     "first_basis_columns",
     "is_linear_gate",
     "linear_circuit_lower_bound",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .gf2 import Gf2Matrix, Gf2Vector, matmul, matvec
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec
 
 MAX_FANIN = 24
 DEFAULT_EXHAUSTIVE_CAP = 20
@@ -274,7 +274,7 @@ class LinearDepth2Circuit:
 
     def to_depth2(self) -> Depth2Circuit:
         mids = tuple(
-            MiddleGate(_word_indices(self.first_level.row_words[j]), TruthTable.parity(self.first_level.row_words[j].bit_count()))
+            MiddleGate(bit_indices(self.first_level.row_words[j]), TruthTable.parity(self.first_level.row_words[j].bit_count()))
             for j in range(self.r)
         )
         outs = []
@@ -282,7 +282,7 @@ class LinearDepth2Circuit:
             w = self.second_level.row_words[i]
             outs.append(
                 OutputGate(
-                    _word_indices(w),
+                    bit_indices(w),
                     (),
                     TruthTable.parity(w.bit_count(), negated=bool(self.negations.bit(i))),
                 )
@@ -321,26 +321,6 @@ class OperatorTable:
         return Gf2Vector(self.n, bits)
 
 
-def _word_indices(word: int) -> tuple[int, ...]:
-    out = []
-    while word:
-        out.append((word & -word).bit_length() - 1)
-        word &= word - 1
-    return tuple(out)
-
-
-def evaluate(c: Circuit, x: Gf2Vector) -> Gf2Vector:
-    return c.eval(x)
-
-
-def wires(c: Circuit) -> int:
-    return c.wire_count()
-
-
-def depth(c: Circuit) -> int:
-    return c.depth()
-
-
 def collapse(c: Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorTable:
     """Evaluate ``c`` on all 2**n inputs."""
     n = c.n
@@ -376,7 +356,7 @@ def operator_table_of_matrix(a: Gf2Matrix, negations: Gf2Vector | None = None) -
     cols = []
     for i in range(n):
         acc = full if negations is not None and negations.bit(i) else 0
-        for j in _word_indices(a.row_words[i]):
+        for j in bit_indices(a.row_words[i]):
             acc ^= masks[j]
         cols.append(acc)
     return OperatorTable(n, tuple(cols))
@@ -400,7 +380,7 @@ def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     mask, neg = _kernels.parity_candidate(t.bits, t.fanin)
     if t.bits != _kernels.parity_table(t.fanin, mask, neg):
         return None
-    return _word_indices(mask), bool(neg)
+    return bit_indices(mask), bool(neg)
 
 
 def computes_linear(c: Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Gf2Matrix | None:
@@ -543,6 +523,8 @@ def general_from_text(text: str) -> GeneralCircuit:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "general v1":
         raise ValueError("missing 'general v1' header")
+    if len(lines) < 2:
+        raise ValueError("missing size line")
     head = lines[1].split()
     if len(head) != 2 or head[0] != "n":
         raise ValueError("bad size line")

@@ -30,7 +30,7 @@ from .circuit import DEFAULT_EXHAUSTIVE_CAP, Depth2Circuit, computes_linear, is_
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
-    NotInSpanError,
+    bit_indices,
     first_basis_columns,
     matvec,
     solve_in_span,
@@ -49,7 +49,8 @@ class EncodingFormatError(ValueError):
 
 
 class CorruptEncodingError(ValueError):
-    """A decoded middle-layer value fell outside its recorded span."""
+    """An output stores a different number of basis values than the rank
+    of its wire pattern."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def encode(c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorEncod
 
     b_ones = []
     for row, w in enumerate(b_rows):
-        for col in _ones(w):
+        for col in bit_indices(w):
             b_ones.append((row, col))
     c_rows = [sorted(remap[j] for j in o.mids) for o in c.outputs]
     c_ones = [(i, j) for i, row in enumerate(c_rows) for j in row]
@@ -147,7 +148,7 @@ def decode(enc: OperatorEncoding, x: Gf2Vector) -> Gf2Vector:
     b_words, c_words = _adjacency_words(enc)
     bits = 0
     for i in range(enc.n):
-        rows = _ones(c_words[i])
+        rows = bit_indices(c_words[i])
         sub = Gf2Matrix(len(rows), enc.n, tuple(b_words[j] for j in rows))
         y = matvec(sub, x)
         basis = [sub.column(j) for j in first_basis_columns(sub)]
@@ -156,12 +157,7 @@ def decode(enc: OperatorEncoding, x: Gf2Vector) -> Gf2Vector:
                 f"output {i} stores {len(enc.basis_bits[i])} basis values,"
                 f" but its wire pattern has rank {len(basis)}"
             )
-        try:
-            lam = solve_in_span(basis, y)
-        except NotInSpanError as e:
-            raise CorruptEncodingError(
-                f"middle values for output {i} are outside the recorded span"
-            ) from e
+        lam = solve_in_span(basis, y)
         z = 0
         for k, coeff in enumerate(lam):
             z ^= coeff & enc.basis_bits[i][k]
@@ -297,11 +293,3 @@ def deserialize(data: bytes) -> OperatorEncoding:
         return OperatorEncoding(n, rr, ones_lists[0], ones_lists[1], tuple(basis_bits))
     except ValueError as e:
         raise EncodingFormatError(str(e), at) from e
-
-
-def _ones(word: int) -> list[int]:
-    out = []
-    while word:
-        out.append((word & -word).bit_length() - 1)
-        word &= word - 1
-    return out

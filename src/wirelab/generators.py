@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matmul
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, first_basis_columns, matmul
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -32,15 +32,7 @@ from .circuit import (
 def random_matrix(rows: int, cols: int, density: float = 0.5, seed: int = 0) -> Gf2Matrix:
     """Matrix whose entries are independently 1 with probability ``density``."""
     _check_density(density)
-    rng = random.Random(seed)
-    words = []
-    for _ in range(rows):
-        w = 0
-        for j in range(cols):
-            if rng.random() < density:
-                w |= 1 << j
-        words.append(w)
-    return Gf2Matrix(rows, cols, tuple(words))
+    return Gf2Matrix(rows, cols, _random_words(random.Random(seed), rows, cols, density))
 
 
 def random_linear_circuit(
@@ -125,10 +117,10 @@ def linear_output_instance(
     a_words = list(matmul(Gf2Matrix(n, r, c), Gf2Matrix(r, n, b)).row_words)
 
     mids: list[MiddleGate] = [
-        MiddleGate(_ones(b[j]), TruthTable.parity(b[j].bit_count())) for j in range(r)
+        MiddleGate(bit_indices(b[j]), TruthTable.parity(b[j].bit_count())) for j in range(r)
     ]
     # per output: wired middle gates, positions its parity actually uses, negation
-    out_mids: list[list[int]] = [list(_ones(c[i])) for i in range(n)]
+    out_mids: list[list[int]] = [list(bit_indices(c[i])) for i in range(n)]
     out_used: list[list[int]] = [list(range(len(out_mids[i]))) for i in range(n)]
     out_neg = [False] * n
 
@@ -207,12 +199,12 @@ def linear_middle_instance(
     rng = random.Random(seed)
     b = _random_words(rng, r, n, density)
     c = _random_words(rng, n, r, density)
-    mids = [MiddleGate(_ones(b[j]), TruthTable.parity(b[j].bit_count())) for j in range(r)]
+    mids = [MiddleGate(bit_indices(b[j]), TruthTable.parity(b[j].bit_count())) for j in range(r)]
 
     a_words = []
     outs = []
     for i in range(n):
-        t_i = _ones(c[i])
+        t_i = bit_indices(c[i])
         d_i = len(t_i)
         mu = rng.getrandbits(d_i) if d_i else 0
         a_row = 0
@@ -269,14 +261,6 @@ def _random_words(rng: random.Random, rows: int, cols: int, density: float) -> t
                 w |= 1 << j
         words.append(w)
     return tuple(words)
-
-
-def _ones(word: int) -> tuple[int, ...]:
-    out = []
-    while word:
-        out.append((word & -word).bit_length() - 1)
-        word &= word - 1
-    return tuple(out)
 
 
 def _check_density(density: float) -> None:

@@ -15,6 +15,15 @@ class NotInSpanError(ValueError):
     """Raised when a vector has no representation over the given basis."""
 
 
+def bit_indices(word: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``word``, lowest first."""
+    out = []
+    while word:
+        out.append((word & -word).bit_length() - 1)
+        word &= word - 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Gf2Vector:
     """Vector over GF(2); coordinate ``i`` is bit ``i`` of ``bits``."""
@@ -130,10 +139,8 @@ class Gf2Matrix:
     def transpose(self) -> "Gf2Matrix":
         words = [0] * self.cols
         for i, w in enumerate(self.row_words):
-            while w:
-                j = (w & -w).bit_length() - 1
+            for j in bit_indices(w):
                 words[j] |= 1 << i
-                w &= w - 1
         return Gf2Matrix(self.cols, self.rows, tuple(words))
 
     def popcount(self) -> int:
@@ -142,13 +149,7 @@ class Gf2Matrix:
 
     def ones(self) -> list[tuple[int, int]]:
         """Positions of 1-entries in row-major order."""
-        out = []
-        for i, w in enumerate(self.row_words):
-            while w:
-                j = (w & -w).bit_length() - 1
-                out.append((i, j))
-                w &= w - 1
-        return out
+        return [(i, j) for i, w in enumerate(self.row_words) for j in bit_indices(w)]
 
 
 def matvec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
@@ -169,11 +170,8 @@ def matmul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     words = []
     for w in a.row_words:
         acc = 0
-        t = w
-        while t:
-            k = (t & -t).bit_length() - 1
+        for k in bit_indices(w):
             acc ^= b.row_words[k]
-            t &= t - 1
         words.append(acc)
     return Gf2Matrix(a.rows, b.cols, tuple(words))
 

@@ -268,6 +268,10 @@ def test_general_text_roundtrip():
 def test_text_rejects_bad_header():
     with pytest.raises(ValueError):
         depth2_from_text("depth3 v1\nn 1 r 0\n")
+    with pytest.raises(ValueError, match="missing size line"):
+        depth2_from_text("depth2 v1\n")
+    with pytest.raises(ValueError, match="missing size line"):
+        general_from_text("general v1\n")
 
 
 def test_text_rejects_malformed_lines():

@@ -46,6 +46,15 @@ def test_eval_command(tmp_path, capsys):
     assert out.startswith("y=") and len(out.strip()) == 5
 
 
+def test_eval_header_only_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "g.ckt"
+    path.write_text("general v1\n")
+    code = cli.main(["eval", "--in", str(path), "--x", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_linearize_report_and_verify(tmp_path, capsys):
     src = tmp_path / "c.ckt"
     lin = tmp_path / "lin.ckt"

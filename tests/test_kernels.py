@@ -1,82 +1,120 @@
-"""Backend agreement: the compiled kernels must match the pure-Python ones
-bit for bit (the tests also pin down the value-vector conventions)."""
+"""The evaluation kernel: value-vector conventions, agreement of
+``collapse`` with the per-point interpreters, and the memory bound of
+the mux tree."""
 
-import pytest
+import random
+import tracemalloc
 
-from wirelab._kernels import BACKEND, _pykernels
-from wirelab.circuit import collapse
+from oracles import eval_depth2, eval_general
+from wirelab import _kernels
+from wirelab.circuit import (
+    Depth2Circuit,
+    GeneralCircuit,
+    GeneralGate,
+    MiddleGate,
+    OutputGate,
+    TruthTable,
+    collapse,
+)
 from wirelab.generators import random_depth2, random_general
 from wirelab.gf2 import Gf2Vector
 
-try:
-    from wirelab._kernels import _ckernels
-except ImportError:
-    _ckernels = None
 
-needs_ext = pytest.mark.skipif(_ckernels is None, reason="compiled kernels unavailable")
-
-
-def depth2_args(c):
-    return (
-        c.n,
-        [m.inputs for m in c.middle],
-        [m.table.bits for m in c.middle],
-        [o.mids for o in c.outputs],
-        [o.directs for o in c.outputs],
-        [o.table.bits for o in c.outputs],
-    )
-
-
-def general_args(c):
-    return c.n, [g.preds for g in c.gates], [g.table.bits for g in c.gates]
+def assert_collapse_matches(c, oracle):
+    table = collapse(c)
+    for x in range(1 << c.n):
+        assert list(table.value_at(x).coords()) == oracle(c, [(x >> i) & 1 for i in range(c.n)]), x
 
 
 def test_variable_mask_convention():
     # bit x of mask(i) must equal coordinate i of assignment x
     for n in (1, 3, 6):
         for i in range(n):
-            mask = _pykernels.variable_mask(i, n)
+            mask = _kernels.variable_mask(i, n)
             for x in range(1 << n):
                 assert ((mask >> x) & 1) == ((x >> i) & 1)
 
 
 def test_parity_table_against_popcount():
-    assert _pykernels.parity_table(2, 0b11, 0) == 0b0110
+    assert _kernels.parity_table(2, 0b11, 0) == 0b0110
     for fanin, mask, neg in ((3, 0b101, 0), (4, 0b1111, 1), (5, 0, 1)):
-        t = _pykernels.parity_table(fanin, mask, neg)
+        t = _kernels.parity_table(fanin, mask, neg)
         for b in range(1 << fanin):
             assert ((t >> b) & 1) == (((b & mask).bit_count() & 1) ^ neg)
 
 
 def test_apply_table_nonlinear_path():
     full = (1 << 8) - 1
-    v0 = _pykernels.variable_mask(0, 3)
-    v1 = _pykernels.variable_mask(1, 3)
-    got = _pykernels.apply_table(0b1000, [v0, v1], full)  # AND
+    v0 = _kernels.variable_mask(0, 3)
+    v1 = _kernels.variable_mask(1, 3)
+    got = _kernels.apply_table(0b1000, [v0, v1], full)  # AND
     assert got == v0 & v1
 
 
-@needs_ext
-def test_backends_agree_on_depth2():
-    for seed in range(25):
-        c = random_depth2(3 + seed % 5, 1 + seed % 9, 0.5, seed=seed)
-        assert _ckernels.output_vectors_depth2(*depth2_args(c)) == _pykernels.output_vectors_depth2(*depth2_args(c))
-
-
-@needs_ext
-def test_backends_agree_on_general():
-    for seed in range(25):
-        c = random_general(3 + seed % 5, 2 + seed % 6, seed=seed, over_fanin_gates=seed % 2)
-        assert _ckernels.node_vectors_general(*general_args(c)) == _pykernels.node_vectors_general(*general_args(c))
-
-
 def test_collapse_matches_per_point_eval():
-    # whatever backend is active, the batch path must equal pointwise eval
     c = random_depth2(5, 6, 0.5, seed=33)
     table = collapse(c)
     for x in range(32):
         assert table.value_at(x) == c.eval(Gf2Vector(5, x))
 
 
-def test_active_backend_is_reported():
-    assert BACKEND in ("cython", "python")
+def test_collapse_matches_interpreter_on_random_depth2():
+    for seed in range(25):
+        c = random_depth2(2 + seed % 7, 1 + seed % 9, 0.3 + 0.1 * (seed % 5), seed=seed)
+        assert_collapse_matches(c, eval_depth2)
+
+
+def test_collapse_matches_interpreter_on_random_general():
+    for seed in range(25):
+        n = 2 + seed % 6
+        c = random_general(n, 2 + seed % 6, seed=seed, over_fanin_gates=1 + seed % 2)
+        assert max(len(g.preds) for g in c.gates) > n
+        assert_collapse_matches(c, eval_general)
+
+
+def test_collapse_matches_interpreter_on_hand_cases():
+    and23 = TruthTable(3, 0b11000000)  # ignores its first argument
+    gates = (
+        GeneralGate((), TruthTable.constant(1)),  # fanin 0
+        GeneralGate((1,), TruthTable(1, 0b01)),  # fanin 1: negation
+        GeneralGate((0, 1, 2), TruthTable(3, 0)),  # constant tables
+        GeneralGate((3, 4, 0), TruthTable(3, 0xFF)),
+        GeneralGate((0, 0, 1), and23),  # repeated preds
+        GeneralGate((0, 1, 2, 0, 1, 7), TruthTable(6, 0x6A09E667F3BCC908)),  # fanin > n
+    )
+    c = GeneralCircuit(3, gates, (8, 7, 3))
+    assert_collapse_matches(c, eval_general)
+    assert_collapse_matches(GeneralCircuit(3, gates, (4, 5, 6)), eval_general)
+
+    d = Depth2Circuit(
+        2,
+        (
+            MiddleGate((), TruthTable.constant(1)),
+            MiddleGate((1,), TruthTable.identity()),
+            MiddleGate((0, 1), TruthTable(2, 0b1000)),
+        ),
+        (
+            OutputGate((0, 1, 2), (0, 1), TruthTable(5, 0x9E3779B9)),  # fanin > n
+            OutputGate((2,), (1,), TruthTable(2, 0b1100)),
+        ),
+    )
+    assert_collapse_matches(d, eval_depth2)
+
+
+def test_mux_tree_keeps_one_vector_per_level():
+    # a breadth-first tree would hold 2**15 vectors at once
+    n, fanin = 14, 16
+    rng = random.Random(14)
+    full = (1 << (1 << n)) - 1
+    args = [rng.getrandbits(1 << n) for _ in range(fanin)]
+    table = rng.getrandbits(1 << fanin)
+    expected_bit = (table >> sum(((a >> 5) & 1) << k for k, a in enumerate(args))) & 1
+    tracemalloc.start()
+    try:
+        got = _kernels.apply_table(table, args, full)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got >> 5) & 1 == expected_bit
+    vector_bytes = (1 << n) // 8
+    assert peak < 2 * (fanin + 1) * vector_bytes
