@@ -22,12 +22,20 @@ by
 to place L wires among the nr + nr = 2nr slots and 2^{n+r} <= 2^{n+L}
 negation patterns).  The largest L with count(L) < 2^{n^2} then certifies
 that some matrix needs more than L wires, and grows like n^2 / log n.
+
+Evaluating count(L) exactly costs a binomial with L factors, so a plain
+bisection from L = n^2/2 pays most of its time for values far from the
+answer.  ``linear_circuit_lower_bound`` instead bisects log2 count(L) in
+floating point (``math.lgamma``) for an estimate, then gallops from it in
+exact integers until count(L) < 2^{n^2} <= count(L+1) holds.  The
+estimate only brackets the search: the answer is decided by exact
+comparisons and does not depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma, log, log2
 
 # Observed range of linear_circuit_lower_bound(n) * log2(n) / n^2 on
 # powers of two n in [16, 256]; frozen so sweeps can assert the
@@ -118,20 +126,72 @@ def linear_circuit_lower_bound(n: int) -> int:
     """Largest L with fewer than 2^{n^2} all-parity circuits of <= L wires.
 
     Some n-by-n matrix then has no all-parity depth-2 circuit with L
-    wires; the value grows like n^2 / log n.
+    wires; the value grows like n^2 / log n.  A floating-point estimate
+    only says where to start; exact integers decide the answer.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    target = 1 << (n * n)
-    if linear_circuit_count(n, 1) >= target:
+    if linear_circuit_count(n, 1) >= 1 << (n * n):
         return 0
+    return _linear_threshold_from(n, _linear_threshold_estimate(n))
+
+
+def _log2_linear_count(n: int, wires: int) -> float:
+    """log2 of ``linear_circuit_count(n, wires)`` in floating point."""
+    a = 2 * n * wires
+    log_comb = lgamma(a + 1) - lgamma(wires + 1) - lgamma(a - wires + 1)
+    return log2(wires) + log_comb / log(2) + n + wires
+
+
+def _linear_threshold_estimate(n: int) -> int:
+    """Largest L in [1, n^2] whose float log2 count stays below n^2."""
     lo, hi = 1, n * n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if linear_circuit_count(n, mid) < target:
+        if _log2_linear_count(n, mid) < n * n:
             lo = mid
         else:
             hi = mid - 1
+    return lo
+
+
+def _linear_threshold_from(n: int, guess: int) -> int:
+    """The exact threshold L (count(L) < 2^{n^2} <= count(L+1), or L = n^2),
+    found by galloping from ``guess`` and then bisecting, with every
+    comparison in exact integers.  Requires count(1) < 2^{n^2}.
+
+    The count grows with L, so the answer does not depend on ``guess``;
+    a good guess costs two counts, a guess off by d about 2*log2(d).
+    """
+    target = 1 << (n * n)
+    top = n * n
+
+    def below(wires: int) -> bool:
+        return linear_circuit_count(n, wires) < target
+
+    guess = min(max(guess, 1), top)
+    # bracket: below(lo) holds, below(hi) fails (hi = top + 1 stands for "none")
+    step = 1
+    if below(guess):
+        lo = guess
+        while True:
+            hi = min(lo + step, top + 1)
+            if hi > top or not below(hi):
+                break
+            lo, step = hi, 2 * step
+    else:
+        hi = guess
+        while True:
+            lo = max(1, hi - step)
+            if lo == 1 or below(lo):
+                break
+            hi, step = lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 

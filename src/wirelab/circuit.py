@@ -178,7 +178,8 @@ class Depth2Circuit:
     def r(self) -> int:
         return len(self.middle)
 
-    def eval(self, x: Gf2Vector) -> Gf2Vector:
+    def middle_values(self, x: Gf2Vector) -> list[int]:
+        """Values of the middle gates on input ``x``, gate j at index j."""
         if x.length != self.n:
             raise ValueError("input length mismatch")
         mvals = []
@@ -187,6 +188,10 @@ class Depth2Circuit:
             for k, i in enumerate(m.inputs):
                 idx |= ((x.bits >> i) & 1) << k
             mvals.append(m.table.value(idx))
+        return mvals
+
+    def eval(self, x: Gf2Vector) -> Gf2Vector:
+        mvals = self.middle_values(x)
         bits = 0
         for pos, o in enumerate(self.outputs):
             idx = 0

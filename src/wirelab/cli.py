@@ -3,7 +3,9 @@
 Reports are line-oriented ``key=value`` text; the same seed and flags
 always produce byte-identical output.  Exit status: 0 when all checks
 pass, 1 on a failed verification (a replayable witness is printed), 2 on
-usage errors.
+usage errors: bad arguments, and input files that are missing,
+unreadable or malformed (the message names the file and, where the
+format has them, the line or bit offset).
 """
 
 from __future__ import annotations
@@ -38,20 +40,39 @@ from .gf2 import Gf2Vector
 from .transforms import cap_fanin, linearize
 
 
+class UsageError(Exception):
+    """A bad argument or an unusable input file; exits 2."""
+
+
+def _load(path: str, parse, binary: bool = False):
+    """``parse`` applied to the contents of ``path``; a file that cannot
+    be read or parsed is a usage error."""
+    try:
+        p = Path(path)
+        return parse(p.read_bytes() if binary else p.read_text())
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from e
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from e
+
+
 def _parse_x(text: str, n: int) -> Gf2Vector:
     if len(text) != n or set(text) - {"0", "1"}:
-        raise SystemExit(f"error: --x must be {n} characters of 0/1")
+        raise UsageError(f"--x must be {n} characters of 0/1")
     return Gf2Vector.from_coords(int(ch) for ch in text)
 
 
-def load_circuit(path: str) -> Depth2Circuit | GeneralCircuit:
-    text = Path(path).read_text()
+def _parse_circuit(text: str) -> Depth2Circuit | GeneralCircuit:
     head = text.lstrip().split("\n", 1)[0].strip()
     if head == "depth2 v1":
         return depth2_from_text(text)
     if head == "general v1":
         return general_from_text(text)
-    raise SystemExit(f"error: {path} has no recognized circuit header")
+    raise ValueError("no recognized circuit header")
+
+
+def load_circuit(path: str) -> Depth2Circuit | GeneralCircuit:
+    return _load(path, _parse_circuit)
 
 
 def circuit_text(c) -> str:
@@ -94,7 +115,7 @@ def cmd_gen_circuit(args) -> int:
     _write_or_print(depth2_to_text(c), args.out)
     if args.matrix_out:
         if matrix is None:
-            raise SystemExit("error: --matrix-out needs a planted family")
+            raise UsageError("--matrix-out needs a planted family")
         Path(args.matrix_out).write_text(gf2.to_text(matrix))
     return 0
 
@@ -110,7 +131,7 @@ def cmd_verify_equiv(args) -> int:
     c1 = load_circuit(args.first)
     c2 = load_circuit(args.second)
     if c1.n != c2.n:
-        raise SystemExit("error: circuits have different input counts")
+        raise UsageError("circuits have different input counts")
     t1 = collapse(c1, args.cap)
     t2 = collapse(c2, args.cap)
     if t1 == t2:
@@ -124,7 +145,7 @@ def cmd_verify_equiv(args) -> int:
 
 def cmd_verify_weak(args) -> int:
     c = load_circuit(args.infile)
-    a = gf2.from_text(Path(args.matrix).read_text())
+    a = _load(args.matrix, gf2.from_text)
     if weakly_computes(c, a):
         print("weakly_computes=true")
         return 0
@@ -140,7 +161,7 @@ def cmd_verify_weak(args) -> int:
 def cmd_cap_fanin(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, GeneralCircuit):
-        raise SystemExit("error: cap-fanin expects a general circuit")
+        raise UsageError("cap-fanin expects a general circuit")
     capped = cap_fanin(c, args.cap)
     print(f"wires_before={c.wire_count()}")
     print(f"wires_after={capped.wire_count()}")
@@ -153,7 +174,7 @@ def cmd_cap_fanin(args) -> int:
 def cmd_linearize(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
-        raise SystemExit("error: linearize expects a depth-2 circuit")
+        raise UsageError("linearize expects a depth-2 circuit")
     lin, report = linearize(c, args.cap)
     ok = report.within_budget(c.n) and equivalent(c, lin, args.cap)
     print(f"wires_before={report.wires_before}")
@@ -171,7 +192,7 @@ def cmd_linearize(args) -> int:
 def cmd_encode(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
-        raise SystemExit("error: encode expects a depth-2 circuit")
+        raise UsageError("encode expects a depth-2 circuit")
     enc = encode(c, args.cap)
     data = serialize(enc)
     print(f"n={enc.n}")
@@ -186,7 +207,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    enc = deserialize(Path(args.infile).read_bytes())
+    enc = _load(args.infile, deserialize, binary=True)
     x = _parse_x(args.x, enc.n)
     print(f"z={decode(enc, x)}")
     return 0
@@ -202,7 +223,7 @@ def cmd_bounds(args) -> int:
             golden.write_text(table)
             print(f"golden_written={args.golden}")
             return 0
-        if golden.read_text() == table:
+        if _load(args.golden, str) == table:
             print("golden_match=true")
             return 0
         print("golden_match=false")
@@ -310,6 +331,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

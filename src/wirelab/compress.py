@@ -4,9 +4,11 @@ that compute a matrix-vector product.
 The certificate stores only the wire adjacencies of the two levels (as
 positions of their 1-entries) and, per output gate, the gate's values on
 the first basis of the value space it can see.  That is enough to
-recover the full operator: on input x the middle layer produces y_i =
-B_i*x for output i, y_i is re-expressed over the first basis, and the
-output is assembled from the stored basis values by linearity.
+recover the full operator, and the certificate compiles into its matrix:
+output i sees B_i*x, where B_i holds the middle gates it reads; writing
+each column of B_i over B_i's first basis gives, by linearity, output
+i's response to each unit vector.  ``decode_matrix`` does this once per
+certificate; ``decode`` is one matrix-vector product with the result.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -33,7 +35,6 @@ from .gf2 import (
     bit_indices,
     first_basis_columns,
     matvec,
-    solve_in_span,
 )
 
 MAGIC = b"OPE1"
@@ -140,39 +141,50 @@ def encode(c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorEncod
     )
 
 
+def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
+    """The operator's n-by-n matrix, compiled from the certificate alone.
+
+    Output i sees the columns of B restricted to its middle gates (the
+    rows C_i selects).  One left-to-right reduction over those n columns
+    finds the first basis and writes every other column as a combination
+    of it; by linearity, A[i][j] is the parity of column j's coefficients
+    against the stored basis values.
+    """
+    b_words, c_words = _adjacency_words(enc)
+    b_cols = Gf2Matrix(enc.r, enc.n, tuple(b_words)).transpose().row_words
+    words = []
+    for i, seen in enumerate(c_words):
+        values = 0
+        for k, bit in enumerate(enc.basis_bits[i]):
+            values |= bit << k
+        reduced: list[tuple[int, int, int]] = []  # (pivot mask, vector, coefficients)
+        row = 0
+        for j, col in enumerate(b_cols):
+            v, coeffs = col & seen, 0
+            for pivot, vec, c in reduced:
+                if v & pivot:
+                    v ^= vec
+                    coeffs ^= c
+            if v:  # column j joins the first basis as element k
+                k = len(reduced)
+                reduced.append((v & -v, v, coeffs ^ (1 << k)))
+                coeffs = 1 << k
+            row |= ((coeffs & values).bit_count() & 1) << j
+        if len(reduced) != len(enc.basis_bits[i]):
+            raise CorruptEncodingError(
+                f"output {i} stores {len(enc.basis_bits[i])} basis values,"
+                f" but its wire pattern has rank {len(reduced)}"
+            )
+        words.append(row)
+    return Gf2Matrix(enc.n, enc.n, tuple(words))
+
+
 def decode(enc: OperatorEncoding, x: Gf2Vector) -> Gf2Vector:
     """Value of the encoded operator on ``x``, computed from the
     certificate alone."""
     if x.length != enc.n:
         raise ValueError("input length mismatch")
-    b_words, c_words = _adjacency_words(enc)
-    bits = 0
-    for i in range(enc.n):
-        rows = bit_indices(c_words[i])
-        sub = Gf2Matrix(len(rows), enc.n, tuple(b_words[j] for j in rows))
-        y = matvec(sub, x)
-        basis = [sub.column(j) for j in first_basis_columns(sub)]
-        if len(basis) != len(enc.basis_bits[i]):
-            raise CorruptEncodingError(
-                f"output {i} stores {len(enc.basis_bits[i])} basis values,"
-                f" but its wire pattern has rank {len(basis)}"
-            )
-        lam = solve_in_span(basis, y)
-        z = 0
-        for k, coeff in enumerate(lam):
-            z ^= coeff & enc.basis_bits[i][k]
-        bits |= z << i
-    return Gf2Vector(enc.n, bits)
-
-
-def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
-    """The operator's matrix, recovered by decoding every unit vector."""
-    words = [0] * enc.n
-    for j in range(enc.n):
-        img = decode(enc, Gf2Vector.unit(enc.n, j))
-        for i in range(enc.n):
-            words[i] |= img.bit(i) << j
-    return Gf2Matrix(enc.n, enc.n, tuple(words))
+    return matvec(decode_matrix(enc), x)
 
 
 def _adjacency_words(enc: OperatorEncoding) -> tuple[list[int], list[int]]:
@@ -214,20 +226,35 @@ class _BitWriter:
 
 
 class _BitReader:
+    """Reads MSB-first fields from a stream.
+
+    The stream becomes one string of '0'/'1' characters up front, so a
+    field costs time in its own width, not in the stream's length (an
+    untrusted stream may be long).
+    """
+
     def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
         self.total = 8 * len(data)
+        self.bits = format(int.from_bytes(data, "big"), f"0{self.total}b") if data else ""
+        self.pos = 0
 
     def read(self, width: int, what: str) -> int:
-        if self.pos + width > self.total:
+        end = self.pos + width
+        if end > self.total:
             raise EncodingFormatError(f"stream truncated while reading {what}", self.pos)
-        v = 0
-        for _ in range(width):
-            byte = self.data[self.pos >> 3]
-            v = (v << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return v
+        value = int(self.bits[self.pos : end] or "0", 2)
+        self.pos = end
+        return value
+
+    def read_bits(self, count: int, what: str) -> tuple[int, ...]:
+        """``count`` one-bit fields; truncation is reported at the first
+        bit past the end of the stream."""
+        end = self.pos + count
+        if end > self.total:
+            raise EncodingFormatError(f"stream truncated while reading {what}", self.total)
+        bits = tuple(map(int, self.bits[self.pos : end]))
+        self.pos = end
+        return bits
 
 
 def serialize(enc: OperatorEncoding) -> bytes:
@@ -282,13 +309,12 @@ def deserialize(data: bytes) -> OperatorEncoding:
     basis_bits = []
     for i in range(n):
         t = r.read(_FIELD, f"t_{i}")
-        basis_bits.append(tuple(r.read(1, f"basis bit of output {i}") for _ in range(t)))
+        basis_bits.append(r.read_bits(t, f"basis bit of output {i}"))
     at = r.pos
     if r.total - r.pos >= 8:
         raise EncodingFormatError("trailing data after encoding", at)
-    while r.pos < r.total:
-        if r.read(1, "padding"):
-            raise EncodingFormatError("nonzero padding bits", at)
+    if r.read(r.total - r.pos, "padding"):
+        raise EncodingFormatError("nonzero padding bits", at)
     try:
         return OperatorEncoding(n, rr, ones_lists[0], ones_lists[1], tuple(basis_bits))
     except ValueError as e:

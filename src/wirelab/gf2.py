@@ -185,8 +185,7 @@ def first_basis_columns(m: Gf2Matrix) -> list[int]:
     """
     basis: list[tuple[int, int]] = []  # (pivot bit mask, reduced column)
     chosen = []
-    for j in range(m.cols):
-        v = m.column(j).bits
+    for j, v in enumerate(m.transpose().row_words):
         for pivot, vec in basis:
             if v & pivot:
                 v ^= vec

@@ -19,9 +19,10 @@ from .circuit import (
     depth2_to_text,
     equivalent,
     general_to_text,
+    operator_table_of_matrix,
     weakly_computes,
 )
-from .compress import bit_length, decode, decode_matrix, deserialize, encode, serialize
+from .compress import bit_length, decode_matrix, deserialize, encode, serialize
 from .generators import (
     linear_middle_instance,
     linear_output_instance,
@@ -162,17 +163,19 @@ def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
         c, planted = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
         enc = encode(c, cap=n_max)
         table = collapse(c, cap=n_max)
-        bad_x = next(
-            (x for x in range(1 << n) if decode(enc, Gf2Vector(n, x)) != table.value_at(x)),
-            None,
-        )
+        decoded = decode_matrix(enc)
+        # all 2^n inputs: one value vector per output, compared bit for bit
+        diff = 0
+        for got, want in zip(operator_table_of_matrix(decoded).columns, table.columns):
+            diff |= got ^ want
+        bad_x = (diff & -diff).bit_length() - 1 if diff else None
         w = enc.field_width()
         length_ok = bit_length(enc) <= 96 + 16 * n + 2 * enc.wire_count() * w + sum(
             len(b) for b in enc.basis_bits
         )
         ok = (
             bad_x is None
-            and decode_matrix(enc) == planted
+            and decoded == planted
             and deserialize(serialize(enc)) == enc
             and length_ok
         )

@@ -185,17 +185,6 @@ def zero_normalize_middle(c: Depth2Circuit) -> Depth2Circuit:
     return Depth2Circuit(c.n, middle, c.outputs)
 
 
-def middle_responses(c: Depth2Circuit, x: Gf2Vector) -> Gf2Vector:
-    """Values of the middle layer on input ``x``, as a length-r vector."""
-    bits = 0
-    for j, m in enumerate(c.middle):
-        idx = 0
-        for k, i in enumerate(m.inputs):
-            idx |= ((x.bits >> i) & 1) << k
-        bits |= m.table.value(idx) << j
-    return Gf2Vector(len(c.middle), bits)
-
-
 def linearize(
     c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> tuple[LinearDepth2Circuit, LinearizationReport]:
@@ -214,7 +203,10 @@ def linearize(
     s3 = zero_normalize_middle(s2)
 
     n, r = c.n, len(s3.middle)
-    m_words = [middle_responses(s3, Gf2Vector.unit(n, i)).bits for i in range(n)]
+    m_words = [
+        sum(v << j for j, v in enumerate(s3.middle_values(Gf2Vector.unit(n, i))))
+        for i in range(n)
+    ]
     m = Gf2Matrix(n, r, tuple(m_words))
     first = m.transpose()
     second = Gf2Matrix(

@@ -1,10 +1,15 @@
 """Naive reference implementations used as oracles by the tests.
 
-Everything here works point by point on plain Python lists, independent
-of the library's bitset and batch-evaluation paths.
+Everything here works point by point, on plain Python lists where it
+can, independent of the library's batch-evaluation paths.  The
+certificate decoder reuses the GF(2) primitives, which have their own
+list-based oracles, but none of the compiled decoder's code.
 """
 
 from __future__ import annotations
+
+from wirelab.compress import CorruptEncodingError
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, solve_in_span
 
 
 def table_lookup(bits: int, args: list[int]) -> int:
@@ -59,3 +64,34 @@ def rank_mod2(rows: list[list[int]]) -> int:
 
 def matrix_lists(m) -> list[list[int]]:
     return [list(m.row(i).coords()) for i in range(m.rows)]
+
+
+def decode_per_point(enc, x):
+    """The certificate decoder that works one input at a time.
+
+    For each output it rebuilds the sub-matrix of the middle gates it
+    reads, re-expresses B_i*x over the sub-matrix's first basis and
+    combines the stored basis values; the compiled ``decode_matrix`` must
+    agree with it on every input.
+    """
+    if x.length != enc.n:
+        raise ValueError("input length mismatch")
+    b_words = [0] * enc.r
+    for i, j in enc.b_ones:
+        b_words[i] |= 1 << j
+    bits = 0
+    for i in range(enc.n):
+        rows = [j for row, j in enc.c_ones if row == i]
+        sub = Gf2Matrix(len(rows), enc.n, tuple(b_words[j] for j in rows))
+        basis = [sub.column(j) for j in first_basis_columns(sub)]
+        if len(basis) != len(enc.basis_bits[i]):
+            raise CorruptEncodingError(
+                f"output {i} stores {len(enc.basis_bits[i])} basis values,"
+                f" but its wire pattern has rank {len(basis)}"
+            )
+        lam = solve_in_span(basis, matvec(sub, x))
+        z = 0
+        for coeff, value in zip(lam, enc.basis_bits[i]):
+            z ^= coeff & value
+        bits |= z << i
+    return Gf2Vector(enc.n, bits)

@@ -5,6 +5,7 @@ import pytest
 
 from wirelab.bounds import (
     LINEAR_RATIO_INTERVAL,
+    _linear_threshold_from,
     BoundParams,
     bounds_table,
     linear_circuit_count,
@@ -138,11 +139,19 @@ def test_linear_bound_trivial_range():
 
 
 def test_linear_bound_boundary_certified_by_factorials():
-    for n in (16, 64, 256):
+    for n in (*range(2, 129), 256):
         best = linear_circuit_lower_bound(n)
         target = 2 ** (n * n)
         assert linear_count_naive(n, best) < target
         assert best == n * n or linear_count_naive(n, best + 1) >= target
+
+
+def test_linear_bound_fixup_ignores_the_starting_guess():
+    # the float estimate only picks where the exact search starts
+    for n in (16, 37, 64, 256):
+        want = linear_circuit_lower_bound(n)
+        for guess in (want - 50, want - 1, want, want + 1, want + 50):
+            assert _linear_threshold_from(n, guess) == want
 
 
 def test_linear_count_monotone_samples():

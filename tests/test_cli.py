@@ -51,8 +51,45 @@ def test_eval_header_only_file_is_an_error(tmp_path, capsys):
     path.write_text("general v1\n")
     code = cli.main(["eval", "--in", str(path), "--x", "1"])
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
+    assert code == 2
+    assert err.startswith("error:") and "missing size line" in err and "Traceback" not in err
+
+
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nope.ckt"
+    for argv in (
+        ["eval", "--in", str(missing), "--x", "1"],
+        ["decode", "--in", str(missing), "--x", "1"],
+        ["verify-equiv", str(missing), str(missing)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and str(missing) in err
+
+
+def test_corrupt_certificate_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "c.ckt"
+    ope = tmp_path / "c.ope"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "4", "--seed", "9",
+        "--out", str(src))
+    run(capsys, "encode", "--in", str(src), "--out", str(ope))
+    good = ope.read_bytes()
+    for bad, message in ((b"X" + good[1:], "bad magic"), (good[:-2], "truncated")):
+        ope.write_bytes(bad)
+        assert cli.main(["decode", "--in", str(ope), "--x", "0000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "(at bit " in err
+
+
+def test_bad_input_vector_and_matrix_are_usage_errors(tmp_path, capsys):
+    src = tmp_path / "c.ckt"
+    mat = tmp_path / "a.txt"
+    run(capsys, "gen-circuit", "--family", "linear", "--n", "3", "--seed", "1", "--out", str(src))
+    assert cli.main(["eval", "--in", str(src), "--x", "10"]) == 2
+    assert "--x must be 3 characters" in capsys.readouterr().err
+    mat.write_text("3 3\n101\n01\n")
+    assert cli.main(["verify-weak", "--in", str(src), "--matrix", str(mat)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_linearize_report_and_verify(tmp_path, capsys):

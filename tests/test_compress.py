@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+from oracles import decode_per_point
 
 from wirelab.circuit import (
     Depth2Circuit,
@@ -23,7 +25,7 @@ from wirelab.compress import (
     serialize,
 )
 from wirelab.generators import linear_middle_instance
-from wirelab.gf2 import Gf2Matrix, Gf2Vector
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, matvec
 
 
 def identity_depth2(n: int) -> Depth2Circuit:
@@ -106,18 +108,56 @@ def test_decode_roundtrip_exhaustive():
             assert decode(enc, Gf2Vector(5, x)) == table.value_at(x)
 
 
+def _oracle_encodings():
+    """Seeded planted certificates plus the identity and an empty second level."""
+    rng = random.Random(2024)
+    for seed in range(60):
+        n, r = rng.randint(1, 9), rng.randint(1, 12)
+        c, a = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=seed)
+        yield encode(c, cap=10), a
+    yield encode(identity_depth2(5), cap=8), Gf2Matrix.identity(5)
+    mids = (MiddleGate((0, 2), TruthTable.parity(2)),)
+    outs = tuple(OutputGate((), (), TruthTable.constant(0)) for _ in range(4))
+    yield encode(Depth2Circuit(4, mids, outs), cap=8), Gf2Matrix.zero(4, 4)
+
+
+def test_decode_matches_per_point_oracle_on_every_input():
+    cases = list(_oracle_encodings())
+    assert len(cases) >= 52
+    for enc, planted in cases:
+        a = decode_matrix(enc)
+        assert a == planted
+        for x in range(1 << enc.n):
+            v = Gf2Vector(enc.n, x)
+            want = decode_per_point(enc, v)
+            assert decode(enc, v) == want
+            assert matvec(a, v) == want
+
+
+def test_decode_rejects_bad_input_length():
+    enc = encode(identity_depth2(3), cap=8)
+    with pytest.raises(ValueError, match="length"):
+        decode(enc, Gf2Vector.zero(4))
+
+
 def test_decode_detects_corrupted_basis_string():
-    # output 0's wire pattern spans a 1-dimensional space but the stream
-    # claims t_0 = 0; such a certificate cannot come from encode
-    enc = OperatorEncoding(
-        n=2,
-        r=1,
-        b_ones=((0, 0),),
-        c_ones=((0, 0),),
-        basis_bits=((), ()),
+    corrupted = (
+        # output 0's wire pattern spans a 1-dimensional space but the
+        # stream claims t_0 = 0; such a certificate cannot come from encode
+        OperatorEncoding(n=2, r=1, b_ones=((0, 0),), c_ones=((0, 0),), basis_bits=((), ())),
+        # output 1 reads two equal middle gates (rank 1) but stores two values
+        OperatorEncoding(
+            n=2, r=2, b_ones=((0, 1), (1, 1)), c_ones=((1, 0), (1, 1)), basis_bits=((), (1, 0))
+        ),
     )
-    with pytest.raises(CorruptEncodingError):
-        decode(enc, Gf2Vector.from_coords([1, 0]))
+    x = Gf2Vector.from_coords([1, 0])
+    for enc in corrupted:
+        with pytest.raises(CorruptEncodingError) as oracle_err:
+            decode_per_point(enc, x)
+        for fn in (lambda: decode(enc, x), lambda: decode_matrix(enc)):
+            with pytest.raises(CorruptEncodingError) as err:
+                fn()
+            assert str(err.value) == str(oracle_err.value)
 
 
 # --- sizes and serialization ---------------------------------------------------
@@ -187,6 +227,20 @@ def test_deserialize_rejects_trailing_data():
     data = serialize(encode(identity_depth2(3), cap=8))
     with pytest.raises(EncodingFormatError, match="trailing"):
         deserialize(data + b"\x00")
+
+
+def test_deserialize_offsets_inside_basis_bits_and_padding():
+    # one output reading 20 middle gates: its 20 basis bits occupy bits
+    # 312..331 of the stream, followed by 4 padding bits
+    enc = OperatorEncoding(1, 20, (), tuple((0, j) for j in range(20)), ((1, 0) * 10,))
+    data = serialize(enc)
+    assert bit_length(enc) == 332 and len(data) == 42
+    with pytest.raises(EncodingFormatError, match="basis bit of output 0") as err:
+        deserialize(data[:40])
+    assert err.value.bit_offset == 320  # the first bit past the end, not the field start
+    with pytest.raises(EncodingFormatError, match="nonzero padding") as err:
+        deserialize(data[:-1] + bytes([data[-1] | 1]))
+    assert err.value.bit_offset == 332
 
 
 def test_deserialize_rejects_out_of_range_positions():
