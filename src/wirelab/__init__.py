@@ -1,7 +1,7 @@
 """wirelab: depth-2 boolean circuit transforms, operator coding, and
 wire-count bounds, with exhaustive verification at desk scale."""
 
-from ._kernels import BACKEND
+from ._kernels import BACKEND, EXHAUSTIVE_CAP, ExhaustiveCapError
 from .gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
 from .circuit import (
     Depth2Circuit,
@@ -25,7 +25,6 @@ from .transforms import (
 )
 from .compress import OperatorEncoding, bit_length, decode, decode_matrix, deserialize, encode, serialize
 from .bounds import (
-    BoundParams,
     linear_circuit_lower_bound,
     log2_count_upper,
     log2_num_operators,
@@ -36,8 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "BoundParams",
     "Depth2Circuit",
+    "EXHAUSTIVE_CAP",
+    "ExhaustiveCapError",
     "GeneralCircuit",
     "Gf2Matrix",
     "Gf2Vector",

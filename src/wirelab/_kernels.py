@@ -12,6 +12,17 @@ from __future__ import annotations
 from itertools import chain
 
 BACKEND = "python"
+EXHAUSTIVE_CAP = 20
+
+
+class ExhaustiveCapError(ValueError):
+    """An exhaustive sweep over 2**n inputs with n above ``EXHAUSTIVE_CAP``."""
+
+
+def check_exhaustive(n: int) -> None:
+    """Raise ExhaustiveCapError unless a sweep over 2**n inputs is allowed."""
+    if n > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(f"exhaustive evaluation capped at n={EXHAUSTIVE_CAP}, got n={n}")
 
 
 def variable_mask(i: int, n: int) -> int:
@@ -23,6 +34,13 @@ def variable_mask(i: int, n: int) -> int:
         m |= m << period
         period <<= 1
     return m
+
+
+def input_vectors(n: int) -> list[int]:
+    """Value vectors of the n input coordinates; every sweep starts here,
+    so the cap is checked before the first 2**n-bit int is built."""
+    check_exhaustive(n)
+    return [variable_mask(i, n) for i in range(n)]
 
 
 def parity_candidate(table: int, fanin: int) -> tuple[int, int]:
@@ -96,8 +114,8 @@ def _sweep(n: int, preds, tables) -> list[int]:
     Both public entry points call this directly and never each other, so
     a wrapper installed on one of them sees each sweep exactly once.
     """
+    vecs = input_vectors(n)
     full = (1 << (1 << n)) - 1
-    vecs = [variable_mask(i, n) for i in range(n)]
     for ps, t in zip(preds, tables):
         vecs.append(apply_table(t, [vecs[p] for p in ps], full))
     return vecs

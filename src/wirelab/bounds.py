@@ -1,12 +1,13 @@
 """Exact integer evaluation of wire-counting bounds.
 
 ``log2_count_upper`` bounds (in the exponent) how many distinct
-n-operators circuits with at most L wires can realize: with m gates of
-fanins d_1..d_m summing to at most L, there are at most (n+1)^m fanin
-sequences, m^{d_i} wire choices and 2^{2^{d_i}} gate functions per gate,
-and at most floor(n/2) gates can have fanin above 2L/n.  Every fractional
-quantity is rounded up, which only loosens the upper bound, so all
-arithmetic stays in exact integers.
+n-operators circuits with at most L wires can realize: with at most
+m = 2n^2 gates of fanins d_1..d_m summing to at most L, there are at
+most (n+1)^m fanin sequences, m^{d_i} wire choices and 2^{2^{d_i}} gate
+functions per gate, and at most floor(n/2) gates can have fanin above
+2L/n.  The gate cap m is fixed (the golden table's header states it).
+Every fractional quantity is rounded up, which only loosens the upper
+bound, so all arithmetic stays in exact integers.
 
 ``min_wires_lower_bound`` extracts the largest L whose bound still falls
 short of the n * 2^n bits needed to name every operator: some operator
@@ -34,34 +35,12 @@ comparisons and does not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lgamma, log, log2
 
 # Observed range of linear_circuit_lower_bound(n) * log2(n) / n^2 on
 # powers of two n in [16, 256]; frozen so sweeps can assert the
 # n^2/log n shape against a fixed interval.
 LINEAR_RATIO_INTERVAL = (0.45, 0.80)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Knobs of the counting chain; ``m`` caps the number of gates."""
-
-    n: int
-    m: int | None = None
-    rounding: str = "ceiling"
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.rounding != "ceiling":
-            raise ValueError("only ceiling rounding is supported")
-        if self.m is not None and self.m < self.n:
-            raise ValueError("gate cap m must be at least n")
-
-    @property
-    def gate_cap(self) -> int:
-        return 2 * self.n * self.n if self.m is None else self.m
 
 
 def _ceil_log2(v: int) -> int:
@@ -77,12 +56,14 @@ def log2_num_operators(n: int) -> int:
     return n << n
 
 
-def log2_count_upper(n: int, wires: int, params: BoundParams | None = None) -> int:
-    """Integer U with log2(#operators computable with <= wires wires) <= U."""
-    params = params if params is not None else BoundParams(n)
+def log2_count_upper(n: int, wires: int) -> int:
+    """Integer U with log2(#operators computable with <= wires wires) <= U,
+    counting circuits of at most m = 2n^2 gates."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not 0 <= wires <= n * n:
         raise ValueError("wire count must lie in [0, n^2]")
-    m = params.gate_cap
+    m = 2 * n * n
     heavy = n // 2  # gates allowed fanin above 2*wires/n
     fanin_cap_exp = -(-2 * wires // n)  # ceil(2L/n)
     return (
@@ -93,7 +74,7 @@ def log2_count_upper(n: int, wires: int, params: BoundParams | None = None) -> i
     )
 
 
-def min_wires_lower_bound(n: int, params: BoundParams | None = None) -> int:
+def min_wires_lower_bound(n: int) -> int:
     """Largest L whose counting bound stays below n * 2^n.
 
     Circuits with that many wires cannot realize all n-operators, so
@@ -103,12 +84,12 @@ def min_wires_lower_bound(n: int, params: BoundParams | None = None) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     target = log2_num_operators(n)
-    if log2_count_upper(n, 0, params) >= target:
+    if log2_count_upper(n, 0) >= target:
         return 0
     lo, hi = 0, n * n  # invariant: bound(lo) < target
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if log2_count_upper(n, mid, params) < target:
+        if log2_count_upper(n, mid) < target:
             lo = mid
         else:
             hi = mid - 1

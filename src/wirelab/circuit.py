@@ -19,7 +19,6 @@ from . import _kernels
 from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec
 
 MAX_FANIN = 24
-DEFAULT_EXHAUSTIVE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -325,12 +324,20 @@ class OperatorTable:
             bits |= ((c >> x) & 1) << i
         return Gf2Vector(self.n, bits)
 
+    def first_difference(self, other: "OperatorTable") -> int | None:
+        """Lowest input on which the two operators differ, or None."""
+        if other.n != self.n:
+            raise ValueError("operators have different input counts")
+        diff = 0
+        for a, b in zip(self.columns, other.columns):
+            diff |= a ^ b
+        return (diff & -diff).bit_length() - 1 if diff else None
 
-def collapse(c: Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorTable:
-    """Evaluate ``c`` on all 2**n inputs."""
+
+def collapse(c: Circuit) -> OperatorTable:
+    """Evaluate ``c`` on all 2**n inputs; n above the exhaustive cap raises
+    ``ExhaustiveCapError`` before any value vector is built."""
     n = c.n
-    if n > cap:
-        raise ValueError(f"exhaustive evaluation capped at n={cap}, got n={n}")
     if isinstance(c, GeneralCircuit):
         vecs = _kernels.node_vectors_general(
             n, [g.preds for g in c.gates], [g.table.bits for g in c.gates]
@@ -356,8 +363,8 @@ def operator_table_of_matrix(a: Gf2Matrix, negations: Gf2Vector | None = None) -
     n = a.rows
     if a.cols != n:
         raise ValueError("operator matrix must be square")
+    masks = _kernels.input_vectors(n)
     full = (1 << (1 << n)) - 1
-    masks = [_kernels.variable_mask(i, n) for i in range(n)]
     cols = []
     for i in range(n):
         acc = full if negations is not None and negations.bit(i) else 0
@@ -367,11 +374,11 @@ def operator_table_of_matrix(a: Gf2Matrix, negations: Gf2Vector | None = None) -
     return OperatorTable(n, tuple(cols))
 
 
-def equivalent(c1: Circuit, c2: Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> bool:
+def equivalent(c1: Circuit, c2: Circuit) -> bool:
     """Exhaustive equivalence of two circuits on all 2**n inputs."""
     if c1.n != c2.n:
         raise ValueError("circuits have different input counts")
-    return collapse(c1, cap) == collapse(c2, cap)
+    return collapse(c1) == collapse(c2)
 
 
 def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
@@ -388,22 +395,23 @@ def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     return bit_indices(mask), bool(neg)
 
 
-def computes_linear(c: Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Gf2Matrix | None:
+def computes_linear(c: Circuit) -> Gf2Matrix | None:
     """The matrix ``a`` with c(x) = a*x for all x, or None.
 
-    The candidate is read off the unit vectors, then verified
-    exhaustively; circuits with c(0) != 0 always fail.
+    Column j of the candidate is the value at unit vector j of one
+    exhaustive sweep, which then verifies it; circuits with c(0) != 0
+    always fail.
     """
+    table = collapse(c)
     n = c.n
-    if n > cap:
-        raise ValueError(f"exhaustive check capped at n={cap}, got n={n}")
-    unit_images = [c.eval(Gf2Vector.unit(n, j)) for j in range(n)]
     words = [0] * n
-    for j, img in enumerate(unit_images):
-        for i in range(n):
-            words[i] |= img.bit(i) << j
+    for j in range(n):
+        unit = 1 << (1 << j)  # a mask, not a shift: costs 2**j bits, not 2**n
+        for i, col in enumerate(table.columns):
+            if col & unit:
+                words[i] |= 1 << j
     a = Gf2Matrix(n, n, tuple(words))
-    if collapse(c, cap) != operator_table_of_matrix(a):
+    if table != operator_table_of_matrix(a):
         return None
     return a
 

@@ -5,7 +5,9 @@ always produce byte-identical output.  Exit status: 0 when all checks
 pass, 1 on a failed verification (a replayable witness is printed), 2 on
 usage errors: bad arguments, and input files that are missing,
 unreadable or malformed (the message names the file and, where the
-format has them, the line or bit offset).
+format has them, the line or bit offset).  Commands that sweep all 2**n
+inputs accept n up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a
+larger circuit, or ``suite --n-max`` above it, is a usage error too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import gf2, suite
+from ._kernels import ExhaustiveCapError
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -75,14 +78,6 @@ def load_circuit(path: str) -> Depth2Circuit | GeneralCircuit:
     return _load(path, _parse_circuit)
 
 
-def circuit_text(c) -> str:
-    if isinstance(c, GeneralCircuit):
-        return general_to_text(c)
-    if isinstance(c, Depth2Circuit):
-        return depth2_to_text(c)
-    return depth2_to_text(c.to_depth2())
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -132,12 +127,10 @@ def cmd_verify_equiv(args) -> int:
     c2 = load_circuit(args.second)
     if c1.n != c2.n:
         raise UsageError("circuits have different input counts")
-    t1 = collapse(c1, args.cap)
-    t2 = collapse(c2, args.cap)
-    if t1 == t2:
+    x = collapse(c1).first_difference(collapse(c2))
+    if x is None:
         print("equivalent=true")
         return 0
-    x = next(x for x in range(1 << c1.n) if t1.value_at(x) != t2.value_at(x))
     print("equivalent=false")
     print(f"counterexample={Gf2Vector(c1.n, x)}")
     return 1
@@ -162,7 +155,7 @@ def cmd_cap_fanin(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, GeneralCircuit):
         raise UsageError("cap-fanin expects a general circuit")
-    capped = cap_fanin(c, args.cap)
+    capped = cap_fanin(c)
     print(f"wires_before={c.wire_count()}")
     print(f"wires_after={capped.wire_count()}")
     print(f"max_fanin={max((len(g.preds) for g in capped.gates), default=0)}")
@@ -175,8 +168,8 @@ def cmd_linearize(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
         raise UsageError("linearize expects a depth-2 circuit")
-    lin, report = linearize(c, args.cap)
-    ok = report.within_budget(c.n) and equivalent(c, lin, args.cap)
+    lin, report = linearize(c)
+    ok = report.within_budget(c.n) and equivalent(c, lin)
     print(f"wires_before={report.wires_before}")
     print(f"wires_after={report.wires_after}")
     print(f"added={report.added}")
@@ -193,7 +186,7 @@ def cmd_encode(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
         raise UsageError("encode expects a depth-2 circuit")
-    enc = encode(c, args.cap)
+    enc = encode(c)
     data = serialize(enc)
     print(f"n={enc.n}")
     print(f"r={enc.r}")
@@ -288,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify-equiv", cmd_verify_equiv, help="exhaustive equivalence of two circuits")
     sp.add_argument("first")
     sp.add_argument("second")
-    sp.add_argument("--cap", type=int, default=20)
 
     sp = add("verify-weak", cmd_verify_weak, help="agreement with a matrix on unit vectors")
     sp.add_argument("--in", dest="infile", required=True)
@@ -297,18 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("cap-fanin", cmd_cap_fanin, help="rewire gates of fanin > n to the inputs")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--cap", type=int, default=20)
 
     sp = add("linearize", cmd_linearize, help="all-parity form of a linear-output circuit")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--cap", type=int, default=20)
 
     sp = add("encode", cmd_encode, help="succinct certificate of a parity-middle circuit")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
     sp.add_argument("--hex", action="store_true", help="print the stream as hex")
-    sp.add_argument("--cap", type=int, default=20)
 
     sp = add("decode", cmd_decode, help="evaluate a certificate on one input")
     sp.add_argument("--in", dest="infile", required=True)
@@ -333,6 +322,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ExhaustiveCapError as e:
+        # what was swept: the input file (verify-equiv's have equal n) or --n-max
+        where = getattr(args, "infile", None) or getattr(args, "first", None) or "--n-max"
+        print(f"error: {where}: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

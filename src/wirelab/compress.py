@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import DEFAULT_EXHAUSTIVE_CAP, Depth2Circuit, computes_linear, is_linear_gate
+from .circuit import Depth2Circuit, computes_linear, is_linear_gate
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
@@ -102,13 +102,15 @@ def _check_positions(ones, rows: int, cols: int, name: str) -> None:
         prev = pos
 
 
-def encode(c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorEncoding:
+def encode(c: Depth2Circuit) -> OperatorEncoding:
     """Build the certificate of ``c``.
 
     The circuit must have no direct wires, every middle gate must XOR
     exactly its wires (no negation, no ignored wire) and the circuit must
-    compute a matrix-vector product.  Middle gates feeding no output are
-    omitted from the certificate; they cannot influence it.
+    compute a matrix-vector product (``computes_linear`` checks that on all
+    2**n inputs and its matrix gives the basis values).  Middle gates
+    feeding no output are omitted from the certificate; they cannot
+    influence it.
     """
     for o in c.outputs:
         if o.directs:
@@ -116,7 +118,8 @@ def encode(c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorEncod
     for j, m in enumerate(c.middle):
         if is_linear_gate(m.table) != (tuple(range(len(m.inputs))), False):
             raise ValueError(f"middle gate {j} is not the pure parity of its wires")
-    if computes_linear(c, cap) is None:
+    a = computes_linear(c)
+    if a is None:
         raise ValueError("circuit does not compute a linear operator")
 
     used = sorted({j for o in c.outputs for j in o.mids})
@@ -130,12 +133,11 @@ def encode(c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> OperatorEncod
     c_rows = [sorted(remap[j] for j in o.mids) for o in c.outputs]
     c_ones = [(i, j) for i, row in enumerate(c_rows) for j in row]
 
-    unit_images = [c.eval(Gf2Vector.unit(c.n, i)) for i in range(c.n)]
     basis_bits = []
     for i, row in enumerate(c_rows):
         sub = Gf2Matrix(len(row), c.n, tuple(b_rows[j] for j in row))
         cols = first_basis_columns(sub)
-        basis_bits.append(tuple(unit_images[j].bit(i) for j in cols))
+        basis_bits.append(tuple(a.entry(i, j) for j in cols))
     return OperatorEncoding(
         c.n, len(used), tuple(b_ones), tuple(c_ones), tuple(basis_bits)
     )
@@ -210,19 +212,21 @@ def bit_length(enc: OperatorEncoding) -> int:
 
 
 class _BitWriter:
+    """Collects MSB-first fields as '0'/'1' strings and converts them once,
+    so writing costs time linear in the stream length."""
+
     def __init__(self) -> None:
-        self.acc = 0
-        self.nbits = 0
+        self.fields: list[str] = []
 
     def write(self, value: int, width: int) -> None:
-        if value < 0 or (width and value >> width):
+        if value < 0 or value >> width:
             raise ValueError("value does not fit the field")
-        self.acc = (self.acc << width) | value
-        self.nbits += width
+        self.fields.append(format(value, f"0{width}b") if width else "")
 
     def to_bytes(self) -> bytes:
-        pad = (-self.nbits) % 8
-        return ((self.acc << pad)).to_bytes((self.nbits + pad) // 8, "big")
+        bits = "".join(self.fields)
+        bits += "0" * (-len(bits) % 8)
+        return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
 
 
 class _BitReader:

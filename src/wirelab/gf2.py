@@ -147,10 +147,6 @@ class Gf2Matrix:
         """Number of 1-entries (the wire count of an adjacency matrix)."""
         return sum(w.bit_count() for w in self.row_words)
 
-    def ones(self) -> list[tuple[int, int]]:
-        """Positions of 1-entries in row-major order."""
-        return [(i, j) for i, w in enumerate(self.row_words) for j in bit_indices(w)]
-
 
 def matvec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
     """Matrix-vector product over GF(2)."""

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from . import bounds as bounds_mod
+from ._kernels import check_exhaustive
 from .circuit import (
     LinearDepth2Circuit,
     collapse,
@@ -116,9 +117,9 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
         r = rng.randint(1, 12)
         density = rng.uniform(0.2, 0.8)
         c, planted = linear_output_instance(n, r, density, seed=s)
-        lin, rep = linearize(c, cap=n_max)
+        lin, rep = linearize(c)
         if not (
-            equivalent(c, lin, cap=n_max)
+            equivalent(c, lin)
             and rep.wires_after <= rep.wires_before + 2 * n
             and lin.operator_matrix() == planted
         ):
@@ -135,9 +136,9 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
             and s2.first_level_wires() <= s1.first_level_wires()
             and s3.wire_count() == s2.wire_count()
             and rep.m.popcount() <= s3.first_level_wires()
-            and equivalent(c, s1, cap=n_max)
-            and equivalent(s1, s2, cap=n_max)
-            and equivalent(s2, s3, cap=n_max)
+            and equivalent(c, s1)
+            and equivalent(s1, s2)
+            and equivalent(s2, s3)
         )
         if not stage_ok:
             stage_fail += 1
@@ -161,14 +162,10 @@ def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
         n = rng.randint(3, n_max)
         r = rng.randint(1, 12)
         c, planted = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
-        enc = encode(c, cap=n_max)
-        table = collapse(c, cap=n_max)
+        enc = encode(c)
+        table = collapse(c)
         decoded = decode_matrix(enc)
-        # all 2^n inputs: one value vector per output, compared bit for bit
-        diff = 0
-        for got, want in zip(operator_table_of_matrix(decoded).columns, table.columns):
-            diff |= got ^ want
-        bad_x = (diff & -diff).bit_length() - 1 if diff else None
+        bad_x = operator_table_of_matrix(decoded).first_difference(table)
         w = enc.field_width()
         length_ok = bit_length(enc) <= 96 + 16 * n + 2 * enc.wire_count() * w + sum(
             len(b) for b in enc.basis_bits
@@ -200,12 +197,12 @@ def run_fanin_cap(trials: int = 200, n_max: int = 8, seed: int = 44) -> CheckRes
         n = rng.randint(2, n_max)
         gates = rng.randint(2, 8)
         c = random_general(n, gates, seed=s, over_fanin_gates=rng.randint(1, max(1, gates // 2)))
-        capped = cap_fanin(c, cap=n_max)
+        capped = cap_fanin(c)
         ok = (
-            collapse(capped, cap=n_max) == collapse(c, cap=n_max)
+            collapse(capped) == collapse(c)
             and max(len(g.preds) for g in capped.gates) <= n
             and capped.wire_count() <= c.wire_count()
-            and cap_fanin(capped, cap=n_max) == capped
+            and cap_fanin(capped) == capped
         )
         if not ok:
             failures += 1
@@ -230,7 +227,7 @@ def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> Check
         else:
             a = random_matrix(n, n, rng.uniform(0.2, 0.8), seed=s + 1)
         weak = weakly_computes(c, a)
-        full = equivalent(c, LinearDepth2Circuit.from_matrix(a), cap=n_max)
+        full = equivalent(c, LinearDepth2Circuit.from_matrix(a))
         if weak != full:
             failures += 1
             if witness is None:
@@ -340,7 +337,10 @@ def run_linear_counting() -> CheckResult:
 
 
 def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResult]:
-    """The full battery; smaller batches reuse the main trial count."""
+    """The full battery; smaller batches reuse the main trial count.  Trials
+    sweep up to ``n_max`` inputs, so an ``n_max`` above the exhaustive cap
+    is refused before any trial runs."""
+    check_exhaustive(n_max)
     small = max(1, (2 * trials) // 5)
     lin, stages = run_linearization(trials, n_max, seed)
     return [

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
-    DEFAULT_EXHAUSTIVE_CAP,
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
@@ -78,17 +77,16 @@ class LinearizationReport:
         return self.wires_after <= self.wires_before + self.budget(n)
 
 
-def cap_fanin(c: GeneralCircuit, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> GeneralCircuit:
+def cap_fanin(c: GeneralCircuit) -> GeneralCircuit:
     """Rewire every gate of fanin > n straight to the n inputs.
 
     The replacement gate computes the same function of the circuit
     inputs (obtained exhaustively), so the circuit's behaviour is
     unchanged while its wire count can only drop.  Gates of fanin <= n
-    are left untouched; a second application is a no-op.
+    are left untouched; a second application is a no-op.  Rewiring
+    sweeps all 2**n inputs, so n is capped like ``collapse``.
     """
     n = c.n
-    if n > cap:
-        raise ValueError(f"exhaustive rewiring capped at n={cap}, got n={n}")
     if all(len(g.preds) <= n for g in c.gates):
         return c
     vecs = _kernels.node_vectors_general(
@@ -185,18 +183,14 @@ def zero_normalize_middle(c: Depth2Circuit) -> Depth2Circuit:
     return Depth2Circuit(c.n, middle, c.outputs)
 
 
-def linearize(
-    c: Depth2Circuit, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> tuple[LinearDepth2Circuit, LinearizationReport]:
+def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationReport]:
     """Full pipeline: an equivalent all-parity circuit plus wire accounting.
 
     Requires linear output gates and a circuit computing a matrix-vector
     product; the result computes the same operator with at most 2n more
     wires, its first level never wider than the normalized circuit's.
     """
-    if c.n > cap:
-        raise ValueError(f"linearize capped at n={cap}, got n={c.n}")
-    if computes_linear(c, cap) is None:
+    if computes_linear(c) is None:
         raise ValueError("circuit does not compute a linear operator")
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)

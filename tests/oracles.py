@@ -3,7 +3,8 @@
 Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 certificate decoder reuses the GF(2) primitives, which have their own
-list-based oracles, but none of the compiled decoder's code.
+list-based oracles (``suite.naive_rank`` and ``suite.naive_matvec``, kept
+in the library for the battery), but none of the compiled decoder's code.
 """
 
 from __future__ import annotations
@@ -35,31 +36,6 @@ def eval_general(c, x: list[int]) -> list[int]:
     for k, g in enumerate(c.gates):
         val[c.n + k] = table_lookup(g.table.bits, [val[p] for p in g.preds])
     return [val[o] for o in c.outputs]
-
-
-def matvec_mod2(rows: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % 2 for row in rows]
-
-
-def rank_mod2(rows: list[list[int]]) -> int:
-    """Row-echelon elimination on copies, counting pivots."""
-    work = [row[:] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rk = 0
-    for j in range(ncols):
-        pivot = None
-        for i in range(rk, len(work)):
-            if work[i][j]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and work[i][j]:
-                work[i] = [(a + b) % 2 for a, b in zip(work[i], work[rk])]
-        rk += 1
-    return rk
 
 
 def matrix_lists(m) -> list[list[int]]:

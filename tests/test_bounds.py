@@ -6,7 +6,6 @@ import pytest
 from wirelab.bounds import (
     LINEAR_RATIO_INTERVAL,
     _linear_threshold_from,
-    BoundParams,
     bounds_table,
     linear_circuit_count,
     linear_circuit_lower_bound,
@@ -89,18 +88,13 @@ def test_count_upper_rejects_excess_wires():
         log2_count_upper(4, 17)
 
 
-def test_count_upper_monotone_in_wires_and_gate_cap():
+def test_count_upper_monotone_in_wires():
     for n in range(2, 17):
         prev = -1
         for wires in range(n * n + 1):
             cur = log2_count_upper(n, wires)
             assert cur >= prev
             prev = cur
-    for n in (4, 8):
-        for wires in (0, n, n * n):
-            small = log2_count_upper(n, wires, BoundParams(n, m=n))
-            big = log2_count_upper(n, wires, BoundParams(n, m=4 * n * n))
-            assert small <= log2_count_upper(n, wires) <= big
 
 
 # --- min_wires_lower_bound ----------------------------------------------------
@@ -200,9 +194,7 @@ def test_table_requires_powers_of_two():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BoundParams(4, m=2)
-    with pytest.raises(ValueError):
-        BoundParams(4, rounding="floor")
+        log2_count_upper(0, 0)
     with pytest.raises(ValueError):
         min_wires_lower_bound(1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import eval_depth2, eval_general
+from wirelab._kernels import EXHAUSTIVE_CAP, ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -137,9 +138,14 @@ def test_collapse_spot_entries_match_eval():
 
 
 def test_collapse_cap_enforced():
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(5))
-    with pytest.raises(ValueError):
-        collapse(c, cap=4)
+    # the cap is fixed at 20: both sweep paths take n = 20 and refuse n = 21
+    assert EXHAUSTIVE_CAP == 20
+    lin = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(20))
+    assert collapse(lin).value_at(5) == Gf2Vector(20, 5)
+    big = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(21))
+    for c in (big, big.to_depth2()):
+        with pytest.raises(ExhaustiveCapError, match="capped at n=20, got n=21"):
+            collapse(c)
 
 
 def test_equivalent_reflexive_and_zero_vs_identity():
@@ -159,8 +165,8 @@ def test_equivalent_mismatched_inputs():
 
 def test_equivalent_circuit_vs_its_linearization():
     c, _ = linear_output_instance(4, 6, 0.5, seed=8)
-    lin, _ = linearize(c, cap=8)
-    assert equivalent(c, lin, cap=8)
+    lin, _ = linearize(c)
+    assert equivalent(c, lin)
 
 
 # --- linearity checks ------------------------------------------------------
@@ -204,7 +210,7 @@ def test_computes_linear_rejects_nonzero_at_zero():
 
 def test_computes_linear_recovers_planted_matrix():
     c, a = linear_middle_instance(4, 5, 0.5, seed=10)
-    assert computes_linear(c, cap=8) == a
+    assert computes_linear(c) == a
 
 
 def test_weakly_computes_exact_circuit_and_zero():
@@ -222,7 +228,7 @@ def test_weak_equals_full_for_parity_circuits():
         c = random_linear_circuit(4, 5, 0.5, seed=seed)
         a = random_matrix(4, 4, 0.5, seed=seed + 100)
         weak = weakly_computes(c, a)
-        full = equivalent(c, LinearDepth2Circuit.from_matrix(a), cap=8)
+        full = equivalent(c, LinearDepth2Circuit.from_matrix(a))
         assert weak == full
         assert weakly_computes(c, c.operator_matrix())
 

@@ -3,9 +3,18 @@ from pathlib import Path
 import pytest
 
 from wirelab import cli
-from wirelab.circuit import depth2_from_text, general_from_text
+from wirelab.circuit import (
+    GeneralCircuit,
+    GeneralGate,
+    LinearDepth2Circuit,
+    TruthTable,
+    depth2_from_text,
+    depth2_to_text,
+    general_from_text,
+    general_to_text,
+)
 from wirelab.compress import deserialize
-from wirelab.gf2 import from_text
+from wirelab.gf2 import Gf2Matrix, from_text
 
 
 def run(capsys, *argv):
@@ -116,6 +125,45 @@ def test_verify_equiv_counterexample(tmp_path, capsys):
     assert code == 1
     assert "equivalent=false" in out
     assert "counterexample=" in out
+
+
+def test_verify_equiv_lowest_counterexample_at_n16(tmp_path, capsys):
+    # the circuits differ exactly when x_15 = 1: output 0 also reads x_15
+    n = 16
+    ident = tmp_path / "ident.ckt"
+    other = tmp_path / "other.ckt"
+    ident.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()))
+    rows = [1 << i for i in range(n)]
+    rows[0] |= 1 << 15
+    a = Gf2Matrix(n, n, tuple(rows))
+    other.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(a).to_depth2()))
+    code, out = run(capsys, "verify-equiv", str(ident), str(other))
+    assert code == 1
+    assert out == "equivalent=false\ncounterexample=0000000000000001\n"
+
+
+def test_inputs_over_the_exhaustive_cap_are_usage_errors(tmp_path, capsys):
+    n = 21
+    depth2 = tmp_path / "d21.ckt"
+    depth2.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()))
+    general = tmp_path / "g21.ckt"
+    wide = GeneralGate(tuple(range(n)) + (0,), TruthTable(n + 1, 0))
+    general.write_text(general_to_text(GeneralCircuit(n, (wide,), tuple(range(n)))))
+    for path, argv in (
+        (depth2, ["verify-equiv", str(depth2), str(depth2)]),
+        (depth2, ["linearize", "--in", str(depth2)]),
+        (depth2, ["encode", "--in", str(depth2)]),
+        (general, ["cap-fanin", "--in", str(general)]),
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: exhaustive evaluation capped at n=20, got n=21\n"
+    # the battery refuses before any trial runs
+    assert cli.main(["suite", "--trials", "1", "--n-max", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n-max: exhaustive evaluation capped at n=20, got n=21\n"
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):

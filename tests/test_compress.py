@@ -35,7 +35,7 @@ def identity_depth2(n: int) -> Depth2Circuit:
 # --- encode ------------------------------------------------------------------
 
 def test_encode_identity_circuit():
-    enc = encode(identity_depth2(4), cap=8)
+    enc = encode(identity_depth2(4))
     assert enc.b_ones == ((0, 0), (1, 1), (2, 2), (3, 3))
     assert enc.c_ones == ((0, 0), (1, 1), (2, 2), (3, 3))
     # each output sees one row; a single basis column whose value is A[i][i] = 1
@@ -46,7 +46,7 @@ def test_encode_zero_second_level():
     # outputs see nothing: t_i = 0 everywhere, basis bits empty
     mids = (MiddleGate((0,), TruthTable.identity()),)
     outs = tuple(OutputGate((), (), TruthTable.constant(0)) for _ in range(3))
-    enc = encode(Depth2Circuit(3, mids, outs), cap=8)
+    enc = encode(Depth2Circuit(3, mids, outs))
     assert enc.r == 0  # the unread middle gate is dropped
     assert enc.basis_bits == ((), (), ())
     assert decode_matrix(enc) == Gf2Matrix.zero(3, 3)
@@ -55,7 +55,7 @@ def test_encode_zero_second_level():
 def test_encode_rejects_direct_wires():
     c = Depth2Circuit(1, (), (OutputGate((), (0,), TruthTable.identity()),))
     with pytest.raises(ValueError, match="direct"):
-        encode(c, cap=4)
+        encode(c)
 
 
 def test_encode_rejects_negated_or_partial_middle_parity():
@@ -65,14 +65,14 @@ def test_encode_rejects_negated_or_partial_middle_parity():
         (OutputGate((0,), (), TruthTable.parity(1, negated=True)),),
     )
     with pytest.raises(ValueError, match="middle gate 0"):
-        encode(neg, cap=4)
+        encode(neg)
     lazy = Depth2Circuit(
         2,
         (MiddleGate((0, 1), TruthTable.parity(2, positions=[0])),),
         (OutputGate((0,), (), TruthTable.identity()), OutputGate((), (), TruthTable.constant(0))),
     )
     with pytest.raises(ValueError, match="middle gate 0"):
-        encode(lazy, cap=4)
+        encode(lazy)
 
 
 def test_encode_rejects_nonlinear_operators():
@@ -80,30 +80,30 @@ def test_encode_rejects_nonlinear_operators():
     mids = (MiddleGate((0,), TruthTable.identity()), MiddleGate((1,), TruthTable.identity()))
     outs = (OutputGate((0, 1), (), TruthTable(2, 0b1000)), OutputGate((1,), (), TruthTable.identity()))
     with pytest.raises(ValueError, match="linear operator"):
-        encode(Depth2Circuit(2, mids, outs), cap=4)
+        encode(Depth2Circuit(2, mids, outs))
 
 
 # --- decode ------------------------------------------------------------------
 
 def test_decode_zero_input_gives_zero():
     c, _ = linear_middle_instance(5, 6, 0.5, seed=19)
-    enc = encode(c, cap=8)
+    enc = encode(c)
     assert decode(enc, Gf2Vector.zero(5)) == Gf2Vector.zero(5)
 
 
 def test_decode_unit_vectors_give_matrix_columns():
     c, a = linear_middle_instance(5, 6, 0.5, seed=19)
-    enc = encode(c, cap=8)
+    enc = encode(c)
     for j in range(5):
         assert decode(enc, Gf2Vector.unit(5, j)) == a.column(j)
-    assert decode_matrix(enc) == a == computes_linear(c, cap=8)
+    assert decode_matrix(enc) == a == computes_linear(c)
 
 
 def test_decode_roundtrip_exhaustive():
     for seed in (19, 20, 21):
         c, _ = linear_middle_instance(5, 7, 0.5, seed=seed)
-        enc = encode(c, cap=8)
-        table = collapse(c, cap=8)
+        enc = encode(c)
+        table = collapse(c)
         for x in range(32):
             assert decode(enc, Gf2Vector(5, x)) == table.value_at(x)
 
@@ -114,11 +114,11 @@ def _oracle_encodings():
     for seed in range(60):
         n, r = rng.randint(1, 9), rng.randint(1, 12)
         c, a = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=seed)
-        yield encode(c, cap=10), a
-    yield encode(identity_depth2(5), cap=8), Gf2Matrix.identity(5)
+        yield encode(c), a
+    yield encode(identity_depth2(5)), Gf2Matrix.identity(5)
     mids = (MiddleGate((0, 2), TruthTable.parity(2)),)
     outs = tuple(OutputGate((), (), TruthTable.constant(0)) for _ in range(4))
-    yield encode(Depth2Circuit(4, mids, outs), cap=8), Gf2Matrix.zero(4, 4)
+    yield encode(Depth2Circuit(4, mids, outs)), Gf2Matrix.zero(4, 4)
 
 
 def test_decode_matches_per_point_oracle_on_every_input():
@@ -135,7 +135,7 @@ def test_decode_matches_per_point_oracle_on_every_input():
 
 
 def test_decode_rejects_bad_input_length():
-    enc = encode(identity_depth2(3), cap=8)
+    enc = encode(identity_depth2(3))
     with pytest.raises(ValueError, match="length"):
         decode(enc, Gf2Vector.zero(4))
 
@@ -169,14 +169,14 @@ def test_bit_length_header_only():
         (MiddleGate((), TruthTable.parity(0)),),
         (OutputGate((), (), TruthTable.constant(0)),),
     )
-    enc = encode(c, cap=2)
+    enc = encode(c)
     assert enc.wire_count() == 0
     assert bit_length(enc) == 96 + 16  # magic/counts plus one empty t_i field
     assert len(serialize(enc)) == (bit_length(enc) + 7) // 8
 
 
 def test_bit_length_identity_against_byte_count():
-    enc = encode(identity_depth2(4), cap=8)
+    enc = encode(identity_depth2(4))
     w = enc.field_width()
     assert w == 3
     assert bit_length(enc) == 96 + 16 * 4 + 2 * w * 8 + 4
@@ -188,7 +188,7 @@ def test_length_law_and_ratio_sweep():
     for seed in range(60):
         n = 4 + seed % 5
         c, _ = linear_middle_instance(n, 2 + seed % 10, 0.5, seed=seed)
-        enc = encode(c, cap=8)
+        enc = encode(c)
         w = enc.field_width()
         L = enc.wire_count()
         t_sum = sum(len(b) for b in enc.basis_bits)
@@ -202,14 +202,26 @@ def test_length_law_and_ratio_sweep():
 def test_serialize_roundtrip():
     for seed in (22, 23):
         c, _ = linear_middle_instance(6, 8, 0.5, seed=seed)
-        enc = encode(c, cap=8)
+        enc = encode(c)
         data = serialize(enc)
         assert deserialize(data) == enc
         assert serialize(deserialize(data)) == data
 
 
+def test_serialize_roundtrip_long_stream():
+    # 8192 + 128 wires: a stream of about 16 KB
+    n = r = 128
+    b_ones = tuple((i, j) for i in range(64) for j in range(n))
+    c_ones = tuple((i, i) for i in range(n))
+    basis_bits = tuple((i & 1,) if i < 64 else () for i in range(n))
+    enc = OperatorEncoding(n, r, b_ones, c_ones, basis_bits)
+    data = serialize(enc)
+    assert len(data) == (bit_length(enc) + 7) // 8
+    assert deserialize(data) == enc
+
+
 def test_deserialize_rejects_bad_magic():
-    enc = encode(identity_depth2(3), cap=8)
+    enc = encode(identity_depth2(3))
     data = bytearray(serialize(enc))
     data[0] ^= 0xFF
     with pytest.raises(EncodingFormatError) as err:
@@ -218,13 +230,13 @@ def test_deserialize_rejects_bad_magic():
 
 
 def test_deserialize_rejects_truncation():
-    data = serialize(encode(identity_depth2(3), cap=8))
+    data = serialize(encode(identity_depth2(3)))
     with pytest.raises(EncodingFormatError, match="truncated"):
         deserialize(data[:-2])
 
 
 def test_deserialize_rejects_trailing_data():
-    data = serialize(encode(identity_depth2(3), cap=8))
+    data = serialize(encode(identity_depth2(3)))
     with pytest.raises(EncodingFormatError, match="trailing"):
         deserialize(data + b"\x00")
 
@@ -244,7 +256,7 @@ def test_deserialize_offsets_inside_basis_bits_and_padding():
 
 
 def test_deserialize_rejects_out_of_range_positions():
-    enc = encode(identity_depth2(3), cap=8)
+    enc = encode(identity_depth2(3))
     good = serialize(enc)
     # header is magic(32) n(16) r(16) |B|(16) = 80 bits; the first pair
     # is two 2-bit fields; force it to (3, 3), invalid for 3 rows

@@ -1,9 +1,11 @@
 """The evaluation kernel: value-vector conventions, agreement of
-``collapse`` with the per-point interpreters, and the memory bound of
-the mux tree."""
+``collapse`` with the per-point interpreters, the memory bound of the
+mux tree, and the exhaustive cap checked before any vector exists."""
 
 import random
 import tracemalloc
+
+import pytest
 
 from oracles import eval_depth2, eval_general
 from wirelab import _kernels
@@ -11,13 +13,16 @@ from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
+    LinearDepth2Circuit,
     MiddleGate,
     OutputGate,
     TruthTable,
     collapse,
 )
+from wirelab.compress import encode
 from wirelab.generators import random_depth2, random_general
-from wirelab.gf2 import Gf2Vector
+from wirelab.gf2 import Gf2Matrix, Gf2Vector
+from wirelab.transforms import cap_fanin, linearize
 
 
 def assert_collapse_matches(c, oracle):
@@ -118,3 +123,32 @@ def test_mux_tree_keeps_one_vector_per_level():
     assert (got >> 5) & 1 == expected_bit
     vector_bytes = (1 << n) // 8
     assert peak < 2 * (fanin + 1) * vector_bytes
+
+
+def _over_cap_calls():
+    """Every library entry point that sweeps, on a hand-built 21-input
+    circuit (``random_general`` would draw tables of fanin 25)."""
+    n = 21
+    linear = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n))
+    wide = GeneralGate(tuple(range(n)) + (0,), TruthTable(n + 1, 0))
+    return {
+        "collapse-kernel": (collapse, linear.to_depth2()),
+        "collapse-matrix": (collapse, linear),
+        "cap_fanin": (cap_fanin, GeneralCircuit(n, (wide,), tuple(range(n)))),
+        "linearize": (linearize, linear.to_depth2()),
+        "encode": (encode, linear.to_depth2()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_over_cap_calls()))
+def test_exhaustive_cap_checked_before_allocation(name):
+    fn, c = _over_cap_calls()[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(_kernels.ExhaustiveCapError) as err:
+            fn(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "exhaustive evaluation capped at n=20, got n=21"
+    assert peak < (1 << 21) // 8  # less than one value vector at n = 21
