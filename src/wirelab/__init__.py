@@ -7,12 +7,14 @@ from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
     LinearDepth2Circuit,
+    NotLinearError,
     OperatorTable,
     TruthTable,
     collapse,
     computes_linear,
     equivalent,
     is_linear_gate,
+    linear_operator,
     weakly_computes,
 )
 from .transforms import (
@@ -43,6 +45,7 @@ __all__ = [
     "Gf2Vector",
     "LinearDepth2Circuit",
     "LinearizationReport",
+    "NotLinearError",
     "OperatorEncoding",
     "OperatorTable",
     "TruthTable",
@@ -58,6 +61,7 @@ __all__ = [
     "first_basis_columns",
     "is_linear_gate",
     "linear_circuit_lower_bound",
+    "linear_operator",
     "linearize",
     "log2_count_upper",
     "log2_num_operators",

@@ -395,12 +395,25 @@ def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     return bit_indices(mask), bool(neg)
 
 
-def computes_linear(c: Circuit) -> Gf2Matrix | None:
-    """The matrix ``a`` with c(x) = a*x for all x, or None.
+class NotLinearError(ValueError):
+    """A circuit that does not compute x -> a*x for any matrix ``a``.
+
+    ``x`` is the lowest input on which the circuit differs from the
+    candidate matrix read off its unit vectors.
+    """
+
+    def __init__(self, x: int):
+        self.x = x
+        super().__init__("circuit does not compute a linear operator")
+
+
+def linear_operator(c: Circuit) -> tuple[Gf2Matrix, OperatorTable]:
+    """The matrix ``a`` with c(x) = a*x for all x, and ``collapse(c)``.
 
     Column j of the candidate is the value at unit vector j of one
-    exhaustive sweep, which then verifies it; circuits with c(0) != 0
-    always fail.
+    exhaustive sweep, which then verifies it; the table of that sweep is
+    returned so that callers need not sweep ``c`` again.  Raises
+    NotLinearError otherwise; circuits with c(0) != 0 always fail.
     """
     table = collapse(c)
     n = c.n
@@ -411,9 +424,18 @@ def computes_linear(c: Circuit) -> Gf2Matrix | None:
             if col & unit:
                 words[i] |= 1 << j
     a = Gf2Matrix(n, n, tuple(words))
-    if table != operator_table_of_matrix(a):
+    expected = operator_table_of_matrix(a)
+    if table != expected:
+        raise NotLinearError(table.first_difference(expected))
+    return a, table
+
+
+def computes_linear(c: Circuit) -> Gf2Matrix | None:
+    """The matrix ``a`` with c(x) = a*x for all x, or None."""
+    try:
+        return linear_operator(c)[0]
+    except NotLinearError:
         return None
-    return a
 
 
 def weakly_computes(c: Circuit, a: Gf2Matrix) -> bool:
@@ -434,15 +456,24 @@ def weakly_computes(c: Circuit, a: Gf2Matrix) -> bool:
 # Truth tables are written as hex with the nibble holding table bits 0-3
 # first (bit 0 = least significant bit of the first nibble).
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def table_to_hex(t: TruthTable) -> str:
     n_nibbles = max(1, ((1 << t.fanin) + 3) // 4)
-    return "".join(format((t.bits >> (4 * k)) & 0xF, "x") for k in range(n_nibbles))
+    return format(t.bits, f"0{n_nibbles}x")[::-1]
 
 
 def table_from_hex(text: str, fanin: int) -> TruthTable:
-    bits = 0
-    for k, ch in enumerate(text):
-        bits |= int(ch, 16) << (4 * k)
+    if _HEX_DIGITS.issuperset(text):
+        bits = int(text[::-1], 16) if text else 0
+    else:
+        # digit by digit, so that a bad character raises int()'s message
+        # for that character; int() of the whole string would also accept
+        # underscores, a 0x prefix and surrounding whitespace
+        bits = 0
+        for k, ch in enumerate(text):
+            bits |= int(ch, 16) << (4 * k)
     return TruthTable(fanin, bits)
 
 

@@ -7,12 +7,14 @@ usage errors: bad arguments, and input files that are missing,
 unreadable or malformed (the message names the file and, where the
 format has them, the line or bit offset).  Commands that sweep all 2**n
 inputs accept n up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a
-larger circuit, or ``suite --n-max`` above it, is a usage error too.
+larger circuit, or a ``suite --n-max`` outside 3 to 20, is a usage error
+too.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,10 +24,10 @@ from ._kernels import ExhaustiveCapError
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
+    NotLinearError,
     collapse,
     depth2_from_text,
     depth2_to_text,
-    equivalent,
     general_from_text,
     general_to_text,
     weakly_computes,
@@ -164,12 +166,22 @@ def cmd_cap_fanin(args) -> int:
     return 0
 
 
+def _not_linear(n: int, e: NotLinearError) -> int:
+    print("linear=false")
+    print(f"counterexample={Gf2Vector(n, e.x)}")
+    return 1
+
+
 def cmd_linearize(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
         raise UsageError("linearize expects a depth-2 circuit")
-    lin, report = linearize(c)
-    ok = report.within_budget(c.n) and equivalent(c, lin)
+    try:
+        lin, report = linearize(c)
+    except NotLinearError as e:
+        return _not_linear(c.n, e)
+    # report.table is c's operator table, swept once inside linearize
+    ok = report.within_budget(c.n) and collapse(lin) == report.table
     print(f"wires_before={report.wires_before}")
     print(f"wires_after={report.wires_after}")
     print(f"added={report.added}")
@@ -186,7 +198,10 @@ def cmd_encode(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
         raise UsageError("encode expects a depth-2 circuit")
-    enc = encode(c)
+    try:
+        enc = encode(c)
+    except NotLinearError as e:
+        return _not_linear(c.n, e)
     data = serialize(enc)
     print(f"n={enc.n}")
     print(f"r={enc.r}")
@@ -227,7 +242,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = suite.run_all(args.trials, args.n_max, args.seed)
+    try:
+        results = suite.run_all(args.trials, args.n_max, args.seed)
+    except (ExhaustiveCapError, suite.NMaxError) as e:
+        raise UsageError(f"--n-max: {e}") from e
     failed = [r for r in results if not r.ok]
     for r in results:
         for line in r.report_lines():
@@ -245,13 +263,20 @@ def cmd_suite(args) -> int:
     return 0 if not failed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    Parsing leaves it unchanged (each call gets a fresh Namespace), and
+    a command's function is named, not bound, so ``main`` calls whatever
+    the module binds under that name at the time of the call.
+    """
     p = argparse.ArgumentParser(prog="wirelab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn.__name__)
         return sp
 
     sp = add("gen-matrix", cmd_gen_matrix, help="random 0/1 matrix")
@@ -319,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ExhaustiveCapError as e:
-        # what was swept: the input file (verify-equiv's have equal n) or --n-max
-        where = getattr(args, "infile", None) or getattr(args, "first", None) or "--n-max"
+        # what was swept: the input file (verify-equiv's have equal n)
+        where = getattr(args, "infile", None) or args.first
         print(f"error: {where}: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:

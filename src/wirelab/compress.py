@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Depth2Circuit, computes_linear, is_linear_gate
+from .circuit import Depth2Circuit, is_linear_gate, linear_operator
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
@@ -107,10 +107,10 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
 
     The circuit must have no direct wires, every middle gate must XOR
     exactly its wires (no negation, no ignored wire) and the circuit must
-    compute a matrix-vector product (``computes_linear`` checks that on all
-    2**n inputs and its matrix gives the basis values).  Middle gates
-    feeding no output are omitted from the certificate; they cannot
-    influence it.
+    compute a matrix-vector product (``linear_operator`` checks that on all
+    2**n inputs, raising NotLinearError, and its matrix gives the basis
+    values).  Middle gates feeding no output are omitted from the
+    certificate; they cannot influence it.
     """
     for o in c.outputs:
         if o.directs:
@@ -118,9 +118,7 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     for j, m in enumerate(c.middle):
         if is_linear_gate(m.table) != (tuple(range(len(m.inputs))), False):
             raise ValueError(f"middle gate {j} is not the pure parity of its wires")
-    a = computes_linear(c)
-    if a is None:
-        raise ValueError("circuit does not compute a linear operator")
+    a, _ = linear_operator(c)
 
     used = sorted({j for o in c.outputs for j in o.mids})
     remap = {j: k for k, j in enumerate(used)}

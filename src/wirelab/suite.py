@@ -35,6 +35,11 @@ from .gf2 import Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
 from .transforms import linearize, normalize_output_xor, remove_direct_wires, zero_normalize_middle
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
+N_MIN = 3  # the smallest n the linearize and codec trials draw
+
+
+class NMaxError(ValueError):
+    """An ``n_max`` below ``N_MIN``: the trials would have no n to draw."""
 
 
 @dataclass
@@ -113,7 +118,7 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
     for t in range(trials):
         s = _trial_seed(seed, t)
         rng = random.Random(s)
-        n = rng.randint(3, n_max)
+        n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
         density = rng.uniform(0.2, 0.8)
         c, planted = linear_output_instance(n, r, density, seed=s)
@@ -159,7 +164,7 @@ def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
     for t in range(trials):
         s = _trial_seed(seed, t)
         rng = random.Random(s)
-        n = rng.randint(3, n_max)
+        n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
         c, planted = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
         enc = encode(c)
@@ -338,8 +343,11 @@ def run_linear_counting() -> CheckResult:
 
 def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResult]:
     """The full battery; smaller batches reuse the main trial count.  Trials
-    sweep up to ``n_max`` inputs, so an ``n_max`` above the exhaustive cap
-    is refused before any trial runs."""
+    draw n from ``N_MIN`` to ``n_max`` and sweep all 2**n inputs, so an
+    ``n_max`` below ``N_MIN`` (NMaxError) or above the exhaustive cap
+    (ExhaustiveCapError) is refused before any trial runs."""
+    if n_max < N_MIN:
+        raise NMaxError(f"must be at least {N_MIN}, got {n_max}")
     check_exhaustive(n_max)
     small = max(1, (2 * trials) // 5)
     lin, stages = run_linearization(trials, n_max, seed)

@@ -25,7 +25,7 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import (
     Depth2Circuit,
@@ -33,10 +33,11 @@ from .circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
+    OperatorTable,
     OutputGate,
     TruthTable,
-    computes_linear,
     is_linear_gate,
+    linear_operator,
 )
 from .gf2 import Gf2Matrix, Gf2Vector
 from . import _kernels
@@ -58,6 +59,8 @@ class LinearizationReport:
     removing direct wires, ``added_second_level`` the wires paid to the
     constant gate for negated outputs; ``m`` is the n-by-r matrix whose
     row i holds the normalized middle layer's response to unit vector i.
+    ``table`` is the input circuit's operator table from the one sweep
+    that found its matrix; the result must have the same table.
     """
 
     wires_before: int
@@ -65,6 +68,7 @@ class LinearizationReport:
     added_first_level: int
     added_second_level: int
     m: Gf2Matrix
+    table: OperatorTable = field(repr=False, compare=False)
 
     @property
     def added(self) -> int:
@@ -187,11 +191,11 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     """Full pipeline: an equivalent all-parity circuit plus wire accounting.
 
     Requires linear output gates and a circuit computing a matrix-vector
-    product; the result computes the same operator with at most 2n more
-    wires, its first level never wider than the normalized circuit's.
+    product (NotLinearError, with the lowest input that shows it,
+    otherwise); the result computes the same operator with at most 2n
+    more wires, its first level never wider than the normalized circuit's.
     """
-    if computes_linear(c) is None:
-        raise ValueError("circuit does not compute a linear operator")
+    _, table = linear_operator(c)
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
     s3 = zero_normalize_middle(s2)
@@ -216,5 +220,6 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         added_first_level=added_fl,
         added_second_level=added_sl,
         m=m,
+        table=table,
     )
     return result, report

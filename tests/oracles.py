@@ -9,6 +9,7 @@ in the library for the battery), but none of the compiled decoder's code.
 
 from __future__ import annotations
 
+from wirelab.circuit import TruthTable
 from wirelab.compress import CorruptEncodingError
 from wirelab.gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, solve_in_span
 
@@ -18,6 +19,20 @@ def table_lookup(bits: int, args: list[int]) -> int:
     for k, b in enumerate(args):
         idx += b << k
     return (bits >> idx) & 1
+
+
+def table_to_hex_per_nibble(t) -> str:
+    """Hex text of a truth table, one nibble at a time, table bits 0-3 first."""
+    n_nibbles = max(1, ((1 << t.fanin) + 3) // 4)
+    return "".join(format((t.bits >> (4 * k)) & 0xF, "x") for k in range(n_nibbles))
+
+
+def table_from_hex_per_nibble(text: str, fanin: int):
+    """Truth table of hex text read one digit at a time, ``int(ch, 16)`` each."""
+    bits = 0
+    for k, ch in enumerate(text):
+        bits |= int(ch, 16) << (4 * k)
+    return TruthTable(fanin, bits)
 
 
 def eval_depth2(c, x: list[int]) -> list[int]:

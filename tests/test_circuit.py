@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import eval_depth2, eval_general
+from oracles import eval_depth2, eval_general, table_from_hex_per_nibble, table_to_hex_per_nibble
 from wirelab._kernels import EXHAUSTIVE_CAP, ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -8,6 +8,7 @@ from wirelab.circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
+    NotLinearError,
     OutputGate,
     TruthTable,
     collapse,
@@ -18,6 +19,7 @@ from wirelab.circuit import (
     general_from_text,
     general_to_text,
     is_linear_gate,
+    linear_operator,
     operator_table_of_matrix,
     table_from_hex,
     table_to_hex,
@@ -206,11 +208,21 @@ def test_computes_linear_rejects_nonzero_at_zero():
         OutputGate((), (), TruthTable.constant(0)),
     ))
     assert computes_linear(c) is None
+    with pytest.raises(NotLinearError) as err:
+        linear_operator(c)
+    assert err.value.x == 0
 
 
 def test_computes_linear_recovers_planted_matrix():
     c, a = linear_middle_instance(4, 5, 0.5, seed=10)
     assert computes_linear(c) == a
+
+
+def test_linear_operator_returns_the_swept_table():
+    c, a = linear_output_instance(5, 6, 0.5, seed=18)
+    got, table = linear_operator(c)
+    assert got == a
+    assert table == collapse(c) == operator_table_of_matrix(a)
 
 
 def test_weakly_computes_exact_circuit_and_zero():
@@ -246,12 +258,28 @@ def test_table_hex_xor_is_6():
 
 
 def test_table_hex_roundtrip_sizes():
+    # against the per-nibble reference codec, byte for byte
     import random
 
     rng = random.Random(14)
-    for fanin in range(0, 7):
-        t = TruthTable(fanin, rng.getrandbits(1 << fanin))
-        assert table_from_hex(table_to_hex(t), fanin) == t
+    for fanin in range(0, 15):
+        size = 1 << fanin
+        for bits in (0, (1 << size) - 1, rng.getrandbits(size), rng.getrandbits(size)):
+            t = TruthTable(fanin, bits)
+            text = table_to_hex(t)
+            assert text == table_to_hex_per_nibble(t)
+            for form in (text, text.upper()):
+                assert table_from_hex(form, fanin) == table_from_hex_per_nibble(form, fanin) == t
+
+
+def test_table_from_hex_rejects_what_per_digit_parsing_rejects():
+    # int() of a whole string would take "1_2", "0x1" and " 1"
+    for text in ("1g", "1_2", "0x1", " 1", "1 ", "+1", "-1"):
+        with pytest.raises(ValueError) as want:
+            table_from_hex_per_nibble(text, 4)
+        with pytest.raises(ValueError) as got:
+            table_from_hex(text, 4)
+        assert str(got.value) == str(want.value)
 
 
 def test_depth2_text_roundtrip():

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from wirelab import cli
+from oracles import eval_depth2
+from wirelab import _kernels, cli, suite
 from wirelab.circuit import (
     GeneralCircuit,
     GeneralGate,
@@ -116,6 +117,55 @@ def test_linearize_report_and_verify(tmp_path, capsys):
     assert code == 0 and "equivalent=true" in out
 
 
+def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    swept = []
+    for name in ("output_vectors_depth2", "node_vectors_general"):
+        def counted(n, *rest, fn=getattr(_kernels, name)):
+            swept.append(n)
+            return fn(n, *rest)
+        monkeypatch.setattr(_kernels, name, counted)
+    code, out = run(capsys, "linearize", "--in", str(src))
+    assert code == 0 and "ok=true" in out
+    assert swept == [8]
+
+
+def test_linearize_prints_lowest_counterexample(tmp_path, capsys):
+    src = tmp_path / "r.ckt"
+    run(capsys, "gen-circuit", "--family", "random", "--n", "5", "--seed", "28", "--out", str(src))
+    code, out = run(capsys, "linearize", "--in", str(src))
+    assert code == 1
+    assert out == "linear=false\ncounterexample=11000\n"
+    c = depth2_from_text(src.read_text())
+    # the candidate matrix: column j is c at unit vector j
+    cols = [eval_depth2(c, [int(i == j) for i in range(5)]) for j in range(5)]
+
+    def ax(x):
+        return [sum(cols[j][i] for j in range(5) if (x >> j) & 1) % 2 for i in range(5)]
+
+    def cx(x):
+        return eval_depth2(c, [(x >> i) & 1 for i in range(5)])
+
+    assert cx(3) != ax(3)
+    assert all(cx(y) == ax(y) for y in range(3))
+
+
+def test_encode_prints_lowest_counterexample(tmp_path, capsys):
+    # parity middle gates x0 and x1; output 0 ANDs them, so it is 0 at both
+    # unit vectors and breaks linearity first at x = 11
+    src = tmp_path / "and.ckt"
+    src.write_text(
+        "depth2 v1\nn 2 r 2\nmid 0: in 0 ; tt 2\nmid 1: in 1 ; tt 2\n"
+        "out 0: mid 0 1 ; direct ; tt 8\nout 1: mid 1 ; direct ; tt 2\n"
+    )
+    for command in ("encode", "linearize"):
+        code, out = run(capsys, command, "--in", str(src))
+        assert code == 1
+        assert out == "linear=false\ncounterexample=11\n"
+
+
 def test_verify_equiv_counterexample(tmp_path, capsys):
     a = tmp_path / "a.ckt"
     b = tmp_path / "b.ckt"
@@ -164,6 +214,21 @@ def test_inputs_over_the_exhaustive_cap_are_usage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --n-max: exhaustive evaluation capped at n=20, got n=21\n"
+
+
+def test_suite_n_max_below_the_smallest_draw_is_a_usage_error(capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(suite, "run_linearization", no_trials)
+    with pytest.raises(suite.NMaxError, match="must be at least 3, got 2"):
+        suite.run_all(1, 2)
+    for n_max, message in (("2", "must be at least 3, got 2"),
+                           ("21", "exhaustive evaluation capped at n=20, got n=21")):
+        assert cli.main(["suite", "--trials", "1", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n-max: {message}\n"
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):
@@ -241,3 +306,44 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["gen-matrix"])  # missing required --n
     assert err.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "4", "--seed", "9",
+        "--out", str(src))
+    code, out = run(capsys, "encode", "--in", str(src), "--hex")
+    assert code == 0 and "hex=" in out
+    code, out = run(capsys, "encode", "--in", str(src))
+    assert code == 0 and "hex=" not in out
+
+    mat = tmp_path / "a.txt"
+    other = tmp_path / "d.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "4", "--seed", "9",
+        "--out", str(src), "--matrix-out", str(mat))
+    assert mat.exists()
+    mat.unlink()
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "4", "--seed", "9",
+        "--out", str(other))
+    assert not mat.exists()
+
+    for argv in (["gen-matrix"], ["decode", "--in", str(src)]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "required" in capsys.readouterr().err
+
+    for argv in (["--help"], ["decode", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wirelab")
+
+
+def test_cached_parser_calls_the_current_command_binding(capsys, monkeypatch):
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_decode", lambda args: calls.append(args.x) or 0)
+    assert cli.main(["decode", "--in", "unused.ope", "--x", "01"]) == 0
+    assert calls == ["01"]
