@@ -11,7 +11,6 @@ from .circuit import (
     OperatorTable,
     TruthTable,
     collapse,
-    computes_linear,
     equivalent,
     is_linear_gate,
     linear_operator,
@@ -23,7 +22,6 @@ from .transforms import (
     linearize,
     normalize_output_xor,
     remove_direct_wires,
-    zero_normalize_middle,
 )
 from .compress import OperatorEncoding, bit_length, decode, decode_matrix, deserialize, encode, serialize
 from .bounds import (
@@ -52,7 +50,6 @@ __all__ = [
     "bit_length",
     "cap_fanin",
     "collapse",
-    "computes_linear",
     "decode",
     "decode_matrix",
     "deserialize",
@@ -73,5 +70,4 @@ __all__ = [
     "serialize",
     "solve_in_span",
     "weakly_computes",
-    "zero_normalize_middle",
 ]

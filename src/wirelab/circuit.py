@@ -177,8 +177,7 @@ class Depth2Circuit:
     def r(self) -> int:
         return len(self.middle)
 
-    def middle_values(self, x: Gf2Vector) -> list[int]:
-        """Values of the middle gates on input ``x``, gate j at index j."""
+    def eval(self, x: Gf2Vector) -> Gf2Vector:
         if x.length != self.n:
             raise ValueError("input length mismatch")
         mvals = []
@@ -187,10 +186,6 @@ class Depth2Circuit:
             for k, i in enumerate(m.inputs):
                 idx |= ((x.bits >> i) & 1) << k
             mvals.append(m.table.value(idx))
-        return mvals
-
-    def eval(self, x: Gf2Vector) -> Gf2Vector:
-        mvals = self.middle_values(x)
         bits = 0
         for pos, o in enumerate(self.outputs):
             idx = 0
@@ -428,14 +423,6 @@ def linear_operator(c: Circuit) -> tuple[Gf2Matrix, OperatorTable]:
     if table != expected:
         raise NotLinearError(table.first_difference(expected))
     return a, table
-
-
-def computes_linear(c: Circuit) -> Gf2Matrix | None:
-    """The matrix ``a`` with c(x) = a*x for all x, or None."""
-    try:
-        return linear_operator(c)[0]
-    except NotLinearError:
-        return None
 
 
 def weakly_computes(c: Circuit, a: Gf2Matrix) -> bool:

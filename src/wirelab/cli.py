@@ -3,9 +3,12 @@
 Reports are line-oriented ``key=value`` text; the same seed and flags
 always produce byte-identical output.  Exit status: 0 when all checks
 pass, 1 on a failed verification (a replayable witness is printed), 2 on
-usage errors: bad arguments, and input files that are missing,
-unreadable or malformed (the message names the file and, where the
-format has them, the line or bit offset).  Commands that sweep all 2**n
+usage errors: bad arguments (generator parameters included), input files
+that are missing, unreadable or malformed (the message names the file
+and, where the format has them, the line or bit offset), and inputs a
+command cannot take, such as an ``encode`` circuit whose middle gates are
+not parities.  Failed verifications return 1 themselves; every error
+raised out of a command is a usage error.  Commands that sweep all 2**n
 inputs accept n up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a
 larger circuit, or a ``suite --n-max`` outside 3 to 20, is a usage error
 too.
@@ -141,6 +144,8 @@ def cmd_verify_equiv(args) -> int:
 def cmd_verify_weak(args) -> int:
     c = load_circuit(args.infile)
     a = _load(args.matrix, gf2.from_text)
+    if (a.rows, a.cols) != (c.n, c.n):
+        raise UsageError(f"{args.matrix}: matrix must be {c.n}-by-{c.n}, got {a.rows}-by-{a.cols}")
     if weakly_computes(c, a):
         print("weakly_computes=true")
         return 0
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

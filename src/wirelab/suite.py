@@ -32,7 +32,7 @@ from .generators import (
     random_matrix,
 )
 from .gf2 import Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
-from .transforms import linearize, normalize_output_xor, remove_direct_wires, zero_normalize_middle
+from .transforms import linearize, normalize_output_xor, remove_direct_wires
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
 N_MIN = 3  # the smallest n the linearize and codec trials draw
@@ -134,16 +134,13 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
             continue
         s1 = remove_direct_wires(c)
         s2 = normalize_output_xor(s1)
-        s3 = zero_normalize_middle(s2)
         stage_ok = (
             s1.wire_count() - c.wire_count() <= n
             and s2.wire_count() - s1.wire_count() <= n
             and s2.first_level_wires() <= s1.first_level_wires()
-            and s3.wire_count() == s2.wire_count()
-            and rep.m.popcount() <= s3.first_level_wires()
+            and lin.first_level.popcount() <= s2.first_level_wires()
             and equivalent(c, s1)
             and equivalent(s1, s2)
-            and equivalent(s2, s3)
         )
         if not stage_ok:
             stage_fail += 1

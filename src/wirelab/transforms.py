@@ -3,24 +3,25 @@
 The linearization pipeline turns a depth-2 circuit with linear output
 gates that computes a matrix-vector product into an all-parity circuit:
 
-1. ``remove_direct_wires``   - reroute input->output wires through fresh
+1. ``linear_operator``       - check exhaustively that the circuit
+   computes x -> a*x (in particular that it maps 0 to 0);
+2. ``remove_direct_wires``   - reroute input->output wires through fresh
    identity middle gates (adds at most n first-level wires);
-2. ``normalize_output_xor``  - make every output a pure XOR of its wires,
+3. ``normalize_output_xor``  - make every output a pure XOR of its wires,
    paying for negations with one shared constant-1 middle gate (adds at
    most n second-level wires);
-3. ``zero_normalize_middle`` - complement middle gates so every gate
-   outputs 0 on the all-zero assignment of its own inputs (wire counts
-   untouched);
-4. replace the middle layer by the parity gates read off the unit-vector
-   responses of the normalized middle operator; the second-level wiring
-   is kept as is.
 
-Stage 3 complements whole tables rather than single entries: because the
-output gates are pure parities and the circuit maps 0 to 0, the constant
-deltas introduced by complementing cancel, so the pass is equivalence
-preserving; after it, a middle gate with no wire from input i responds 0
-to the i-th unit vector, which is what keeps stage 4 inside the wire
-budget.
+then read the result off the normalized circuit: middle gate j becomes
+the parity of its inputs i with g_j(e_i) != g_j(0), which are the
+arguments in the mask of ``_kernels.parity_candidate`` of its table, and
+the second-level wiring is kept as is.
+
+The g_j(0) terms may be dropped because the outputs are pure parities
+and the circuit maps 0 to 0: the g_j(0) read by output i XOR to its value
+at 0, which is zero, so output i at e_i is the XOR of g_j(e_i) ^ g_j(0)
+over the gates it reads.  A gate with no wire from input i adds nothing
+at e_i, so the read-off first level is never wider than the normalized
+circuit's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .circuit import (
     is_linear_gate,
     linear_operator,
 )
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices
 from . import _kernels
 
 
@@ -57,17 +58,15 @@ class LinearizationReport:
 
     ``added_first_level`` counts the identity gates created while
     removing direct wires, ``added_second_level`` the wires paid to the
-    constant gate for negated outputs; ``m`` is the n-by-r matrix whose
-    row i holds the normalized middle layer's response to unit vector i.
-    ``table`` is the input circuit's operator table from the one sweep
-    that found its matrix; the result must have the same table.
+    constant gate for negated outputs.  ``table`` is the input circuit's
+    operator table from the one sweep that found its matrix; the result
+    must have the same table.
     """
 
     wires_before: int
     wires_after: int
     added_first_level: int
     added_second_level: int
-    m: Gf2Matrix
     table: OperatorTable = field(repr=False, compare=False)
 
     @property
@@ -163,30 +162,6 @@ def normalize_output_xor(c: Depth2Circuit) -> Depth2Circuit:
     return Depth2Circuit(c.n, middle, tuple(outputs))
 
 
-def zero_normalize_middle(c: Depth2Circuit) -> Depth2Circuit:
-    """Complement middle gates so each outputs 0 on its all-zero assignment.
-
-    Requires pure-parity outputs, no direct wires and a circuit mapping 0
-    to 0: complementing a middle gate then flips the parities fed by it
-    uniformly, and the total flip - the circuit's value at 0 - is zero.
-    Wire counts are untouched.
-    """
-    for i, o in enumerate(c.outputs):
-        if o.directs:
-            raise ValueError("direct wires must be removed first")
-        if is_linear_gate(o.table) != (tuple(range(len(o.mids))), False):
-            raise ValueError(f"output gate {i} is not a pure parity of its wires")
-    if c.eval(Gf2Vector.zero(c.n)).bits:
-        raise ValueError("circuit does not map the zero vector to zero")
-    if all(m.table.value(0) == 0 for m in c.middle):
-        return c
-    middle = tuple(
-        m if m.table.value(0) == 0 else MiddleGate(m.inputs, m.table.complement())
-        for m in c.middle
-    )
-    return Depth2Circuit(c.n, middle, c.outputs)
-
-
 def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationReport]:
     """Full pipeline: an equivalent all-parity circuit plus wire accounting.
 
@@ -198,17 +173,15 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     _, table = linear_operator(c)
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
-    s3 = zero_normalize_middle(s2)
 
-    n, r = c.n, len(s3.middle)
-    m_words = [
-        sum(v << j for j, v in enumerate(s3.middle_values(Gf2Vector.unit(n, i))))
-        for i in range(n)
-    ]
-    m = Gf2Matrix(n, r, tuple(m_words))
-    first = m.transpose()
+    n, r = c.n, len(s2.middle)
+    rows = []
+    for g in s2.middle:
+        mask, _ = _kernels.parity_candidate(g.table.bits, g.table.fanin)
+        rows.append(sum(1 << g.inputs[k] for k in bit_indices(mask)))
+    first = Gf2Matrix(r, n, tuple(rows))
     second = Gf2Matrix(
-        n, r, tuple(sum(1 << j for j in o.mids) for o in s3.outputs)
+        n, r, tuple(sum(1 << j for j in o.mids) for o in s2.outputs)
     )
     result = LinearDepth2Circuit(first, second, Gf2Vector.zero(n))
 
@@ -219,7 +192,6 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         wires_after=result.wire_count(),
         added_first_level=added_fl,
         added_second_level=added_sl,
-        m=m,
         table=table,
     )
     return result, report

@@ -45,6 +45,18 @@ def eval_depth2(c, x: list[int]) -> list[int]:
     return out
 
 
+def parity_rows(c) -> list[set[int]]:
+    """Per middle gate of a Depth2Circuit, the inputs i with g(e_i) != g(0)."""
+    rows = []
+    for m in c.middle:
+        at_zero = table_lookup(m.table.bits, [0] * len(m.inputs))
+        rows.append({
+            i for i in range(c.n)
+            if table_lookup(m.table.bits, [int(k == i) for k in m.inputs]) != at_zero
+        })
+    return rows
+
+
 def eval_general(c, x: list[int]) -> list[int]:
     """Sequential interpreter for a GeneralCircuit, values kept in a dict."""
     val = {i: x[i] for i in range(c.n)}

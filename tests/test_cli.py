@@ -15,7 +15,7 @@ from wirelab.circuit import (
     general_to_text,
 )
 from wirelab.compress import deserialize
-from wirelab.gf2 import Gf2Matrix, from_text
+from wirelab.gf2 import Gf2Matrix, from_text, to_text
 
 
 def run(capsys, *argv):
@@ -100,6 +100,32 @@ def test_bad_input_vector_and_matrix_are_usage_errors(tmp_path, capsys):
     mat.write_text("3 3\n101\n01\n")
     assert cli.main(["verify-weak", "--in", str(src), "--matrix", str(mat)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    mat.write_text(to_text(Gf2Matrix.identity(2)))
+    assert cli.main(["verify-weak", "--in", str(src), "--matrix", str(mat)]) == 2
+    assert capsys.readouterr().err == f"error: {mat}: matrix must be 3-by-3, got 2-by-2\n"
+
+
+def test_bad_generator_arguments_are_usage_errors(capsys):
+    for argv, message in (
+        (["gen-matrix", "--n", "3", "--density", "2"], "density must lie in [0, 1]"),
+        (["gen-circuit", "--n", "0"], "need at least one input"),
+        (["gen-circuit", "--family", "general", "--n", "3", "--r", "0"], "need at least one gate"),
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_encode_of_a_non_parity_middle_layer_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "5", "--seed", "7",
+        "--out", str(src))
+    assert cli.main(["encode", "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: middle gate ")
+    assert captured.err.endswith(" is not the pure parity of its wires\n")
 
 
 def test_linearize_report_and_verify(tmp_path, capsys):
@@ -256,10 +282,12 @@ def test_verify_weak(tmp_path, capsys):
         "--seed", "11", "--out", str(src), "--matrix-out", str(mat))
     code, out = run(capsys, "verify-weak", "--in", str(src), "--matrix", str(mat))
     assert code == 0 and "weakly_computes=true" in out
-    run(capsys, "gen-matrix", "--n", "4", "--seed", "99", "--out", str(mat))
+    # flipping column 2 breaks agreement at the third unit vector only
+    a = from_text(mat.read_text())
+    mat.write_text(to_text(Gf2Matrix(4, 4, tuple(w ^ 0b0100 for w in a.row_words))))
     code, out = run(capsys, "verify-weak", "--in", str(src), "--matrix", str(mat))
-    if code == 1:
-        assert "counterexample=" in out
+    assert code == 1
+    assert out == "weakly_computes=false\ncounterexample=0010\n"
 
 
 def test_cap_fanin_command(tmp_path, capsys):

@@ -11,7 +11,7 @@ from wirelab.circuit import (
     OutputGate,
     TruthTable,
     collapse,
-    computes_linear,
+    linear_operator,
 )
 from wirelab.compress import (
     CorruptEncodingError,
@@ -96,7 +96,7 @@ def test_decode_unit_vectors_give_matrix_columns():
     enc = encode(c)
     for j in range(5):
         assert decode(enc, Gf2Vector.unit(5, j)) == a.column(j)
-    assert decode_matrix(enc) == a == computes_linear(c)
+    assert decode_matrix(enc) == a == linear_operator(c)[0]
 
 
 def test_decode_roundtrip_exhaustive():

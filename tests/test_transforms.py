@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import parity_rows
 from wirelab._kernels import ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -7,21 +8,21 @@ from wirelab.circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
+    NotLinearError,
     OutputGate,
     TruthTable,
     collapse,
-    computes_linear,
     equivalent,
+    linear_operator,
 )
 from wirelab.generators import linear_output_instance, random_general
-from wirelab.gf2 import Gf2Matrix, Gf2Vector
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, bit_indices
 from wirelab.transforms import (
     NonLinearGateError,
     cap_fanin,
     linearize,
     normalize_output_xor,
     remove_direct_wires,
-    zero_normalize_middle,
 )
 
 
@@ -175,55 +176,74 @@ def test_normalize_requires_no_direct_wires():
         normalize_output_xor(c)
 
 
-# --- zero_normalize_middle ---------------------------------------------------
+# --- linearize ---------------------------------------------------------------
 
-def test_zero_normalize_noop_when_clean():
+def test_linearize_clean_identity():
     c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3)).to_depth2()
-    assert zero_normalize_middle(c) is c
+    lin, report = linearize(c)
+    assert equivalent(c, lin)
+    assert report.within_budget(3) and report.added == 0
+    assert lin == LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
 
 
-def test_zero_normalize_flips_in_cancelling_pairs():
-    # two NAND-at-zero gates feeding the same output cancel before and after
-    t = TruthTable(2, 0b0111)  # value 1 at the all-zero assignment
+def test_linearize_nand_at_zero_pair():
+    # two NAND gates, 1 at the all-zero assignment, feed the same output
+    # and cancel; neither responds to a unit vector, so both rows are empty
+    t = TruthTable(2, 0b0111)
     mids = (MiddleGate((0, 1), t), MiddleGate((0, 1), t), MiddleGate((2,), TruthTable.identity()))
     c = Depth2Circuit(3, mids, (parity_out([0, 1, 2]), parity_out([]), parity_out([])))
-    fixed = zero_normalize_middle(c)
-    assert all(m.table.value(0) == 0 for m in fixed.middle)
-    assert fixed.wire_count() == c.wire_count()
-    assert equivalent(c, fixed)
+    lin, report = linearize(c)
+    assert equivalent(c, lin)
+    assert report.within_budget(3)
+    assert lin.first_level.popcount() <= c.first_level_wires()
+    assert lin.first_level == Gf2Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert lin.operator_matrix() == Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
 
-def test_zero_normalize_complements_unpaired_gate():
-    # h1 = NOT x0, h2 = const 1, y = h1 XOR h2 = x0: flipping only the
-    # all-zero table entries would zero the circuit; complementing keeps it
+def test_linearize_unpaired_not_and_constant():
+    # h1 = NOT x0, h2 = const 1, y = h1 XOR h2 = x0: h1 becomes the parity
+    # x0 and h2 the empty parity, whose g(0) terms cancelled in y
     mids = (
         MiddleGate((0,), TruthTable(1, 0b01)),  # NOT x0
         MiddleGate((), TruthTable.constant(1)),
     )
     c = Depth2Circuit(1, mids, (parity_out([0, 1]),))
-    fixed = zero_normalize_middle(c)
-    assert all(m.table.value(0) == 0 for m in fixed.middle)
-    assert equivalent(c, fixed)
-    assert fixed.eval(Gf2Vector(1, 1)) == Gf2Vector(1, 1)
+    lin, report = linearize(c)
+    assert equivalent(c, lin)
+    assert report.within_budget(1)
+    assert lin.first_level == Gf2Matrix.from_rows([[1], [0]])
+    assert lin.operator_matrix() == Gf2Matrix.identity(1)
+    assert lin.eval(Gf2Vector(1, 1)) == Gf2Vector(1, 1)
 
 
-def test_zero_normalize_requires_zero_image_of_zero():
+def test_linearize_rejects_nonzero_image_of_zero():
     c = Depth2Circuit(
         1, (MiddleGate((), TruthTable.constant(1)),), (parity_out([0]),)
     )
-    with pytest.raises(ValueError):
-        zero_normalize_middle(c)  # f(0) = 1
+    with pytest.raises(NotLinearError) as err:
+        linearize(c)  # f(0) = 1
+    assert err.value.x == 0
 
 
-def test_zero_normalize_requires_pure_parities():
+def test_linearize_rejects_negated_identity():
     c = Depth2Circuit(
         1, (MiddleGate((0,), TruthTable.identity()),), (parity_out([0], negated=True),)
     )
-    with pytest.raises(ValueError):
-        zero_normalize_middle(c)
+    with pytest.raises(NotLinearError) as err:
+        linearize(c)  # y = NOT x0
+    assert err.value.x == 0
 
 
-# --- linearize ---------------------------------------------------------------
+def test_linearize_first_level_matches_unit_vector_oracle():
+    nonzero_at_zero = 0
+    for seed in range(200):
+        c, _ = linear_output_instance(3 + seed % 6, 1 + seed % 12, 0.5, seed=seed)
+        s2 = normalize_output_xor(remove_direct_wires(c))
+        lin, _ = linearize(c)
+        assert [set(bit_indices(w)) for w in lin.first_level.row_words] == parity_rows(s2)
+        nonzero_at_zero += sum(m.table.bits & 1 for m in s2.middle)
+    assert nonzero_at_zero > 0
+
 
 def test_linearize_fixed_point_on_linear_circuit():
     from wirelab.generators import random_linear_circuit
@@ -250,16 +270,16 @@ def test_linearize_cancellation_pair_instance():
     assert report.within_budget(3)
     want = Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     assert lin.operator_matrix() == want
-    # the AND pair is non-zero on no unit vector: its columns of M are empty
-    assert report.m.column(0).bits == 0 and report.m.column(1).bits == 0
+    # the AND pair is non-zero on no unit vector: its first-level rows are empty
+    assert lin.first_level.row_words[0] == 0 and lin.first_level.row_words[1] == 0
 
 
 def test_linearize_stage2_constant_gate_ends_dead():
-    # negated output forces the constant gate; the zero-normalization then
-    # turns it into a constant-0 whose wires stay behind harmlessly
+    # negated output forces the constant gate; the read-off gives it no
+    # first-level wires, and its second-level wire stays behind harmlessly
     mids = (MiddleGate((0,), TruthTable(1, 0b01)),)  # NOT x0
     c = Depth2Circuit(1, mids, (parity_out([0], negated=True),))  # y = x0
-    assert computes_linear(c) == Gf2Matrix.identity(1)
+    assert linear_operator(c)[0] == Gf2Matrix.identity(1)
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget(1)
@@ -284,14 +304,14 @@ def test_linearize_batch_budget_and_equivalence():
         assert equivalent(c, lin)
         assert report.wires_after <= report.wires_before + 2 * n
         assert lin.operator_matrix() == planted
-        assert report.m.popcount() <= zero_normalize_middle(
-            normalize_output_xor(remove_direct_wires(c))
+        assert lin.first_level.popcount() <= normalize_output_xor(
+            remove_direct_wires(c)
         ).first_level_wires()
 
 
 def test_linearize_second_level_unchanged_by_final_stage():
     for seed in (3, 11, 19):
         c, _ = linear_output_instance(5, 6, 0.5, seed=seed)
-        s3 = zero_normalize_middle(normalize_output_xor(remove_direct_wires(c)))
+        s2 = normalize_output_xor(remove_direct_wires(c))
         lin, _ = linearize(c)
-        assert lin.second_level.popcount() == s3.second_level_wires()
+        assert lin.second_level.popcount() == s2.second_level_wires()
