@@ -24,13 +24,15 @@ to place L wires among the nr + nr = 2nr slots and 2^{n+r} <= 2^{n+L}
 negation patterns).  The largest L with count(L) < 2^{n^2} then certifies
 that some matrix needs more than L wires, and grows like n^2 / log n.
 
-Evaluating count(L) exactly costs a binomial with L factors, so a plain
-bisection from L = n^2/2 pays most of its time for values far from the
-answer.  ``linear_circuit_lower_bound`` instead bisects log2 count(L) in
-floating point (``math.lgamma``) for an estimate, then gallops from it in
-exact integers until count(L) < 2^{n^2} <= count(L+1) holds.  The
-estimate only brackets the search: the answer is decided by exact
-comparisons and does not depend on it.
+Both thresholds come from one bisection, ``_last_true``.  Evaluating
+count(L) exactly costs a binomial with L factors, so
+``linear_circuit_lower_bound`` starts from a floating-point estimate
+instead: a bisection of log2 count(L) computed with ``math.lgamma``.
+From there it steps one wire at a time in exact integers until
+count(L) < 2^{n^2} <= count(L+1) holds.  A guess off by d costs d + 2
+exact counts; the ``lgamma`` start is exact at every tabulated n, so
+the table pays three.  The answer is decided by exact comparisons and
+does not depend on the estimate.
 """
 
 from __future__ import annotations
@@ -86,10 +88,15 @@ def min_wires_lower_bound(n: int) -> int:
     target = log2_num_operators(n)
     if log2_count_upper(n, 0) >= target:
         return 0
-    lo, hi = 0, n * n  # invariant: bound(lo) < target
+    return _last_true(lambda wires: log2_count_upper(n, wires) < target, 0, n * n)
+
+
+def _last_true(pred, lo: int, hi: int) -> int:
+    """Largest L in [lo, hi] with ``pred(L)``, for ``pred`` true at ``lo``
+    and monotone (true, then false) on [lo, hi]."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if log2_count_upper(n, mid) < target:
+        if pred(mid):
             lo = mid
         else:
             hi = mid - 1
@@ -114,7 +121,8 @@ def linear_circuit_lower_bound(n: int) -> int:
         raise ValueError("n must be at least 2")
     if linear_circuit_count(n, 1) >= 1 << (n * n):
         return 0
-    return _linear_threshold_from(n, _linear_threshold_estimate(n))
+    estimate = _last_true(lambda wires: _log2_linear_count(n, wires) < n * n, 1, n * n)
+    return _linear_threshold_from(n, estimate)
 
 
 def _log2_linear_count(n: int, wires: int) -> float:
@@ -124,25 +132,13 @@ def _log2_linear_count(n: int, wires: int) -> float:
     return log2(wires) + log_comb / log(2) + n + wires
 
 
-def _linear_threshold_estimate(n: int) -> int:
-    """Largest L in [1, n^2] whose float log2 count stays below n^2."""
-    lo, hi = 1, n * n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _log2_linear_count(n, mid) < n * n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _linear_threshold_from(n: int, guess: int) -> int:
     """The exact threshold L (count(L) < 2^{n^2} <= count(L+1), or L = n^2),
-    found by galloping from ``guess`` and then bisecting, with every
+    found by stepping one wire at a time from ``guess``, with every
     comparison in exact integers.  Requires count(1) < 2^{n^2}.
 
     The count grows with L, so the answer does not depend on ``guess``;
-    a good guess costs two counts, a guess off by d about 2*log2(d).
+    a guess off by d costs d + 2 counts.
     """
     target = 1 << (n * n)
     top = n * n
@@ -150,30 +146,12 @@ def _linear_threshold_from(n: int, guess: int) -> int:
     def below(wires: int) -> bool:
         return linear_circuit_count(n, wires) < target
 
-    guess = min(max(guess, 1), top)
-    # bracket: below(lo) holds, below(hi) fails (hi = top + 1 stands for "none")
-    step = 1
-    if below(guess):
-        lo = guess
-        while True:
-            hi = min(lo + step, top + 1)
-            if hi > top or not below(hi):
-                break
-            lo, step = hi, 2 * step
-    else:
-        hi = guess
-        while True:
-            lo = max(1, hi - step)
-            if lo == 1 or below(lo):
-                break
-            hi, step = lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    wires = min(max(guess, 1), top)
+    while wires > 1 and not below(wires):
+        wires -= 1
+    while wires < top and below(wires + 1):
+        wires += 1
+    return wires
 
 
 DEFAULT_TABLE_NS = (8, 16, 32, 64, 128, 256)

@@ -29,13 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Depth2Circuit, is_linear_gate, linear_operator
-from .gf2 import (
-    Gf2Matrix,
-    Gf2Vector,
-    bit_indices,
-    first_basis_columns,
-    matvec,
-)
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, reduce_columns
 
 MAGIC = b"OPE1"
 _FIELD = 16  # width of the count fields (n, r, |B|, |C|, t_i)
@@ -131,11 +125,14 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     c_rows = [sorted(remap[j] for j in o.mids) for o in c.outputs]
     c_ones = [(i, j) for i, row in enumerate(c_rows) for j in row]
 
+    # masking rows out of B's columns keeps their dependencies, so each
+    # output's first basis comes from the same reduction decode_matrix runs
+    b_cols = Gf2Matrix(len(used), c.n, tuple(b_rows)).transpose().row_words
     basis_bits = []
     for i, row in enumerate(c_rows):
-        sub = Gf2Matrix(len(row), c.n, tuple(b_rows[j] for j in row))
-        cols = first_basis_columns(sub)
-        basis_bits.append(tuple(a.entry(i, j) for j in cols))
+        seen = sum(1 << j for j in row)
+        chosen, _ = reduce_columns([col & seen for col in b_cols])
+        basis_bits.append(tuple(a.entry(i, j) for j in chosen))
     return OperatorEncoding(
         c.n, len(used), tuple(b_ones), tuple(c_ones), tuple(basis_bits)
     )
@@ -154,27 +151,18 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
     b_cols = Gf2Matrix(enc.r, enc.n, tuple(b_words)).transpose().row_words
     words = []
     for i, seen in enumerate(c_words):
-        values = 0
-        for k, bit in enumerate(enc.basis_bits[i]):
-            values |= bit << k
-        reduced: list[tuple[int, int, int]] = []  # (pivot mask, vector, coefficients)
-        row = 0
-        for j, col in enumerate(b_cols):
-            v, coeffs = col & seen, 0
-            for pivot, vec, c in reduced:
-                if v & pivot:
-                    v ^= vec
-                    coeffs ^= c
-            if v:  # column j joins the first basis as element k
-                k = len(reduced)
-                reduced.append((v & -v, v, coeffs ^ (1 << k)))
-                coeffs = 1 << k
-            row |= ((coeffs & values).bit_count() & 1) << j
-        if len(reduced) != len(enc.basis_bits[i]):
+        stored = enc.basis_bits[i]
+        chosen, coeffs = reduce_columns(map(seen.__and__, b_cols))
+        if len(chosen) != len(stored):
             raise CorruptEncodingError(
-                f"output {i} stores {len(enc.basis_bits[i])} basis values,"
-                f" but its wire pattern has rank {len(reduced)}"
+                f"output {i} stores {len(stored)} basis values,"
+                f" but its wire pattern has rank {len(chosen)}"
             )
+        values = row = 0
+        for bit in reversed(stored):
+            values = values << 1 | bit
+        for cj in reversed(coeffs):  # row bit j: parity of coeffs[j] & values
+            row = row << 1 | ((cj & values).bit_count() & 1)
         words.append(row)
     return Gf2Matrix(enc.n, enc.n, tuple(words))
 

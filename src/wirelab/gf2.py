@@ -4,6 +4,10 @@ Vectors and matrices store their 0/1 entries packed into Python ints
 (bit ``i`` of ``Gf2Vector.bits`` is coordinate ``i``; bit ``j`` of a
 matrix row word is column ``j``).  All values are immutable and all
 operations are pure functions.
+
+One elimination, ``reduce_columns``, scans column words left to right;
+the first basis, the rank, span solving and the certificate codec
+(``compress``) all read their answers off it.
 """
 
 from __future__ import annotations
@@ -172,6 +176,32 @@ def matmul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(a.rows, b.cols, tuple(words))
 
 
+def reduce_columns(cols) -> tuple[list[int], list[int]]:
+    """One left-to-right elimination over column words.
+
+    Column j joins the basis iff it is not in the span of the basis
+    columns before it.  Returns ``(chosen, coeffs)``: ``chosen`` lists the
+    basis columns' indices, and bit k of ``coeffs[j]`` is column j's
+    coefficient on basis element k (so a chosen column is a unit).
+    """
+    reduced: list[tuple[int, int, int]] = []  # (pivot mask, vector, coefficients)
+    chosen: list[int] = []
+    coeffs: list[int] = []
+    for j, v in enumerate(cols):
+        c = 0
+        for pivot, vec, cv in reduced:
+            if v & pivot:
+                v ^= vec
+                c ^= cv
+        if v:  # column j joins the basis as element k
+            k = len(reduced)
+            reduced.append((v & -v, v, c ^ (1 << k)))
+            chosen.append(j)
+            c = 1 << k
+        coeffs.append(c)
+    return chosen, coeffs
+
+
 def first_basis_columns(m: Gf2Matrix) -> list[int]:
     """Indices of the greedily chosen independent columns, scanned left to right.
 
@@ -179,16 +209,7 @@ def first_basis_columns(m: Gf2Matrix) -> list[int]:
     smaller index, so the result is the lexicographically earliest maximal
     independent column set and its size equals the rank.
     """
-    basis: list[tuple[int, int]] = []  # (pivot bit mask, reduced column)
-    chosen = []
-    for j, v in enumerate(m.transpose().row_words):
-        for pivot, vec in basis:
-            if v & pivot:
-                v ^= vec
-        if v:
-            basis.append((v & -v, v))
-            chosen.append(j)
-    return chosen
+    return reduce_columns(m.transpose().row_words)[0]
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -204,26 +225,14 @@ def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
     the claimed basis is dependent or lengths disagree.
     """
     t = len(basis)
-    reduced: list[tuple[int, int, int]] = []  # (pivot mask, vector, combo bits)
-    for k, u in enumerate(basis):
-        if u.length != y.length:
-            raise ValueError("basis/vector length mismatch")
-        v, combo = u.bits, 1 << k
-        for pivot, vec, c in reduced:
-            if v & pivot:
-                v ^= vec
-                combo ^= c
-        if not v:
-            raise ValueError("basis vectors are not linearly independent")
-        reduced.append((v & -v, v, combo))
-    v, combo = y.bits, 0
-    for pivot, vec, c in reduced:
-        if v & pivot:
-            v ^= vec
-            combo ^= c
-    if v:
+    if any(u.length != y.length for u in basis):
+        raise ValueError("basis/vector length mismatch")
+    chosen, coeffs = reduce_columns([u.bits for u in basis] + [y.bits])
+    if chosen[:t] != list(range(t)):
+        raise ValueError("basis vectors are not linearly independent")
+    if len(chosen) > t:
         raise NotInSpanError("vector is not in the span of the basis")
-    return tuple((combo >> k) & 1 for k in range(t))
+    return tuple((coeffs[t] >> k) & 1 for k in range(t))
 
 
 def to_text(m: Gf2Matrix) -> str:

@@ -125,7 +125,7 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
         lin, rep = linearize(c)
         if not (
             equivalent(c, lin)
-            and rep.wires_after <= rep.wires_before + 2 * n
+            and rep.within_budget(n)
             and lin.operator_matrix() == planted
         ):
             end_fail += 1

@@ -2,9 +2,12 @@
 
 Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
-certificate decoder reuses the GF(2) primitives, which have their own
-list-based oracles (``suite.naive_rank`` and ``suite.naive_matvec``, kept
-in the library for the battery), but none of the compiled decoder's code.
+per-point certificate decoder is not independent of the compiled one:
+through ``first_basis_columns`` and ``solve_in_span`` it runs the same
+``gf2.reduce_columns`` elimination.  The independent checks of that
+elimination are the list-based reducers (``suite.naive_rank`` and
+``suite.naive_matvec``, kept in the library for the battery) and, for
+the codec, that the decoded matrix equals the planted one.
 """
 
 from __future__ import annotations

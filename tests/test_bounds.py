@@ -1,9 +1,12 @@
 import math
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from wirelab import bounds
 from wirelab.bounds import (
+    DEFAULT_TABLE_NS,
     LINEAR_RATIO_INTERVAL,
     _linear_threshold_from,
     bounds_table,
@@ -57,6 +60,29 @@ def comb_by_factorials(a: int, k: int) -> int:
 
 def linear_count_naive(n: int, wires: int) -> int:
     return wires * comb_by_factorials(2 * n * wires, wires) * 2 ** (n + wires)
+
+
+def min_parity_wires(n: int) -> dict[tuple[int, ...], int]:
+    """Fewest wires of a depth-2 all-parity circuit for each n-by-n matrix
+    it can compute, by enumeration: every middle set of distinct nonzero
+    rows, each output wired to a smallest subset XORing to its row."""
+    best: dict[tuple[int, ...], int] = {}
+    nonzero = range(1, 1 << n)
+    for r in range(len(nonzero) + 1):
+        for mids in combinations(nonzero, r):
+            cheapest: dict[int, int] = {}  # row -> fewest middle gates XORing to it
+            for size in range(r + 1):
+                for subset in combinations(mids, size):
+                    row = 0
+                    for g in subset:
+                        row ^= g
+                    cheapest.setdefault(row, size)
+            first_level = sum(g.bit_count() for g in mids)
+            for rows in product(cheapest, repeat=n):
+                wires = first_level + sum(cheapest[row] for row in rows)
+                if wires < best.get(rows, wires + 1):
+                    best[rows] = wires
+    return best
 
 
 # --- log2_num_operators ------------------------------------------------------
@@ -146,6 +172,33 @@ def test_linear_bound_fixup_ignores_the_starting_guess():
         want = linear_circuit_lower_bound(n)
         for guess in (want - 50, want - 1, want, want + 1, want + 50):
             assert _linear_threshold_from(n, guess) == want
+
+
+def test_linear_bound_makes_three_exact_counts_per_table_row(monkeypatch):
+    # an exact lgamma start costs count(1), count(L) and count(L+1); a
+    # drifting start stays correct but pays one count per wire it is off
+    calls = []
+
+    def counting(n, wires):
+        calls.append(wires)
+        return linear_circuit_count(n, wires)
+
+    monkeypatch.setattr(bounds, "linear_circuit_count", counting)
+    for n in DEFAULT_TABLE_NS:
+        calls.clear()
+        bounds.linear_circuit_lower_bound(n)
+        assert len(calls) == 3, (n, calls)
+
+
+def test_linear_count_covers_enumerated_circuits():
+    for n, worst, l_star in ((2, 5, 0), (3, 9, 1)):
+        best = min_parity_wires(n)
+        assert len(best) == 1 << (n * n)
+        for wires in range(1, 13):
+            within = sum(1 for w in best.values() if w <= wires)
+            assert within <= linear_circuit_count(n, wires), (n, wires)
+        assert max(best.values()) == worst
+        assert linear_circuit_lower_bound(n) == l_star < worst
 
 
 def test_linear_count_monotone_samples():

@@ -5,6 +5,7 @@ import pytest
 from oracles import eval_depth2
 from wirelab import _kernels, cli, suite
 from wirelab.circuit import (
+    Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
     LinearDepth2Circuit,
@@ -288,6 +289,29 @@ def test_verify_weak(tmp_path, capsys):
     code, out = run(capsys, "verify-weak", "--in", str(src), "--matrix", str(mat))
     assert code == 1
     assert out == "weakly_computes=false\ncounterexample=0010\n"
+
+
+def test_verify_weak_evaluates_each_unit_vector_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "c.ckt"
+    mat = tmp_path / "a.txt"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "6", "--r", "6",
+        "--seed", "3", "--out", str(src), "--matrix-out", str(mat))
+    calls = []
+    real_eval = Depth2Circuit.eval
+
+    def spy(self, x):
+        calls.append(x.bits)
+        return real_eval(self, x)
+
+    monkeypatch.setattr(Depth2Circuit, "eval", spy)
+    code, _ = run(capsys, "verify-weak", "--in", str(src), "--matrix", str(mat))
+    assert code == 0 and calls == [1, 2, 4, 8, 16, 32]
+    a = from_text(mat.read_text())
+    mat.write_text(to_text(Gf2Matrix(6, 6, tuple(w ^ 0b1000 for w in a.row_words))))
+    calls.clear()
+    code, out = run(capsys, "verify-weak", "--in", str(src), "--matrix", str(mat))
+    assert code == 1 and out == "weakly_computes=false\ncounterexample=000100\n"
+    assert calls == [1, 2, 4, 8]
 
 
 def test_cap_fanin_command(tmp_path, capsys):

@@ -14,6 +14,7 @@ from wirelab.gf2 import (
     matmul,
     matvec,
     rank,
+    reduce_columns,
     solve_in_span,
     to_text,
 )
@@ -175,3 +176,24 @@ def test_property_solve_recombines_span_members(m, data):
     if basis:
         lam = solve_in_span(basis, y)
         assert list(lam) == coeffs  # unique under independence
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_property_reduce_columns_is_the_greedy_basis_with_coefficients(m):
+    cols = m.transpose().row_words
+    chosen, coeffs = reduce_columns(cols)
+    kept: list[list[int]] = []
+    greedy = []
+    for j in range(m.cols):
+        col = list(m.column(j).coords())
+        if naive_rank(kept + [col]) > naive_rank(kept):
+            kept.append(col)
+            greedy.append(j)
+    assert chosen == greedy
+    for j, col in enumerate(cols):
+        acc = 0
+        for k, basis_col in enumerate(chosen):
+            if (coeffs[j] >> k) & 1:
+                acc ^= cols[basis_col]
+        assert acc == col and coeffs[j] >> len(chosen) == 0
