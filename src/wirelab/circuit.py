@@ -446,9 +446,12 @@ def weakly_computes(c: Circuit, a: Gf2Matrix) -> bool:
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def _hex_len(fanin: int) -> int:
+    return max(1, ((1 << fanin) + 3) // 4)
+
+
 def table_to_hex(t: TruthTable) -> str:
-    n_nibbles = max(1, ((1 << t.fanin) + 3) // 4)
-    return format(t.bits, f"0{n_nibbles}x")[::-1]
+    return format(t.bits, f"0{_hex_len(t.fanin)}x")[::-1]
 
 
 def table_from_hex(text: str, fanin: int) -> TruthTable:
@@ -461,6 +464,8 @@ def table_from_hex(text: str, fanin: int) -> TruthTable:
         bits = 0
         for k, ch in enumerate(text):
             bits |= int(ch, 16) << (4 * k)
+    if len(text) != _hex_len(fanin):  # only the length table_to_hex writes
+        raise ValueError(f"tt of fanin {fanin} takes {_hex_len(fanin)} hex digits, got {len(text)}")
     return TruthTable(fanin, bits)
 
 
@@ -564,14 +569,19 @@ def general_from_text(text: str) -> GeneralCircuit:
     outputs: tuple[int, ...] | None = None
     for ln in lines[2:]:
         try:
-            if ln.startswith("outputs"):
-                outputs = _ints(ln.split()[1:])
+            words = ln.split()
+            if words[0] == "outputs":
+                if outputs is not None:
+                    raise ValueError("second outputs line")
+                outputs = _ints(words[1:])
                 continue
+            if words[0] != "gate":
+                raise ValueError(f"unknown line kind {words[0]!r}")
             if outputs is not None:
                 raise ValueError("gate line after outputs line")
             tag, _, rest = ln.partition(":")
-            kind, idx = tag.split()
-            if kind != "gate" or int(idx) != n + len(gates):
+            _, idx = tag.split()
+            if int(idx) != n + len(gates):
                 raise ValueError("gates must appear in id order")
             (ps, tt) = _split_fields(rest, ["pred", "tt"])
             preds = _ints(ps)

@@ -10,8 +10,8 @@ command cannot take, such as an ``encode`` circuit whose middle gates are
 not parities.  Failed verifications return 1 themselves; every error
 raised out of a command is a usage error.  Commands that sweep all 2**n
 inputs accept n up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a
-larger circuit, or a ``suite --n-max`` outside 3 to 20, is a usage error
-too.
+larger circuit, a ``suite --n-max`` outside 3 to 20, or a ``suite
+--trials`` below 1, is a usage error too.
 """
 
 from __future__ import annotations
@@ -248,6 +248,8 @@ def cmd_suite(args) -> int:
         results = suite.run_all(args.trials, args.n_max, args.seed)
     except (ExhaustiveCapError, suite.NMaxError) as e:
         raise UsageError(f"--n-max: {e}") from e
+    except suite.TrialsError as e:
+        raise UsageError(f"--trials: {e}") from e
     failed = [r for r in results if not r.ok]
     for r in results:
         for line in r.report_lines():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, first_basis_columns, matmul
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -228,11 +228,11 @@ def linear_middle_instance(
 
 def _column_span_points(m: Gf2Matrix) -> set[int]:
     """All values of m*x as ints (bit k = coordinate k), i.e. the span of
-    m's columns."""
-    basis = [m.column(j).bits for j in first_basis_columns(m)]
+    m's columns; a column outside the points so far doubles them."""
     points = {0}
-    for v in basis:
-        points |= {p ^ v for p in points}
+    for v in m.transpose().row_words:
+        if v not in points:
+            points |= {p ^ v for p in points}
     return points
 
 

@@ -1,9 +1,12 @@
 """Seeded verification battery.
 
-Each check runs a batch of randomized trials against exhaustive or
-independently implemented oracles and reports a pass/fail count; the
-whole battery is deterministic in its seed.  Failures carry a replayable
-witness (circuit text plus the offending input vector).
+Every randomized check is a trial function run by one loop, ``_trials``:
+trial t draws everything from its own seed ``_trial_seed(seed, t)``, so
+the battery is deterministic in its seed.  Trials compare against
+exhaustive sweeps or independently implemented oracles.  A check keeps
+the witness of its first failing trial: ``failed=`` the failure kind,
+``seed=`` the trial seed, ``input=`` the offending input where one is
+known, then ``circuit:`` and the circuit (or matrix) the trial drew.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .generators import (
     random_matrix,
 )
 from .gf2 import Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
-from .transforms import linearize, normalize_output_xor, remove_direct_wires
+from .transforms import cap_fanin, linearize, normalize_output_xor, remove_direct_wires
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
 N_MIN = 3  # the smallest n the linearize and codec trials draw
@@ -40,6 +43,10 @@ N_MIN = 3  # the smallest n the linearize and codec trials draw
 
 class NMaxError(ValueError):
     """An ``n_max`` below ``N_MIN``: the trials would have no n to draw."""
+
+
+class TrialsError(ValueError):
+    """A trial count below 1: the randomized checks would check nothing."""
 
 
 @dataclass
@@ -78,13 +85,7 @@ def _witness(kind: str, text: str, x: Gf2Vector | None, seed: int) -> str:
 # independent oracles (list-of-list arithmetic, no bitsets)
 
 def naive_matvec(rows: list[list[int]], v: list[int]) -> list[int]:
-    out = []
-    for row in rows:
-        s = 0
-        for a, b in zip(row, v):
-            s += a * b
-        out.append(s % 2)
-    return out
+    return [sum(a * b for a, b in zip(row, v)) % 2 for row in rows]
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -103,124 +104,110 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rk
 
 
-def _columns(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
 # ---------------------------------------------------------------------------
 # batteries
 
-def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tuple[CheckResult, CheckResult]:
-    """End-to-end linearization equivalence/budget, plus per-stage accounting."""
+def _trials(names: dict[str, str], trials: int, seed: int, trial) -> tuple[CheckResult, ...]:
+    """One result per check in ``names`` (check name -> witness kind).
+
+    Trial t calls ``trial(random.Random(s), s)``, s = _trial_seed(seed, t),
+    which returns None on a pass, else (check name, circuit text, input or
+    None).  The loop's time goes to the first check, 0.0 to the others.
+    """
     t0 = time.time()
-    end_fail = stage_fail = 0
-    end_wit = stage_wit = None
+    failures = dict.fromkeys(names, 0)
+    witness: dict[str, str | None] = dict.fromkeys(names)
     for t in range(trials):
         s = _trial_seed(seed, t)
-        rng = random.Random(s)
+        failed = trial(random.Random(s), s)
+        if failed is not None:
+            name, text, x = failed
+            failures[name] += 1
+            if witness[name] is None:
+                witness[name] = _witness(names[name], text, x, s)
+    elapsed = time.time() - t0
+    return tuple(
+        CheckResult(name, trials, failures[name], elapsed if k == 0 else 0.0, witness=witness[name])
+        for k, name in enumerate(names)
+    )
+
+
+def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tuple[CheckResult, CheckResult]:
+    """End-to-end linearization equivalence/budget, plus per-stage accounting;
+    the result and both stages are compared with one sweep of the input."""
+
+    def trial(rng: random.Random, s: int):
         n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
-        density = rng.uniform(0.2, 0.8)
-        c, planted = linear_output_instance(n, r, density, seed=s)
+        c, planted = linear_output_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
+        table = collapse(c)
         lin, rep = linearize(c)
-        if not (
-            equivalent(c, lin)
-            and rep.within_budget(n)
-            and lin.operator_matrix() == planted
-        ):
-            end_fail += 1
-            if end_wit is None:
-                end_wit = _witness("linearize-equivalence-or-budget", depth2_to_text(c), None, s)
-            continue
+        if collapse(lin) != table or not rep.within_budget(n) or lin.operator_matrix() != planted:
+            return "linearize", depth2_to_text(c), None
         s1 = remove_direct_wires(c)
         s2 = normalize_output_xor(s1)
-        stage_ok = (
-            s1.wire_count() - c.wire_count() <= n
-            and s2.wire_count() - s1.wire_count() <= n
-            and s2.first_level_wires() <= s1.first_level_wires()
-            and lin.first_level.popcount() <= s2.first_level_wires()
-            and equivalent(c, s1)
-            and equivalent(s1, s2)
-        )
-        if not stage_ok:
-            stage_fail += 1
-            if stage_wit is None:
-                stage_wit = _witness("stage-budget-or-equivalence", depth2_to_text(c), None, s)
-    elapsed = time.time() - t0
-    return (
-        CheckResult("linearize", trials, end_fail, elapsed, witness=end_wit),
-        CheckResult("stage-budgets", trials, stage_fail, 0.0, witness=stage_wit),
+        if (
+            s1.wire_count() - c.wire_count() > n
+            or s2.wire_count() - s1.wire_count() > n
+            or s2.first_level_wires() > s1.first_level_wires()
+            or lin.first_level.popcount() > s2.first_level_wires()
+            or collapse(s1) != table
+            or collapse(s2) != table
+        ):
+            return "stage-budgets", depth2_to_text(c), None
+        return None
+
+    return _trials(
+        {"linearize": "linearize-equivalence-or-budget", "stage-budgets": "stage-budget-or-equivalence"},
+        trials, seed, trial,
     )
 
 
 def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
     """Encode/decode roundtrip, matrix recovery, length law, serialization."""
-    t0 = time.time()
-    failures = 0
-    witness = None
-    for t in range(trials):
-        s = _trial_seed(seed, t)
-        rng = random.Random(s)
+
+    def trial(rng: random.Random, s: int):
         n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
         c, planted = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
         enc = encode(c)
-        table = collapse(c)
         decoded = decode_matrix(enc)
-        bad_x = operator_table_of_matrix(decoded).first_difference(table)
+        bad_x = operator_table_of_matrix(decoded).first_difference(collapse(c))
+        if bad_x is not None:
+            return "codec", depth2_to_text(c), Gf2Vector(n, bad_x)
         w = enc.field_width()
-        length_ok = bit_length(enc) <= 96 + 16 * n + 2 * enc.wire_count() * w + sum(
-            len(b) for b in enc.basis_bits
-        )
-        ok = (
-            bad_x is None
-            and decoded == planted
-            and deserialize(serialize(enc)) == enc
-            and length_ok
-        )
-        if not ok:
-            failures += 1
-            if witness is None:
-                x = Gf2Vector(n, bad_x) if bad_x is not None else None
-                witness = _witness("codec-roundtrip", depth2_to_text(c), x, s)
-    return CheckResult("codec", trials, failures, time.time() - t0, witness=witness)
+        length_max = 96 + 16 * n + 2 * enc.wire_count() * w + sum(len(b) for b in enc.basis_bits)
+        if decoded != planted or deserialize(serialize(enc)) != enc or bit_length(enc) > length_max:
+            return "codec", depth2_to_text(c), None
+        return None
+
+    return _trials({"codec": "codec-roundtrip"}, trials, seed, trial)[0]
 
 
 def run_fanin_cap(trials: int = 200, n_max: int = 8, seed: int = 44) -> CheckResult:
     """Fanin capping: semantics, fanin bound, wire monotonicity, idempotence."""
-    from .transforms import cap_fanin
 
-    t0 = time.time()
-    failures = 0
-    witness = None
-    for t in range(trials):
-        s = _trial_seed(seed, t)
-        rng = random.Random(s)
+    def trial(rng: random.Random, s: int):
         n = rng.randint(2, n_max)
         gates = rng.randint(2, 8)
         c = random_general(n, gates, seed=s, over_fanin_gates=rng.randint(1, max(1, gates // 2)))
         capped = cap_fanin(c)
-        ok = (
-            collapse(capped) == collapse(c)
-            and max(len(g.preds) for g in capped.gates) <= n
-            and capped.wire_count() <= c.wire_count()
-            and cap_fanin(capped) == capped
-        )
-        if not ok:
-            failures += 1
-            if witness is None:
-                witness = _witness("fanin-cap", general_to_text(c), None, s)
-    return CheckResult("fanin-cap", trials, failures, time.time() - t0, witness=witness)
+        if (
+            collapse(capped) != collapse(c)
+            or max(len(g.preds) for g in capped.gates) > n
+            or capped.wire_count() > c.wire_count()
+            or cap_fanin(capped) != capped
+        ):
+            return "fanin-cap", general_to_text(c), None
+        return None
+
+    return _trials({"fanin-cap": "fanin-cap"}, trials, seed, trial)[0]
 
 
 def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> CheckResult:
     """For all-parity circuits, unit-vector agreement must equal full equality."""
-    t0 = time.time()
-    failures = 0
-    witness = None
-    for t in range(trials):
-        s = _trial_seed(seed, t)
-        rng = random.Random(s)
+
+    def trial(rng: random.Random, s: int):
         n = rng.randint(2, n_max)
         r = rng.randint(1, 12)
         c = random_linear_circuit(n, r, rng.uniform(0.2, 0.8), seed=s)
@@ -228,67 +215,48 @@ def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> Check
             a = c.operator_matrix()  # agreeing pair
         else:
             a = random_matrix(n, n, rng.uniform(0.2, 0.8), seed=s + 1)
-        weak = weakly_computes(c, a)
-        full = equivalent(c, LinearDepth2Circuit.from_matrix(a))
-        if weak != full:
-            failures += 1
-            if witness is None:
-                witness = _witness("weak-vs-full", depth2_to_text(c.to_depth2()), None, s)
-    return CheckResult("weak-vs-full", trials, failures, time.time() - t0, witness=witness)
+        if weakly_computes(c, a) != equivalent(c, LinearDepth2Circuit.from_matrix(a)):
+            return "weak-vs-full", depth2_to_text(c.to_depth2()), None
+        return None
+
+    return _trials({"weak-vs-full": "weak-vs-full"}, trials, seed, trial)[0]
 
 
 def run_gf2_oracles(trials: int = 1000, dim_max: int = 12, seed: int = 46) -> CheckResult:
     """Bitset kernels vs naive list-of-list Gaussian elimination."""
-    t0 = time.time()
-    failures = 0
-    witness = None
-    for t in range(trials):
-        s = _trial_seed(seed, t)
-        rng = random.Random(s)
+
+    def trial(rng: random.Random, s: int):
         rows_n = rng.randint(1, dim_max)
         cols_n = rng.randint(1, dim_max)
         m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
         lists = [list(m.row(i).coords()) for i in range(rows_n)]
-
-        ok = rank(m) == naive_rank(lists)
-
+        # the first basis is the greedy one: each column that raises the rank
+        kept: list[list[int]] = []
+        greedy = []
+        for j, col in enumerate(map(list, zip(*lists))):
+            if naive_rank(kept + [col]) > len(kept):
+                kept.append(col)
+                greedy.append(j)
         chosen = first_basis_columns(m)
-        if ok and len(chosen) != naive_rank(lists):
-            ok = False
-        if ok:
-            cols = _columns(lists)
-            kept: list[list[int]] = []
-            for j in range(cols_n):
-                gain = naive_rank(kept + [cols[j]]) > naive_rank(kept)
-                if gain != (j in chosen):
-                    ok = False
-                    break
-                if gain:
-                    kept.append(cols[j])
-
-        if ok and chosen:
+        if rank(m) != naive_rank(lists) or chosen != greedy:
+            return "gf2-oracles", repr(m), None
+        if chosen:
             basis = [m.column(j) for j in chosen]
             picks = [k for k in range(len(basis)) if rng.random() < 0.5]
             y = Gf2Vector.zero(rows_n)
             for k in picks:
                 y = y ^ basis[k]
-            lam = solve_in_span(basis, y)
-            back = Gf2Vector.zero(rows_n)
-            for k, bit in enumerate(lam):
-                if bit:
-                    back = back ^ basis[k]
-            ok = back == y and lam == tuple(1 if k in picks else 0 for k in range(len(basis)))
+            # unique coefficients: the basis is independent
+            if solve_in_span(basis, y) != tuple(1 if k in picks else 0 for k in range(len(basis))):
+                return "gf2-oracles", repr(m), None
+        v = Gf2Vector(cols_n, rng.getrandbits(cols_n))
+        if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
+            return "gf2-oracles", repr(m), None
+        return None
 
-        if ok:
-            v = Gf2Vector(cols_n, rng.getrandbits(cols_n))
-            ok = list(matvec(m, v).coords()) == naive_matvec(lists, list(v.coords()))
-
-        if not ok:
-            failures += 1
-            if witness is None:
-                witness = _witness("gf2-oracle", repr(m), None, s)
-
-    # exhaustive matvec sweep against the double loop, all dims <= 8
+    t0 = time.time()
+    result = _trials({"gf2-oracles": "gf2-oracle"}, trials, seed, trial)[0]
+    # exhaustive matvec sweep against naive_matvec, all dims <= 8
     for rows_n in range(1, 9):
         for cols_n in range(1, 9):
             m = random_matrix(rows_n, cols_n, 0.5, seed=_trial_seed(seed, rows_n * 16 + cols_n))
@@ -296,10 +264,11 @@ def run_gf2_oracles(trials: int = 1000, dim_max: int = 12, seed: int = 46) -> Ch
             for xb in range(1 << cols_n):
                 v = Gf2Vector(cols_n, xb)
                 if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
-                    failures += 1
-                    if witness is None:
-                        witness = _witness("matvec-exhaustive", repr(m), v, seed)
-    return CheckResult("gf2-oracles", trials, failures, time.time() - t0, witness=witness)
+                    result.failures += 1
+                    if result.witness is None:
+                        result.witness = _witness("matvec-exhaustive", repr(m), v, seed)
+    result.elapsed = time.time() - t0
+    return result
 
 
 def run_counting_bounds() -> CheckResult:
@@ -342,7 +311,10 @@ def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResu
     """The full battery; smaller batches reuse the main trial count.  Trials
     draw n from ``N_MIN`` to ``n_max`` and sweep all 2**n inputs, so an
     ``n_max`` below ``N_MIN`` (NMaxError) or above the exhaustive cap
-    (ExhaustiveCapError) is refused before any trial runs."""
+    (ExhaustiveCapError), or fewer than one trial (TrialsError), is refused
+    before any trial runs."""
+    if trials < 1:
+        raise TrialsError(f"must be at least 1, got {trials}")
     if n_max < N_MIN:
         raise NMaxError(f"must be at least {N_MIN}, got {n_max}")
     check_exhaustive(n_max)

@@ -313,6 +313,30 @@ def test_text_rejects_malformed_lines():
         general_from_text("general v1\nn 1\ngate 5: pred 0 ; tt 2\noutputs 1\n")
 
 
+GENERAL_4 = "general v1\nn 4\ngate 4: pred 0 1 2 3 ; tt f000\n"
+
+
+def test_text_rejects_tables_of_another_length():
+    # table_to_hex writes max(1, 2**fanin / 4) digits; no other length parses
+    assert table_to_hex(general_from_text(GENERAL_4 + "outputs 4 4 4 4\n").gates[0].table) == "f000"
+    for tt, fanin, want in (("f", 4, 4), ("f0000", 4, 4), ("66", 2, 1), ("1", 3, 2)):
+        with pytest.raises(ValueError, match=f"takes {want} hex digits, got {len(tt)}"):
+            table_from_hex(tt, fanin)
+    line = "gate 4: pred 0 1 2 3 ; tt f"
+    with pytest.raises(ValueError, match=f"bad circuit line {line!r}: tt of fanin 4 takes 4 hex"):
+        general_from_text(f"general v1\nn 4\n{line}\noutputs 4 4 4 4\n")
+    with pytest.raises(ValueError, match="bad circuit line 'mid 0: in 0 1 ; tt 66'"):
+        depth2_from_text("depth2 v1\nn 2 r 1\nmid 0: in 0 1 ; tt 66\n"
+                         "out 0: mid 0 ; direct ; tt 2\nout 1: mid ; direct 1 ; tt 2\n")
+
+
+def test_general_text_takes_one_exact_outputs_line():
+    with pytest.raises(ValueError, match="bad circuit line 'outputsXYZ 4 4 4 4': unknown line kind"):
+        general_from_text(GENERAL_4 + "outputsXYZ 4 4 4 4\n")
+    with pytest.raises(ValueError, match="bad circuit line 'outputs 0 1 2 3': second outputs line"):
+        general_from_text(GENERAL_4 + "outputs 4 4 4 4\noutputs 0 1 2 3\n")
+
+
 def test_parity_depth2_wires_match_adjacency_popcounts():
     from wirelab.generators import random_linear_circuit
 

@@ -106,6 +106,21 @@ def test_bad_input_vector_and_matrix_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {mat}: matrix must be 3-by-3, got 2-by-2\n"
 
 
+def test_malformed_circuit_lines_are_usage_errors(tmp_path, capsys):
+    src = tmp_path / "g.ckt"
+    head = "general v1\nn 4\ngate 4: pred 0 1 2 3 ; tt "
+    for body, line in (
+        ("f\noutputs 4 4 4 4\n", "gate 4: pred 0 1 2 3 ; tt f"),
+        ("f000\noutputsXYZ 4 4 4 4\n", "outputsXYZ 4 4 4 4"),
+        ("f000\noutputs 4 4 4 4\noutputs 0 1 2 3\n", "outputs 0 1 2 3"),
+    ):
+        src.write_text(head + body)
+        assert cli.main(["eval", "--in", str(src), "--x", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src}: bad circuit line {line!r}: ")
+
+
 def test_bad_generator_arguments_are_usage_errors(capsys):
     for argv, message in (
         (["gen-matrix", "--n", "3", "--density", "2"], "density must lie in [0, 1]"),

@@ -1,0 +1,131 @@
+"""The seeded battery: planted failures, sweep counts and a golden report.
+
+Failures are planted by replacing names that ``wirelab.suite`` imported,
+so each check is shown to count its failing trials and to keep the first
+witness, without a broken library.
+"""
+
+import dataclasses
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from wirelab import _kernels, cli, suite
+from wirelab.circuit import depth2_from_text, equivalent
+from wirelab.gf2 import Gf2Matrix
+
+GOLDEN = Path(__file__).parent / "data" / "suite_report.golden"
+GOLDEN_ARGS = ("suite", "--trials", "40", "--n-max", "8", "--seed", "42")
+
+
+def _flip_first_entry_at_n5(monkeypatch):
+    real = suite.decode_matrix
+
+    def decode_matrix(enc):
+        a = real(enc)
+        if enc.n != 5:
+            return a
+        return Gf2Matrix(a.rows, a.cols, (a.row_words[0] ^ 1,) + a.row_words[1:])
+
+    monkeypatch.setattr(suite, "decode_matrix", decode_matrix)
+
+
+def _seeds_drawing_n5(trials, n_max, seed):
+    return [
+        suite._trial_seed(seed, t)
+        for t in range(trials)
+        if random.Random(suite._trial_seed(seed, t)).randint(suite.N_MIN, n_max) == 5
+    ]
+
+
+def test_codec_counts_every_planted_failure_and_keeps_the_first(monkeypatch):
+    _flip_first_entry_at_n5(monkeypatch)
+    trials, n_max, seed = 30, 6, 43
+    bad = _seeds_drawing_n5(trials, n_max, seed)
+    assert bad  # the seed must plant at least one failure
+    r = suite.run_codec(trials, n_max, seed)
+    assert (r.trials, r.failures, r.ok) == (trials, len(bad), False)
+    # A[0][0] flipped: output 0 first differs at x = e_0
+    assert r.witness.startswith(f"failed=codec-roundtrip\nseed={bad[0]}\ninput=10000\ncircuit:\n")
+    c = depth2_from_text(r.witness.split("circuit:\n", 1)[1])
+    assert c.n == 5
+
+
+def test_stage_check_fails_alone_on_a_non_equivalent_stage(monkeypatch):
+    real = suite.normalize_output_xor
+
+    def normalize_output_xor(c):
+        s2 = real(c)
+        o = s2.outputs[0]
+        flipped = dataclasses.replace(o, table=o.table.complement())
+        return dataclasses.replace(s2, outputs=(flipped,) + s2.outputs[1:])
+
+    monkeypatch.setattr(suite, "normalize_output_xor", normalize_output_xor)
+    trials, n_max, seed = 12, 6, 42
+    lin, stages = suite.run_linearization(trials, n_max, seed)
+    assert lin.ok and lin.witness is None
+    assert (stages.trials, stages.failures, stages.elapsed) == (trials, trials, 0.0)
+    head = f"failed=stage-budget-or-equivalence\nseed={suite._trial_seed(seed, 0)}\ncircuit:\n"
+    assert stages.witness.startswith(head)
+    c = depth2_from_text(stages.witness[len(head):])
+    assert not equivalent(c, normalize_output_xor(suite.remove_direct_wires(c)))
+
+
+def test_cli_suite_writes_the_witness_and_exits_1(monkeypatch, tmp_path, capsys):
+    _flip_first_entry_at_n5(monkeypatch)
+    trials, n_max, seed = 10, 6, 7
+    bad = _seeds_drawing_n5(trials, n_max, seed + 1)  # the codec check runs at seed + 1
+    assert bad
+    code = cli.main(["suite", "--trials", str(trials), "--n-max", str(n_max),
+                     "--seed", str(seed), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    path = tmp_path / "witness_codec.txt"
+    assert f"witness_file={path}\n" in out
+    assert out.endswith("suite_ok=false\n")
+    witness = path.read_text()
+    assert witness.startswith(f"failed=codec-roundtrip\nseed={bad[0]}\ninput=10000\n")
+    assert f"witness_codec:\n{witness}" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["witness_codec.txt"]
+
+
+def test_linearize_trial_sweeps_four_times(monkeypatch):
+    # linearize's own sweep of c, then one each of c, stage 1 and stage 2
+    calls = []
+    real = _kernels._sweep
+
+    def sweep(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    trials = 10
+    lin, stages = suite.run_linearization(trials, 6, 42)
+    assert lin.ok and stages.ok
+    assert len(calls) == 4 * trials
+
+
+def test_trials_below_one_are_refused_before_any_trial(monkeypatch, capsys):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(suite, "run_linearization", no_trials)
+    for trials in (0, -3):
+        with pytest.raises(suite.TrialsError, match=f"must be at least 1, got {trials}"):
+            suite.run_all(trials, 8)
+    assert cli.main(["suite", "--trials", "-3", "--n-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials: must be at least 1, got -3\n"
+
+
+def _mask_elapsed(text):
+    return re.sub(r"elapsed=\d+\.\d+s", "elapsed=…s", text)
+
+
+def test_seeded_report_matches_the_golden_file(capsys):
+    assert cli.main(list(GOLDEN_ARGS)) == 0
+    out = capsys.readouterr().out
+    assert _mask_elapsed(out) == _mask_elapsed(GOLDEN.read_text())
