@@ -14,9 +14,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernels
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec, parse_decimal
 
 MAX_FANIN = 24
 
@@ -177,27 +178,18 @@ class Depth2Circuit:
     def r(self) -> int:
         return len(self.middle)
 
+    @cached_property
+    def _dag(self) -> GeneralCircuit:
+        """The same circuit as a DAG: middle gate j is node n + j and
+        output i is node n + r + i, reading its middle gates, then its
+        direct inputs."""
+        n, r = self.n, self.r
+        gates = [GeneralGate(m.inputs, m.table) for m in self.middle]
+        gates += [GeneralGate(tuple(n + j for j in o.mids) + o.directs, o.table) for o in self.outputs]
+        return GeneralCircuit(n, tuple(gates), tuple(range(n + r, n + r + n)))
+
     def eval(self, x: Gf2Vector) -> Gf2Vector:
-        if x.length != self.n:
-            raise ValueError("input length mismatch")
-        mvals = []
-        for m in self.middle:
-            idx = 0
-            for k, i in enumerate(m.inputs):
-                idx |= ((x.bits >> i) & 1) << k
-            mvals.append(m.table.value(idx))
-        bits = 0
-        for pos, o in enumerate(self.outputs):
-            idx = 0
-            k = 0
-            for j in o.mids:
-                idx |= mvals[j] << k
-                k += 1
-            for i in o.directs:
-                idx |= ((x.bits >> i) & 1) << k
-                k += 1
-            bits |= o.table.value(idx) << pos
-        return Gf2Vector(self.n, bits)
+        return self._dag.eval(x)
 
     def first_level_wires(self) -> int:
         return sum(len(m.inputs) for m in self.middle)
@@ -212,12 +204,7 @@ class Depth2Circuit:
         return self.first_level_wires() + self.second_level_wires() + self.direct_wires()
 
     def depth(self) -> int:
-        two = any(self.middle[j].inputs for o in self.outputs for j in o.mids)
-        if two:
-            return 2
-        if any(o.directs for o in self.outputs):
-            return 1
-        return 0
+        return self._dag.depth()
 
 
 @dataclass(frozen=True)
@@ -266,10 +253,7 @@ class LinearDepth2Circuit:
         return self.first_level.popcount() + self.second_level.popcount()
 
     def depth(self) -> int:
-        for j in range(self.r):
-            if self.first_level.row_words[j] and self.second_level.column(j).bits:
-                return 2
-        return 0
+        return self.to_depth2().depth()
 
     def to_depth2(self) -> Depth2Circuit:
         mids = tuple(
@@ -455,22 +439,29 @@ def table_to_hex(t: TruthTable) -> str:
 
 
 def table_from_hex(text: str, fanin: int) -> TruthTable:
-    if _HEX_DIGITS.issuperset(text):
-        bits = int(text[::-1], 16) if text else 0
-    else:
-        # digit by digit, so that a bad character raises int()'s message
-        # for that character; int() of the whole string would also accept
-        # underscores, a 0x prefix and surrounding whitespace
-        bits = 0
-        for k, ch in enumerate(text):
-            bits |= int(ch, 16) << (4 * k)
+    # int() of the whole string would also accept underscores, a 0x
+    # prefix, surrounding whitespace and other scripts' digits
+    bad = next((ch for ch in text if ch not in _HEX_DIGITS), None)
+    if bad is not None:
+        raise ValueError(f"invalid literal for int() with base 16: {bad!r}")
     if len(text) != _hex_len(fanin):  # only the length table_to_hex writes
         raise ValueError(f"tt of fanin {fanin} takes {_hex_len(fanin)} hex digits, got {len(text)}")
-    return TruthTable(fanin, bits)
+    return TruthTable(fanin, int(text[::-1], 16))
 
 
 def _ints(tokens) -> tuple[int, ...]:
-    return tuple(int(t) for t in tokens)
+    return tuple(map(parse_decimal, tokens))
+
+
+def _sizes(line: str, keys: list[str]) -> tuple[int, ...]:
+    """The numbers of a size line such as ``n 4 r 6``."""
+    words = line.split()
+    try:
+        if words[::2] != keys or len(words) != 2 * len(keys):
+            raise ValueError(f"expected {' '.join(f'{k} <{k}>' for k in keys)!r}")
+        return _ints(words[1::2])
+    except ValueError as e:
+        raise ValueError(f"bad size line {line!r}: {e}") from None
 
 
 def _field(keyword: str, indices) -> str:
@@ -514,10 +505,7 @@ def depth2_from_text(text: str) -> Depth2Circuit:
         raise ValueError("missing 'depth2 v1' header")
     if len(lines) < 2:
         raise ValueError("missing size line")
-    head = lines[1].split()
-    if len(head) != 4 or head[0] != "n" or head[2] != "r":
-        raise ValueError("bad size line")
-    n, r = int(head[1]), int(head[3])
+    n, r = _sizes(lines[1], ["n", "r"])
     mids: list[MiddleGate] = []
     outs: list[OutputGate] = []
     for ln in lines[2:]:
@@ -525,13 +513,13 @@ def depth2_from_text(text: str) -> Depth2Circuit:
             tag, _, rest = ln.partition(":")
             kind, idx = tag.split()
             if kind == "mid":
-                if int(idx) != len(mids):
+                if parse_decimal(idx) != len(mids):
                     raise ValueError("middle gates out of order")
                 (ins, tt) = _split_fields(rest, ["in", "tt"])
                 inputs = _ints(ins)
                 mids.append(MiddleGate(inputs, table_from_hex(_one_token(tt, "tt"), len(inputs))))
             elif kind == "out":
-                if int(idx) != len(outs):
+                if parse_decimal(idx) != len(outs):
                     raise ValueError("output gates out of order")
                 (ms, ds, tt) = _split_fields(rest, ["mid", "direct", "tt"])
                 m_idx, d_idx = _ints(ms), _ints(ds)
@@ -561,10 +549,7 @@ def general_from_text(text: str) -> GeneralCircuit:
         raise ValueError("missing 'general v1' header")
     if len(lines) < 2:
         raise ValueError("missing size line")
-    head = lines[1].split()
-    if len(head) != 2 or head[0] != "n":
-        raise ValueError("bad size line")
-    n = int(head[1])
+    (n,) = _sizes(lines[1], ["n"])
     gates: list[GeneralGate] = []
     outputs: tuple[int, ...] | None = None
     for ln in lines[2:]:
@@ -581,7 +566,7 @@ def general_from_text(text: str) -> GeneralCircuit:
                 raise ValueError("gate line after outputs line")
             tag, _, rest = ln.partition(":")
             _, idx = tag.split()
-            if int(idx) != n + len(gates):
+            if parse_decimal(idx) != n + len(gates):
                 raise ValueError("gates must appear in id order")
             (ps, tt) = _split_fields(rest, ["pred", "tt"])
             preds = _ints(ps)

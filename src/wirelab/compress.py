@@ -1,14 +1,15 @@
 """Succinct certificate for depth-2 circuits with parity middle gates
 that compute a matrix-vector product.
 
-The certificate stores only the wire adjacencies of the two levels (as
-positions of their 1-entries) and, per output gate, the gate's values on
-the first basis of the value space it can see.  That is enough to
-recover the full operator, and the certificate compiles into its matrix:
-output i sees B_i*x, where B_i holds the middle gates it reads; writing
-each column of B_i over B_i's first basis gives, by linearity, output
-i's response to each unit vector.  ``decode_matrix`` does this once per
-certificate; ``decode`` is one matrix-vector product with the result.
+The certificate stores only the wire adjacencies of the two levels (row
+words in memory, positions of their 1-entries in the stream) and, per
+output gate, the gate's values on the first basis of the value space it
+can see.  That is enough to recover the full operator, and the
+certificate compiles into its matrix: output i sees B_i*x, where B_i
+holds the middle gates it reads; writing each column of B_i over B_i's
+first basis gives, by linearity, output i's response to each unit
+vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
+one matrix-vector product with the result.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -19,9 +20,10 @@ Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
     per output i = 0..n-1: t_i, then t_i bits     16 + t_i bits
     zero padding to a byte boundary
 
-with w = ceil(log2(max(n, r) + 1)) and position pairs sorted row-major.
-``bit_length`` counts the content bits (everything except the padding):
-exactly 96 + 16n + 2*w*(|B|+|C|) + sum(t_i).
+with w = ceil(log2(max(n, r) + 1)) and position pairs sorted row-major,
+so 96 + 16n + 2*w*(|B|+|C|) + sum(t_i) content bits in all.  ``_layout``
+is the one statement of this layout: ``serialize`` writes its fields and
+``bit_length`` sums their widths.
 """
 
 from __future__ import annotations
@@ -50,30 +52,34 @@ class CorruptEncodingError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorEncoding:
-    """Certificate: sparse level adjacencies plus per-output basis values.
+    """Certificate: the two level adjacencies as row words, plus
+    per-output basis values.
 
-    ``basis_bits[i][k]`` is output i's value on the unit vector whose
-    index is the k-th first-basis column of B_i.
+    ``b_rows[j]`` packs middle gate j's inputs (r words over n bits) and
+    ``c_rows[i]`` packs the middle gates output i reads (n words over r
+    bits).  ``basis_bits[i][k]`` is output i's value on the unit vector
+    whose index is the k-th first-basis column of B_i.
     """
 
     n: int
     r: int
-    b_ones: tuple[tuple[int, int], ...]
-    c_ones: tuple[tuple[int, int], ...]
+    b_rows: tuple[int, ...]
+    c_rows: tuple[int, ...]
     basis_bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.r < 0:
             raise ValueError("need n >= 1 and r >= 0")
-        _check_positions(self.b_ones, self.r, self.n, "B")
-        _check_positions(self.c_ones, self.n, self.r, "C")
+        levels = (("B", self.b_rows, self.r, self.n), ("C", self.c_rows, self.n, self.r))
+        for name, words, rows, cols in levels:
+            if len(words) != rows:
+                raise ValueError(f"{name} needs {rows} row words, got {len(words)}")
+            if any(w < 0 or w >> cols for w in words):
+                raise ValueError(f"{name} has a row word outside [0, 2**{cols})")
         if len(self.basis_bits) != self.n:
             raise ValueError("need one basis-bit string per output")
-        degree = [0] * self.n
-        for i, _ in self.c_ones:
-            degree[i] += 1
         for i, bits in enumerate(self.basis_bits):
-            if len(bits) > degree[i]:
+            if len(bits) > self.c_rows[i].bit_count():
                 raise ValueError(f"output {i} stores more basis bits than wires")
             if any(b not in (0, 1) for b in bits):
                 raise ValueError("basis bits must be 0 or 1")
@@ -82,18 +88,7 @@ class OperatorEncoding:
         return max(self.n, self.r).bit_length()
 
     def wire_count(self) -> int:
-        return len(self.b_ones) + len(self.c_ones)
-
-
-def _check_positions(ones, rows: int, cols: int, name: str) -> None:
-    prev = None
-    for pos in ones:
-        i, j = pos
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"{name} position {pos} out of range")
-        if prev is not None and pos <= prev:
-            raise ValueError(f"{name} positions must be sorted row-major without repeats")
-        prev = pos
+        return sum(w.bit_count() for w in self.b_rows + self.c_rows)
 
 
 def encode(c: Depth2Circuit) -> OperatorEncoding:
@@ -116,26 +111,17 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
 
     used = sorted({j for o in c.outputs for j in o.mids})
     remap = {j: k for k, j in enumerate(used)}
-    b_rows = [sum(1 << i for i in c.middle[j].inputs) for j in used]
-
-    b_ones = []
-    for row, w in enumerate(b_rows):
-        for col in bit_indices(w):
-            b_ones.append((row, col))
-    c_rows = [sorted(remap[j] for j in o.mids) for o in c.outputs]
-    c_ones = [(i, j) for i, row in enumerate(c_rows) for j in row]
+    b_rows = tuple(sum(1 << i for i in c.middle[j].inputs) for j in used)
+    c_rows = tuple(sum(1 << remap[j] for j in o.mids) for o in c.outputs)
 
     # masking rows out of B's columns keeps their dependencies, so each
     # output's first basis comes from the same reduction decode_matrix runs
-    b_cols = Gf2Matrix(len(used), c.n, tuple(b_rows)).transpose().row_words
+    b_cols = Gf2Matrix(len(used), c.n, b_rows).transpose().row_words
     basis_bits = []
-    for i, row in enumerate(c_rows):
-        seen = sum(1 << j for j in row)
+    for i, seen in enumerate(c_rows):
         chosen, _ = reduce_columns([col & seen for col in b_cols])
         basis_bits.append(tuple(a.entry(i, j) for j in chosen))
-    return OperatorEncoding(
-        c.n, len(used), tuple(b_ones), tuple(c_ones), tuple(basis_bits)
-    )
+    return OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
@@ -147,10 +133,9 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
     of it; by linearity, A[i][j] is the parity of column j's coefficients
     against the stored basis values.
     """
-    b_words, c_words = _adjacency_words(enc)
-    b_cols = Gf2Matrix(enc.r, enc.n, tuple(b_words)).transpose().row_words
+    b_cols = Gf2Matrix(enc.r, enc.n, enc.b_rows).transpose().row_words
     words = []
-    for i, seen in enumerate(c_words):
+    for i, seen in enumerate(enc.c_rows):
         stored = enc.basis_bits[i]
         chosen, coeffs = reduce_columns(map(seen.__and__, b_cols))
         if len(chosen) != len(stored):
@@ -175,44 +160,34 @@ def decode(enc: OperatorEncoding, x: Gf2Vector) -> Gf2Vector:
     return matvec(decode_matrix(enc), x)
 
 
-def _adjacency_words(enc: OperatorEncoding) -> tuple[list[int], list[int]]:
-    b_words = [0] * enc.r
-    for i, j in enc.b_ones:
-        b_words[i] |= 1 << j
-    c_words = [0] * enc.n
-    for i, j in enc.c_ones:
-        c_words[i] |= 1 << j
-    return b_words, c_words
+def _pairs(words):
+    """Row-major (row, col) pairs of the 1-entries, flattened."""
+    for i, word in enumerate(words):
+        for j in bit_indices(word):
+            yield i
+            yield j
+
+
+def _layout(enc: OperatorEncoding) -> list[tuple[str, int, int, object]]:
+    """The stream's fields in order, as runs ``(name, width, count, values)``.
+
+    ``serialize`` writes the values; ``bit_length`` reads only widths and
+    counts, so it never builds the pairs, which are generated lazily.
+    """
+    w = enc.field_width()
+    runs = [("magic", 8, len(MAGIC), MAGIC), ("n", _FIELD, 1, (enc.n,)), ("r", _FIELD, 1, (enc.r,))]
+    for name, words in (("B", enc.b_rows), ("C", enc.c_rows)):
+        count = sum(word.bit_count() for word in words)
+        runs += [(f"|{name}|", _FIELD, 1, (count,)), (f"{name} pair", w, 2 * count, _pairs(words))]
+    for i, bits in enumerate(enc.basis_bits):
+        runs += [(f"t_{i}", _FIELD, 1, (len(bits),)), ("basis bit", 1, len(bits), bits)]
+    return runs
 
 
 def bit_length(enc: OperatorEncoding) -> int:
     """Exact number of content bits in the serialized stream (the byte
     stream only adds zero padding to the next byte boundary)."""
-    w = enc.field_width()
-    return (
-        32
-        + 4 * _FIELD
-        + 2 * w * enc.wire_count()
-        + sum(_FIELD + len(bits) for bits in enc.basis_bits)
-    )
-
-
-class _BitWriter:
-    """Collects MSB-first fields as '0'/'1' strings and converts them once,
-    so writing costs time linear in the stream length."""
-
-    def __init__(self) -> None:
-        self.fields: list[str] = []
-
-    def write(self, value: int, width: int) -> None:
-        if value < 0 or value >> width:
-            raise ValueError("value does not fit the field")
-        self.fields.append(format(value, f"0{width}b") if width else "")
-
-    def to_bytes(self) -> bytes:
-        bits = "".join(self.fields)
-        bits += "0" * (-len(bits) % 8)
-        return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return sum(width * count for _, width, count, _ in _layout(enc))
 
 
 class _BitReader:
@@ -248,27 +223,15 @@ class _BitReader:
 
 
 def serialize(enc: OperatorEncoding) -> bytes:
-    w = enc.field_width()
-    for count, what in ((enc.n, "n"), (enc.r, "r"), (len(enc.b_ones), "|B|"), (len(enc.c_ones), "|C|")):
-        if count >> _FIELD:
-            raise ValueError(f"{what}={count} exceeds the 16-bit field")
-    out = _BitWriter()
-    for byte in MAGIC:
-        out.write(byte, 8)
-    out.write(enc.n, _FIELD)
-    out.write(enc.r, _FIELD)
-    for ones in (enc.b_ones, enc.c_ones):
-        out.write(len(ones), _FIELD)
-        for i, j in ones:
-            out.write(i, w)
-            out.write(j, w)
-    for bits in enc.basis_bits:
-        out.write(len(bits), _FIELD)
-        for b in bits:
-            out.write(b, 1)
-    data = out.to_bytes()
-    assert len(data) == (bit_length(enc) + 7) // 8
-    return data
+    fields = []
+    for what, width, _, values in _layout(enc):
+        for value in values:
+            if value >> width:
+                raise ValueError(f"{what}={value} exceeds the {width}-bit field")
+            fields.append(format(value, f"0{width}b"))
+    bits = "".join(fields)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
 def deserialize(data: bytes) -> OperatorEncoding:
@@ -281,21 +244,22 @@ def deserialize(data: bytes) -> OperatorEncoding:
         raise EncodingFormatError("n must be at least 1", r.pos - _FIELD)
     rr = r.read(_FIELD, "r")
     w = max(n, rr).bit_length()
-    ones_lists = []
+    levels = []
     for name, rows, cols in (("B", rr, n), ("C", n, rr)):
         count = r.read(_FIELD, f"|{name}|")
-        ones = []
+        words = [0] * rows
         prev = None
         for _ in range(count):
             at = r.pos
             pos = (r.read(w, f"{name} row"), r.read(w, f"{name} col"))
             if not (pos[0] < rows and pos[1] < cols):
                 raise EncodingFormatError(f"{name} position {pos} out of range", at)
+            # the only guard against a repeated pair: |= below would absorb it
             if prev is not None and pos <= prev:
                 raise EncodingFormatError(f"{name} positions out of order", at)
             prev = pos
-            ones.append(pos)
-        ones_lists.append(tuple(ones))
+            words[pos[0]] |= 1 << pos[1]
+        levels.append(tuple(words))
     basis_bits = []
     for i in range(n):
         t = r.read(_FIELD, f"t_{i}")
@@ -306,6 +270,6 @@ def deserialize(data: bytes) -> OperatorEncoding:
     if r.read(r.total - r.pos, "padding"):
         raise EncodingFormatError("nonzero padding bits", at)
     try:
-        return OperatorEncoding(n, rr, ones_lists[0], ones_lists[1], tuple(basis_bits))
+        return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
     except ValueError as e:
         raise EncodingFormatError(str(e), at) from e

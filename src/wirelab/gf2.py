@@ -235,6 +235,14 @@ def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
     return tuple((coeffs[t] >> k) & 1 for k in range(t))
 
 
+def parse_decimal(token: str) -> int:
+    """``token`` as a non-negative integer in ASCII digits; ``int`` alone
+    would also take other scripts' digits, underscores and signs."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected a decimal number, got {token!r}")
+    return int(token)
+
+
 def to_text(m: Gf2Matrix) -> str:
     """Render in the matrix text format: a `<rows> <cols>` header line
     followed by one 0/1 string per row."""
@@ -250,9 +258,12 @@ def from_text(text: str) -> Gf2Matrix:
     if not lines:
         raise ValueError("empty matrix text")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("matrix header must be '<rows> <cols>'")
-    rows, cols = int(head[0]), int(head[1])
+    try:
+        if len(head) != 2:
+            raise ValueError("expected '<rows> <cols>'")
+        rows, cols = map(parse_decimal, head)
+    except ValueError as e:
+        raise ValueError(f"bad matrix header {lines[0].strip()!r}: {e}") from None
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} row lines, got {len(lines) - 1}")
     words = []

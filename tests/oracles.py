@@ -60,6 +60,15 @@ def parity_rows(c) -> list[set[int]]:
     return rows
 
 
+def depth2_rule(mid_inputs, out_mids, out_directs) -> int:
+    """Depth of a depth-2 circuit from its adjacency lists: 2 if some
+    output reads a middle gate that has inputs, else 1 if there are
+    direct wires, else 0."""
+    if any(mid_inputs[j] for mids in out_mids for j in mids):
+        return 2
+    return 1 if any(out_directs) else 0
+
+
 def eval_general(c, x: list[int]) -> list[int]:
     """Sequential interpreter for a GeneralCircuit, values kept in a dict."""
     val = {i: x[i] for i in range(c.n)}
@@ -82,13 +91,10 @@ def decode_per_point(enc, x):
     """
     if x.length != enc.n:
         raise ValueError("input length mismatch")
-    b_words = [0] * enc.r
-    for i, j in enc.b_ones:
-        b_words[i] |= 1 << j
     bits = 0
     for i in range(enc.n):
-        rows = [j for row, j in enc.c_ones if row == i]
-        sub = Gf2Matrix(len(rows), enc.n, tuple(b_words[j] for j in rows))
+        rows = [j for j in range(enc.r) if (enc.c_rows[i] >> j) & 1]
+        sub = Gf2Matrix(len(rows), enc.n, tuple(enc.b_rows[j] for j in rows))
         basis = [sub.column(j) for j in first_basis_columns(sub)]
         if len(basis) != len(enc.basis_bits[i]):
             raise CorruptEncodingError(

@@ -1,6 +1,15 @@
+import random
+
 import pytest
 
-from oracles import eval_depth2, eval_general, table_from_hex_per_nibble, table_to_hex_per_nibble
+from oracles import (
+    depth2_rule,
+    eval_depth2,
+    eval_general,
+    matrix_lists,
+    table_from_hex_per_nibble,
+    table_to_hex_per_nibble,
+)
 from wirelab._kernels import EXHAUSTIVE_CAP, ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -24,11 +33,13 @@ from wirelab.circuit import (
     table_to_hex,
     weakly_computes,
 )
+from wirelab.gf2 import from_text as gf2_from_text
 from wirelab.generators import (
     linear_middle_instance,
     linear_output_instance,
     random_depth2,
     random_general,
+    random_linear_circuit,
     random_matrix,
 )
 from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec
@@ -114,6 +125,21 @@ def test_depth_general_longest_path():
 def test_depth_constant_gate_without_input_path():
     c = GeneralCircuit(2, (GeneralGate((), TruthTable.constant(1)),), (2, 2))
     assert c.depth() == 0
+
+
+def test_depth2_depth_matches_the_depth2_rule():
+    # density 0 gives gates without wires, r = 0 no middle layer at all
+    rng = random.Random(18)
+    for k in range(300):
+        n, r, density = rng.randint(1, 6), rng.randint(0, 5), rng.choice([0.0, 0.1, 0.3, 0.6])
+        c = random_depth2(n, r, density, seed=k)
+        want = depth2_rule([m.inputs for m in c.middle], [o.mids for o in c.outputs],
+                           [o.directs for o in c.outputs])
+        assert c.depth() == want
+        lin = random_linear_circuit(n, r, density, seed=k)
+        second = [[j for j, bit in enumerate(row) if bit] for row in matrix_lists(lin.second_level)]
+        want = depth2_rule([any(row) for row in matrix_lists(lin.first_level)], second, [[]] * n)
+        assert lin.depth() == want
 
 
 # --- collapse / equivalence ------------------------------------------------
@@ -335,6 +361,32 @@ def test_general_text_takes_one_exact_outputs_line():
         general_from_text(GENERAL_4 + "outputsXYZ 4 4 4 4\n")
     with pytest.raises(ValueError, match="bad circuit line 'outputs 0 1 2 3': second outputs line"):
         general_from_text(GENERAL_4 + "outputs 4 4 4 4\noutputs 0 1 2 3\n")
+
+
+def test_text_numbers_are_ascii_decimals_and_hex_digits():
+    # int() takes other scripts' digits, underscores and signs; the formats do not
+    six, two = "\u0666", "\u0662"  # Arabic-Indic digits
+    for text, want in (
+        (f"general v1\nn 2\ngate 2: pred 0 1 ; tt {six}\noutputs 2 2\n",
+         f"bad circuit line 'gate 2: pred 0 1 ; tt {six}': invalid literal for int() with base 16: '{six}'"),
+        ("general v1\nn 2\ngate 2: pred 1_0 ; tt 2\noutputs 2 2\n",
+         "bad circuit line 'gate 2: pred 1_0 ; tt 2': expected a decimal number, got '1_0'"),
+        (f"general v1\nn 2\ngate {two}: pred 0 ; tt 2\noutputs 2 2\n",
+         f"bad circuit line 'gate {two}: pred 0 ; tt 2': expected a decimal number, got '{two}'"),
+        (f"general v1\nn {two}\noutputs 0 1\n",
+         f"bad size line 'n {two}': expected a decimal number, got '{two}'"),
+        (f"depth2 v1\nn {two} r 0\nout 0: mid ; direct ; tt 0\nout 1: mid ; direct ; tt 0\n",
+         f"bad size line 'n {two} r 0': expected a decimal number, got '{two}'"),
+        ("depth2 v1\nn 1 r 0\nout 0: mid ; direct +0 ; tt 2\n",
+         "bad circuit line 'out 0: mid ; direct +0 ; tt 2': expected a decimal number, got '+0'"),
+        ("depth2 v1\nn 1 r\n", "bad size line 'n 1 r': expected 'n <n> r <r>'"),
+    ):
+        parse = general_from_text if text.startswith("general") else depth2_from_text
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == want
+    with pytest.raises(ValueError, match=f"bad matrix header '{two} 2': expected a decimal number"):
+        gf2_from_text(f"{two} 2\n01\n10\n")
 
 
 def test_parity_depth2_wires_match_adjacency_popcounts():

@@ -66,6 +66,18 @@ def test_eval_header_only_file_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "missing size line" in err and "Traceback" not in err
 
 
+def test_non_ascii_numbers_are_usage_errors_naming_the_line(tmp_path, capsys):
+    two = "\u0662"  # Arabic-Indic digit two, which int() reads as 2
+    ckt, mat = tmp_path / "c.ckt", tmp_path / "a.txt"
+    ckt.write_text(f"general v1\nn {two}\ngate 2: pred 0 1 ; tt 6\noutputs 2 2\n", encoding="utf-8")
+    assert cli.main(["eval", "--in", str(ckt), "--x", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {ckt}: bad size line 'n {two}': expected a decimal number, got '{two}'\n"
+    run(capsys, "gen-circuit", "--family", "linear", "--n", "2", "--seed", "1", "--out", str(ckt))
+    mat.write_text(f"{two} 2\n01\n10\n", encoding="utf-8")
+    assert cli.main(["verify-weak", "--in", str(ckt), "--matrix", str(mat)]) == 2
+    assert f"error: {mat}: bad matrix header '{two} 2'" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "nope.ckt"
     for argv in (

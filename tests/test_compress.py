@@ -36,8 +36,8 @@ def identity_depth2(n: int) -> Depth2Circuit:
 
 def test_encode_identity_circuit():
     enc = encode(identity_depth2(4))
-    assert enc.b_ones == ((0, 0), (1, 1), (2, 2), (3, 3))
-    assert enc.c_ones == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert enc.b_rows == (1, 2, 4, 8)
+    assert enc.c_rows == (1, 2, 4, 8)
     # each output sees one row; a single basis column whose value is A[i][i] = 1
     assert enc.basis_bits == ((1,), (1,), (1,), (1,))
 
@@ -144,11 +144,9 @@ def test_decode_detects_corrupted_basis_string():
     corrupted = (
         # output 0's wire pattern spans a 1-dimensional space but the
         # stream claims t_0 = 0; such a certificate cannot come from encode
-        OperatorEncoding(n=2, r=1, b_ones=((0, 0),), c_ones=((0, 0),), basis_bits=((), ())),
+        OperatorEncoding(n=2, r=1, b_rows=(0b01,), c_rows=(0b1, 0b0), basis_bits=((), ())),
         # output 1 reads two equal middle gates (rank 1) but stores two values
-        OperatorEncoding(
-            n=2, r=2, b_ones=((0, 1), (1, 1)), c_ones=((1, 0), (1, 1)), basis_bits=((), (1, 0))
-        ),
+        OperatorEncoding(n=2, r=2, b_rows=(0b10, 0b10), c_rows=(0b00, 0b11), basis_bits=((), (1, 0))),
     )
     x = Gf2Vector.from_coords([1, 0])
     for enc in corrupted:
@@ -193,7 +191,7 @@ def test_length_law_and_ratio_sweep():
         L = enc.wire_count()
         t_sum = sum(len(b) for b in enc.basis_bits)
         assert bit_length(enc) == 96 + 16 * n + 2 * L * w + t_sum
-        assert t_sum <= len(enc.c_ones) <= L
+        assert t_sum <= sum(word.bit_count() for word in enc.c_rows) <= L
         if L:
             worst = max(worst, bit_length(enc) / (L * math.log2(n)))
     assert worst <= 25.0  # frozen from the sweep; certifies O(L log n) scaling
@@ -211,10 +209,10 @@ def test_serialize_roundtrip():
 def test_serialize_roundtrip_long_stream():
     # 8192 + 128 wires: a stream of about 16 KB
     n = r = 128
-    b_ones = tuple((i, j) for i in range(64) for j in range(n))
-    c_ones = tuple((i, i) for i in range(n))
+    b_rows = tuple((1 << n) - 1 if i < 64 else 0 for i in range(r))
+    c_rows = tuple(1 << i for i in range(n))
     basis_bits = tuple((i & 1,) if i < 64 else () for i in range(n))
-    enc = OperatorEncoding(n, r, b_ones, c_ones, basis_bits)
+    enc = OperatorEncoding(n, r, b_rows, c_rows, basis_bits)
     data = serialize(enc)
     assert len(data) == (bit_length(enc) + 7) // 8
     assert deserialize(data) == enc
@@ -244,7 +242,7 @@ def test_deserialize_rejects_trailing_data():
 def test_deserialize_offsets_inside_basis_bits_and_padding():
     # one output reading 20 middle gates: its 20 basis bits occupy bits
     # 312..331 of the stream, followed by 4 padding bits
-    enc = OperatorEncoding(1, 20, (), tuple((0, j) for j in range(20)), ((1, 0) * 10,))
+    enc = OperatorEncoding(1, 20, (0,) * 20, ((1 << 20) - 1,), ((1, 0) * 10,))
     data = serialize(enc)
     assert bit_length(enc) == 332 and len(data) == 42
     with pytest.raises(EncodingFormatError, match="basis bit of output 0") as err:
@@ -267,10 +265,48 @@ def test_deserialize_rejects_out_of_range_positions():
         deserialize(bytes(bad))
 
 
+def _stream(n, r, b_pairs, c_pairs, basis):
+    """An OPE1 stream written field by field, without ``serialize``."""
+    w = max(n, r).bit_length()
+    fields = [(byte, 8) for byte in b"OPE1"] + [(n, 16), (r, 16)]
+    for pairs in (b_pairs, c_pairs):
+        fields.append((len(pairs), 16))
+        fields += [(v, w) for pair in pairs for v in pair]
+    for bits in basis:
+        fields.append((len(bits), 16))
+        fields += [(b, 1) for b in bits]
+    text = "".join(format(v, f"0{width}b") for v, width in fields)
+    text += "0" * (-len(text) % 8)
+    return int(text, 2).to_bytes(len(text) // 8, "big")
+
+
+def test_hand_written_stream_with_sorted_pairs_is_accepted():
+    data = _stream(2, 2, [(0, 1), (1, 0)], [(0, 0), (1, 0), (1, 1)], [(1,), (0, 1)])
+    assert serialize(deserialize(data)) == data
+
+
+# n = r = 2 gives 2-bit row and column fields: B's pairs start at bit 80,
+# and after one B pair C's pairs start at bit 100
+@pytest.mark.parametrize(
+    "name, b_pairs, c_pairs, at",
+    [
+        ("B", [(0, 1), (0, 1)], [], 84),  # repeated
+        ("B", [(1, 0), (0, 1)], [], 84),  # row-major order broken
+        ("C", [(0, 0)], [(1, 0), (1, 0)], 104),
+        ("C", [(0, 0)], [(1, 1), (0, 0)], 104),
+    ],
+)
+def test_deserialize_rejects_repeated_or_unsorted_pairs(name, b_pairs, c_pairs, at):
+    data = _stream(2, 2, b_pairs, c_pairs, [(), ()])
+    with pytest.raises(EncodingFormatError, match=f"^{name} positions out of order") as err:
+        deserialize(data)
+    assert err.value.bit_offset == at
+
+
 def test_operator_encoding_validation():
     with pytest.raises(ValueError):
-        OperatorEncoding(2, 1, ((0, 0), (0, 0)), (), ((), ()))  # duplicate position
+        OperatorEncoding(2, 1, (1 << 5,), (0, 0), ((), ()))  # column out of range
     with pytest.raises(ValueError):
-        OperatorEncoding(2, 1, ((0, 5),), (), ((), ()))  # column out of range
+        OperatorEncoding(2, 1, (), (0, 0), ((), ()))  # no row word for the middle gate
     with pytest.raises(ValueError):
-        OperatorEncoding(2, 1, (), (), ((1,), ()))  # more basis bits than wires
+        OperatorEncoding(2, 1, (0,), (0, 0), ((1,), ()))  # more basis bits than wires
