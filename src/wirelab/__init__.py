@@ -14,7 +14,7 @@ from .circuit import (
     equivalent,
     is_linear_gate,
     linear_operator,
-    weakly_computes,
+    weak_counterexample,
 )
 from .transforms import (
     LinearizationReport,
@@ -69,5 +69,5 @@ __all__ = [
     "remove_direct_wires",
     "serialize",
     "solve_in_span",
-    "weakly_computes",
+    "weak_counterexample",
 ]

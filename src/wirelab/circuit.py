@@ -386,12 +386,11 @@ class NotLinearError(ValueError):
         super().__init__("circuit does not compute a linear operator")
 
 
-def linear_operator(c: Circuit) -> tuple[Gf2Matrix, OperatorTable]:
-    """The matrix ``a`` with c(x) = a*x for all x, and ``collapse(c)``.
+def linear_operator(c: Circuit) -> Gf2Matrix:
+    """The matrix ``a`` with c(x) = a*x for all x.
 
     Column j of the candidate is the value at unit vector j of one
-    exhaustive sweep, which then verifies it; the table of that sweep is
-    returned so that callers need not sweep ``c`` again.  Raises
+    exhaustive sweep, which then verifies it on all 2**n inputs.  Raises
     NotLinearError otherwise; circuits with c(0) != 0 always fail.
     """
     table = collapse(c)
@@ -406,19 +405,17 @@ def linear_operator(c: Circuit) -> tuple[Gf2Matrix, OperatorTable]:
     expected = operator_table_of_matrix(a)
     if table != expected:
         raise NotLinearError(table.first_difference(expected))
-    return a, table
+    return a
 
 
-def weakly_computes(c: Circuit, a: Gf2Matrix) -> bool:
-    """True iff ``c`` agrees with x -> a*x on every unit vector."""
+def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:
+    """The first unit vector on which ``c`` and x -> a*x differ, or None
+    when ``c`` weakly computes ``a``; evaluates each unit vector once."""
     n = c.n
     if a.rows != n or a.cols != n:
         raise ValueError("matrix must be n-by-n")
-    for j in range(n):
-        e = Gf2Vector.unit(n, j)
-        if c.eval(e) != matvec(a, e):
-            return False
-    return True
+    units = (Gf2Vector.unit(n, j) for j in range(n))
+    return next((e for e in units if c.eval(e) != matvec(a, e)), None)
 
 
 # ---------------------------------------------------------------------------

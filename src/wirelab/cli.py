@@ -33,6 +33,7 @@ from .circuit import (
     depth2_to_text,
     general_from_text,
     general_to_text,
+    weak_counterexample,
 )
 from .compress import bit_length, decode, deserialize, encode, serialize
 from .generators import (
@@ -63,6 +64,22 @@ def _load(path: str, parse, binary: bool = False):
         raise UsageError(f"{path}: {e}") from e
 
 
+def _integer(token: str) -> int:
+    """An integer option: an optional ASCII ``-``, then ASCII digits."""
+    try:
+        value = gf2.parse_decimal(token.removeprefix("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {token!r}") from None
+    return -value if token.startswith("-") else value
+
+
+def _fraction(token: str) -> float:
+    """A fraction option: ASCII digits with at most one ``.``."""
+    if not (token.isascii() and token.replace(".", "", 1).isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a decimal fraction, got {token!r}")
+    return float(token)
+
+
 def _parse_x(text: str, n: int) -> Gf2Vector:
     if len(text) != n or set(text) - {"0", "1"}:
         raise UsageError(f"--x must be {n} characters of 0/1")
@@ -87,6 +104,16 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _verdict(key: str, counterexample: Gf2Vector | None) -> int:
+    """Print ``key=true`` and return 0, or print ``key=false`` and the
+    counterexample and return 1."""
+    if counterexample is None:
+        print(f"{key}=true")
+        return 0
+    print(f"{key}=false\ncounterexample={counterexample}")
+    return 1
 
 
 def cmd_gen_matrix(args) -> int:
@@ -132,12 +159,7 @@ def cmd_verify_equiv(args) -> int:
     if c1.n != c2.n:
         raise UsageError("circuits have different input counts")
     x = collapse(c1).first_difference(collapse(c2))
-    if x is None:
-        print("equivalent=true")
-        return 0
-    print("equivalent=false")
-    print(f"counterexample={Gf2Vector(c1.n, x)}")
-    return 1
+    return _verdict("equivalent", None if x is None else Gf2Vector(c1.n, x))
 
 
 def cmd_verify_weak(args) -> int:
@@ -145,14 +167,7 @@ def cmd_verify_weak(args) -> int:
     a = _load(args.matrix, gf2.from_text)
     if (a.rows, a.cols) != (c.n, c.n):
         raise UsageError(f"{args.matrix}: matrix must be {c.n}-by-{c.n}, got {a.rows}-by-{a.cols}")
-    units = [Gf2Vector.unit(c.n, j) for j in range(c.n)]
-    bad = next((e for e in units if c.eval(e) != gf2.matvec(a, e)), None)
-    if bad is None:
-        print("weakly_computes=true")
-        return 0
-    print("weakly_computes=false")
-    print(f"counterexample={bad}")
-    return 1
+    return _verdict("weakly_computes", weak_counterexample(c, a))
 
 
 def cmd_cap_fanin(args) -> int:
@@ -168,12 +183,6 @@ def cmd_cap_fanin(args) -> int:
     return 0
 
 
-def _not_linear(n: int, e: NotLinearError) -> int:
-    print("linear=false")
-    print(f"counterexample={Gf2Vector(n, e.x)}")
-    return 1
-
-
 def cmd_linearize(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
@@ -181,15 +190,15 @@ def cmd_linearize(args) -> int:
     try:
         lin, report = linearize(c)
     except NotLinearError as e:
-        return _not_linear(c.n, e)
-    # report.table is c's operator table, swept once inside linearize
-    ok = report.within_budget(c.n) and collapse(lin) == report.table
+        return _verdict("linear", Gf2Vector(c.n, e.x))
+    # lin is all-parity, so it computes x -> Mx + negations on every input
+    ok = report.within_budget and lin.operator_matrix() == report.matrix and lin.negations.bits == 0
     print(f"wires_before={report.wires_before}")
     print(f"wires_after={report.wires_after}")
     print(f"added={report.added}")
     print(f"added_first_level={report.added_first_level}")
     print(f"added_second_level={report.added_second_level}")
-    print(f"budget={report.budget(c.n)}")
+    print(f"budget={report.budget}")
     print(f"ok={'true' if ok else 'false'}")
     if args.out:
         Path(args.out).write_text(depth2_to_text(lin.to_depth2()))
@@ -203,7 +212,7 @@ def cmd_encode(args) -> int:
     try:
         enc = encode(c)
     except NotLinearError as e:
-        return _not_linear(c.n, e)
+        return _verdict("linear", Gf2Vector(c.n, e.x))
     data = serialize(enc)
     print(f"n={enc.n}")
     print(f"r={enc.r}")
@@ -284,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("gen-matrix", cmd_gen_matrix, help="random 0/1 matrix")
-    sp.add_argument("--n", type=int, required=True, help="rows")
-    sp.add_argument("--r", type=int, help="columns (default: n)")
-    sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_integer, required=True, help="rows")
+    sp.add_argument("--r", type=_integer, help="columns (default: n)")
+    sp.add_argument("--density", type=_fraction, default=0.5)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--out")
 
     sp = add("gen-circuit", cmd_gen_circuit, help="random depth-2 circuit")
@@ -296,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["random", "general", "linear", "linear-output", "linear-middle"],
         default="random",
     )
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, help="middle gates (default: n)")
-    sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_integer, required=True)
+    sp.add_argument("--r", type=_integer, help="middle gates (default: n)")
+    sp.add_argument("--density", type=_fraction, default=0.5)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--out")
     sp.add_argument("--matrix-out", help="also write the planted matrix")
 
@@ -337,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--golden", help="write if missing, else compare byte for byte")
 
     sp = add("suite", cmd_suite, help="full verification battery")
-    sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--n-max", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--trials", type=_integer, default=500)
+    sp.add_argument("--n-max", type=_integer, default=8)
+    sp.add_argument("--seed", type=_integer, default=42)
     sp.add_argument("--out", help="directory for failure witnesses")
 
     return p

@@ -107,7 +107,7 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     for j, m in enumerate(c.middle):
         if is_linear_gate(m.table) != (tuple(range(len(m.inputs))), False):
             raise ValueError(f"middle gate {j} is not the pure parity of its wires")
-    a, _ = linear_operator(c)
+    a = linear_operator(c)
 
     used = sorted({j for o in c.outputs for j in o.mids})
     remap = {j: k for k, j in enumerate(used)}

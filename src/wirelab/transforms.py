@@ -22,6 +22,13 @@ at 0, which is zero, so output i at e_i is the XOR of g_j(e_i) ^ g_j(0)
 over the gates it reads.  A gate with no wire from input i adds nothing
 at e_i, so the read-off first level is never wider than the normalized
 circuit's.
+
+``linearize`` returns the result with a ``LinearizationReport`` that
+holds what the run proved and built: the matrix of step 1 (n row words,
+not the 2**n-entry table it was checked on) and the two stage circuits,
+the outputs of steps 2 and 3, the second of which the result is read
+off.  Callers check the all-parity result against the matrix, and the
+stages as they are, without running a pass again.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
-    OperatorTable,
     OutputGate,
     TruthTable,
     is_linear_gate,
@@ -54,30 +60,35 @@ class NonLinearGateError(ValueError):
 
 @dataclass(frozen=True)
 class LinearizationReport:
-    """Wire accounting of one linearization run.
+    """Wire accounting of one linearization run, and what it proved and built.
 
     ``added_first_level`` counts the identity gates created while
     removing direct wires, ``added_second_level`` the wires paid to the
-    constant gate for negated outputs.  ``table`` is the input circuit's
-    operator table from the one sweep that found its matrix; the result
-    must have the same table.
+    constant gate for negated outputs.  ``matrix`` is the operator the
+    input was proven to compute on all 2**n inputs; the result must have
+    it as its operator matrix and no negations.  ``stages`` holds the
+    circuits after stage 1 (``remove_direct_wires``) and stage 2
+    (``normalize_output_xor``), the second being the one read off.
     """
 
     wires_before: int
     wires_after: int
     added_first_level: int
     added_second_level: int
-    table: OperatorTable = field(repr=False, compare=False)
+    matrix: Gf2Matrix
+    stages: tuple[Depth2Circuit, Depth2Circuit] = field(compare=False, repr=False)
 
     @property
     def added(self) -> int:
         return self.wires_after - self.wires_before
 
-    def budget(self, n: int) -> int:
-        return 2 * n
+    @property
+    def budget(self) -> int:
+        return 2 * self.matrix.rows
 
-    def within_budget(self, n: int) -> bool:
-        return self.wires_after <= self.wires_before + self.budget(n)
+    @property
+    def within_budget(self) -> bool:
+        return self.wires_after <= self.wires_before + self.budget
 
 
 def cap_fanin(c: GeneralCircuit) -> GeneralCircuit:
@@ -163,14 +174,15 @@ def normalize_output_xor(c: Depth2Circuit) -> Depth2Circuit:
 
 
 def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationReport]:
-    """Full pipeline: an equivalent all-parity circuit plus wire accounting.
+    """Full pipeline: an equivalent all-parity circuit plus its report.
 
     Requires linear output gates and a circuit computing a matrix-vector
     product (NotLinearError, with the lowest input that shows it,
     otherwise); the result computes the same operator with at most 2n
     more wires, its first level never wider than the normalized circuit's.
+    The report holds the proven matrix and both stage circuits.
     """
-    _, table = linear_operator(c)
+    a = linear_operator(c)
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
 
@@ -192,6 +204,7 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         wires_after=result.wire_count(),
         added_first_level=added_fl,
         added_second_level=added_sl,
-        table=table,
+        matrix=a,
+        stages=(s1, s2),
     )
     return result, report

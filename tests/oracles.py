@@ -2,19 +2,16 @@
 
 Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
-per-point certificate decoder is not independent of the compiled one:
-through ``first_basis_columns`` and ``solve_in_span`` it runs the same
-``gf2.reduce_columns`` elimination.  The independent checks of that
-elimination are the list-based reducers (``suite.naive_rank`` and
-``suite.naive_matvec``, kept in the library for the battery) and, for
-the codec, that the decoded matrix equals the planted one.
+per-point certificate decoder runs its own Gauss-Jordan elimination on
+lists of 0/1 entries, so it shares no code with ``gf2.reduce_columns``,
+which the compiled decoder uses.
 """
 
 from __future__ import annotations
 
 from wirelab.circuit import TruthTable
 from wirelab.compress import CorruptEncodingError
-from wirelab.gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, solve_in_span
+from wirelab.gf2 import Gf2Vector
 
 
 def table_lookup(bits: int, args: list[int]) -> int:
@@ -81,27 +78,54 @@ def matrix_lists(m) -> list[list[int]]:
     return [list(m.row(i).coords()) for i in range(m.rows)]
 
 
+def basis_and_coefficients(m: list[list[int]], y: list[int]) -> tuple[list[int], list[int]]:
+    """The first basis of the columns of ``m`` (each column that is not a
+    combination of earlier ones) and the coefficients that express ``y``
+    over it.
+
+    Gauss-Jordan elimination of the augmented matrix [m | y]: the pivot
+    columns are the first basis, and once they are unit columns the
+    pivot rows of the last column hold the coefficients.  ``y`` must lie
+    in the span of the columns.
+    """
+    rows = [row + [b] for row, b in zip(m, y)]
+    pivots: list[int] = []
+    for j in range(len(rows[0]) - 1 if rows else 0):
+        k = len(pivots)
+        p = next((t for t in range(k, len(rows)) if rows[t][j]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        for t in range(len(rows)):
+            if t != k and rows[t][j]:
+                rows[t] = [a ^ b for a, b in zip(rows[t], rows[k])]
+        pivots.append(j)
+    assert not any(row[-1] for row in rows[len(pivots):]), "y is not in the span"
+    return pivots, [row[-1] for row in rows[: len(pivots)]]
+
+
 def decode_per_point(enc, x):
     """The certificate decoder that works one input at a time.
 
-    For each output it rebuilds the sub-matrix of the middle gates it
-    reads, re-expresses B_i*x over the sub-matrix's first basis and
-    combines the stored basis values; the compiled ``decode_matrix`` must
-    agree with it on every input.
+    For each output it lists the rows of B for the middle gates it reads,
+    re-expresses B_i*x over the first basis of their columns and combines
+    the stored basis values; the compiled ``decode_matrix`` must agree
+    with it on every input.
     """
     if x.length != enc.n:
         raise ValueError("input length mismatch")
+    xs = list(x.coords())
     bits = 0
     for i in range(enc.n):
-        rows = [j for j in range(enc.r) if (enc.c_rows[i] >> j) & 1]
-        sub = Gf2Matrix(len(rows), enc.n, tuple(enc.b_rows[j] for j in rows))
-        basis = [sub.column(j) for j in first_basis_columns(sub)]
-        if len(basis) != len(enc.basis_bits[i]):
+        sub = [[(enc.b_rows[j] >> k) & 1 for k in range(enc.n)]
+               for j in range(enc.r) if (enc.c_rows[i] >> j) & 1]
+        y = [sum(a * b for a, b in zip(row, xs)) % 2 for row in sub]
+        chosen, lam = basis_and_coefficients(sub, y)
+        if len(chosen) != len(enc.basis_bits[i]):
             raise CorruptEncodingError(
                 f"output {i} stores {len(enc.basis_bits[i])} basis values,"
-                f" but its wire pattern has rank {len(basis)}"
+                f" but its wire pattern has rank {len(chosen)}"
             )
-        lam = solve_in_span(basis, matvec(sub, x))
         z = 0
         for coeff, value in zip(lam, enc.basis_bits[i]):
             z ^= coeff & value

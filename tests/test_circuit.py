@@ -31,7 +31,7 @@ from wirelab.circuit import (
     operator_table_of_matrix,
     table_from_hex,
     table_to_hex,
-    weakly_computes,
+    weak_counterexample,
 )
 from wirelab.gf2 import from_text as gf2_from_text
 from wirelab.generators import (
@@ -223,7 +223,7 @@ def test_computes_linear_composition():
         random_matrix(4, 4, 0.5, seed=11),
         Gf2Vector.zero(4),
     )
-    a, _ = linear_operator(c)
+    a = linear_operator(c)
     assert a == matmul(c.second_level, c.first_level)
 
 
@@ -239,22 +239,24 @@ def test_computes_linear_rejects_nonzero_at_zero():
 
 def test_computes_linear_recovers_planted_matrix():
     c, a = linear_middle_instance(4, 5, 0.5, seed=10)
-    assert linear_operator(c)[0] == a
+    assert linear_operator(c) == a
 
 
-def test_linear_operator_returns_the_swept_table():
+def test_linear_operator_returns_the_proven_matrix():
     c, a = linear_output_instance(5, 6, 0.5, seed=18)
-    got, table = linear_operator(c)
-    assert got == a
-    assert table == collapse(c) == operator_table_of_matrix(a)
+    assert linear_operator(c) == a
+    assert collapse(c) == operator_table_of_matrix(a)
 
 
 def test_weakly_computes_exact_circuit_and_zero():
     a = random_matrix(4, 4, 0.5, seed=12)
     c = LinearDepth2Circuit.from_matrix(a)
-    assert weakly_computes(c, a)
+    assert weak_counterexample(c, a) is None
     zero = LinearDepth2Circuit.from_matrix(Gf2Matrix.zero(4, 4))
-    assert not weakly_computes(zero, Gf2Matrix.identity(4))
+    assert weak_counterexample(zero, Gf2Matrix.identity(4)) == Gf2Vector.unit(4, 0)
+    # the first unit vector that fails: column 2 flipped fails only there
+    flipped = Gf2Matrix(4, 4, tuple(w ^ 0b0100 for w in a.row_words))
+    assert weak_counterexample(c, flipped) == Gf2Vector.unit(4, 2)
 
 
 def test_weak_equals_full_for_parity_circuits():
@@ -263,10 +265,10 @@ def test_weak_equals_full_for_parity_circuits():
     for seed in range(20):
         c = random_linear_circuit(4, 5, 0.5, seed=seed)
         a = random_matrix(4, 4, 0.5, seed=seed + 100)
-        weak = weakly_computes(c, a)
+        weak = weak_counterexample(c, a) is None
         full = equivalent(c, LinearDepth2Circuit.from_matrix(a))
         assert weak == full
-        assert weakly_computes(c, c.operator_matrix())
+        assert weak_counterexample(c, c.operator_matrix()) is None
 
 
 def test_operator_table_of_matrix_matches_collapse():

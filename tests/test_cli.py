@@ -1,9 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from oracles import eval_depth2
-from wirelab import _kernels, cli, suite
+from wirelab import _kernels, circuit, cli, suite
 from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -16,7 +17,8 @@ from wirelab.circuit import (
     general_to_text,
 )
 from wirelab.compress import deserialize
-from wirelab.gf2 import Gf2Matrix, from_text, to_text
+from wirelab.generators import random_matrix
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, from_text, to_text
 
 
 def run(capsys, *argv):
@@ -145,6 +147,37 @@ def test_bad_generator_arguments_are_usage_errors(capsys):
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["gen-matrix", "--n", "٤"], "--n"),  # Arabic-Indic four, which int() reads
+    (["gen-matrix", "--n", "4", "--r", "1_0"], "--r"),
+    (["gen-matrix", "--n", "4", "--seed", "٣"], "--seed"),
+    (["gen-matrix", "--n", "+4"], "--n"),
+    (["gen-matrix", "--n", " 4"], "--n"),
+    (["gen-matrix", "--n", "4", "--density", "٠.٥"], "--density"),
+    (["gen-matrix", "--n", "4", "--density", "1e-1"], "--density"),
+    (["gen-matrix", "--n", "4", "--density", "0.5.0"], "--density"),
+    (["gen-matrix", "--n", "4", "--density", "nan"], "--density"),
+    (["gen-circuit", "--n", "4", "--density", "-0.5"], "--density"),
+    (["suite", "--trials", "٤"], "--trials"),
+    (["suite", "--n-max", "８"], "--n-max"),  # fullwidth eight
+])
+def test_numeric_options_take_ascii_digits_only(capsys, argv, option):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: expected a decimal " in captured.err
+
+
+def test_numeric_options_keep_ascii_values(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    code, _ = run(capsys, "gen-matrix", "--n", "4", "--r", "06", "--density", ".25",
+                  "--seed", "-2", "--out", str(path))
+    assert code == 0
+    assert from_text(path.read_text()) == random_matrix(4, 6, 0.25, -2)
+
+
 def test_encode_of_a_non_parity_middle_layer_is_a_usage_error(tmp_path, capsys):
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear-output", "--n", "5", "--seed", "7",
@@ -184,6 +217,55 @@ def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "linearize", "--in", str(src))
     assert code == 0 and "ok=true" in out
     assert swept == [8]
+
+
+def test_linearize_builds_one_operator_table(tmp_path, capsys, monkeypatch):
+    # the table of the input's sweep; the result is checked by its matrix
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    built = []
+    real = circuit.operator_table_of_matrix
+
+    def counted(a, *rest):
+        built.append(a.rows)
+        return real(a, *rest)
+
+    monkeypatch.setattr(circuit, "operator_table_of_matrix", counted)
+    code, out = run(capsys, "linearize", "--in", str(src))
+    assert code == 0 and "ok=true" in out
+    assert built == [8]
+
+
+def _flip_a_read_first_level_entry(lin):
+    # a middle gate some output reads, so the flip changes the operator
+    j = next(j for j in range(lin.r) if any((w >> j) & 1 for w in lin.second_level.row_words))
+    rows = list(lin.first_level.row_words)
+    rows[j] ^= 1
+    return dataclasses.replace(lin, first_level=Gf2Matrix(lin.r, lin.n, tuple(rows)))
+
+
+def _negate_output_0(lin):
+    return dataclasses.replace(lin, negations=Gf2Vector(lin.n, 1))
+
+
+@pytest.mark.parametrize("spoil", [_flip_a_read_first_level_entry, _negate_output_0])
+def test_linearize_reports_ok_false_for_a_wrong_result(tmp_path, capsys, monkeypatch, spoil):
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "6", "--r", "6",
+        "--seed", "7", "--out", str(src))
+    code, good = run(capsys, "linearize", "--in", str(src))
+    assert code == 0 and good.endswith("ok=true\n")
+    real = cli.linearize
+
+    def spoiled(c):
+        lin, report = real(c)
+        return spoil(lin), report
+
+    monkeypatch.setattr(cli, "linearize", spoiled)
+    code, out = run(capsys, "linearize", "--in", str(src))
+    assert code == 1
+    assert out == good.replace("ok=true\n", "ok=false\n")
 
 
 def test_linearize_prints_lowest_counterexample(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The seeded battery: planted failures, sweep counts and a golden report.
 
-Failures are planted by replacing names that ``wirelab.suite`` imported,
-so each check is shown to count its failing trials and to keep the first
-witness, without a broken library.
+Failures are planted by replacing names that ``wirelab.suite`` imported
+(or, for a stage circuit, that ``linearize`` calls), so each check is
+shown to count its failing trials and to keep the first witness, without
+a broken library.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wirelab import _kernels, cli, suite
+from wirelab import _kernels, cli, suite, transforms
 from wirelab.circuit import depth2_from_text, equivalent
 from wirelab.gf2 import Gf2Matrix
 
@@ -54,7 +55,8 @@ def test_codec_counts_every_planted_failure_and_keeps_the_first(monkeypatch):
 
 
 def test_stage_check_fails_alone_on_a_non_equivalent_stage(monkeypatch):
-    real = suite.normalize_output_xor
+    # linearize reads its result off stage 2's wiring, not its output tables
+    real = transforms.normalize_output_xor
 
     def normalize_output_xor(c):
         s2 = real(c)
@@ -62,7 +64,7 @@ def test_stage_check_fails_alone_on_a_non_equivalent_stage(monkeypatch):
         flipped = dataclasses.replace(o, table=o.table.complement())
         return dataclasses.replace(s2, outputs=(flipped,) + s2.outputs[1:])
 
-    monkeypatch.setattr(suite, "normalize_output_xor", normalize_output_xor)
+    monkeypatch.setattr(transforms, "normalize_output_xor", normalize_output_xor)
     trials, n_max, seed = 12, 6, 42
     lin, stages = suite.run_linearization(trials, n_max, seed)
     assert lin.ok and lin.witness is None
@@ -70,7 +72,7 @@ def test_stage_check_fails_alone_on_a_non_equivalent_stage(monkeypatch):
     head = f"failed=stage-budget-or-equivalence\nseed={suite._trial_seed(seed, 0)}\ncircuit:\n"
     assert stages.witness.startswith(head)
     c = depth2_from_text(stages.witness[len(head):])
-    assert not equivalent(c, normalize_output_xor(suite.remove_direct_wires(c)))
+    assert not equivalent(c, normalize_output_xor(transforms.remove_direct_wires(c)))
 
 
 def test_cli_suite_writes_the_witness_and_exits_1(monkeypatch, tmp_path, capsys):

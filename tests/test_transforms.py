@@ -182,7 +182,7 @@ def test_linearize_clean_identity():
     c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3)).to_depth2()
     lin, report = linearize(c)
     assert equivalent(c, lin)
-    assert report.within_budget(3) and report.added == 0
+    assert report.within_budget and report.added == 0
     assert lin == LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
 
 
@@ -194,7 +194,7 @@ def test_linearize_nand_at_zero_pair():
     c = Depth2Circuit(3, mids, (parity_out([0, 1, 2]), parity_out([]), parity_out([])))
     lin, report = linearize(c)
     assert equivalent(c, lin)
-    assert report.within_budget(3)
+    assert report.within_budget
     assert lin.first_level.popcount() <= c.first_level_wires()
     assert lin.first_level == Gf2Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert lin.operator_matrix() == Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -210,7 +210,7 @@ def test_linearize_unpaired_not_and_constant():
     c = Depth2Circuit(1, mids, (parity_out([0, 1]),))
     lin, report = linearize(c)
     assert equivalent(c, lin)
-    assert report.within_budget(1)
+    assert report.within_budget
     assert lin.first_level == Gf2Matrix.from_rows([[1], [0]])
     assert lin.operator_matrix() == Gf2Matrix.identity(1)
     assert lin.eval(Gf2Vector(1, 1)) == Gf2Vector(1, 1)
@@ -245,6 +245,14 @@ def test_linearize_first_level_matches_unit_vector_oracle():
     assert nonzero_at_zero > 0
 
 
+def test_linearize_reports_the_stage_circuits_it_read_off():
+    for seed in range(100):
+        c, _ = linear_output_instance(3 + seed % 6, 1 + seed % 12, 0.5, seed=seed)
+        s1 = remove_direct_wires(c)
+        _, report = linearize(c)
+        assert report.stages == (s1, normalize_output_xor(s1))
+
+
 def test_linearize_fixed_point_on_linear_circuit():
     from wirelab.generators import random_linear_circuit
 
@@ -267,7 +275,7 @@ def test_linearize_cancellation_pair_instance():
     c = Depth2Circuit(3, mids, outs)
     lin, report = linearize(c)
     assert equivalent(c, lin)
-    assert report.within_budget(3)
+    assert report.within_budget
     want = Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     assert lin.operator_matrix() == want
     # the AND pair is non-zero on no unit vector: its first-level rows are empty
@@ -279,10 +287,10 @@ def test_linearize_stage2_constant_gate_ends_dead():
     # first-level wires, and its second-level wire stays behind harmlessly
     mids = (MiddleGate((0,), TruthTable(1, 0b01)),)  # NOT x0
     c = Depth2Circuit(1, mids, (parity_out([0], negated=True),))  # y = x0
-    assert linear_operator(c)[0] == Gf2Matrix.identity(1)
+    assert linear_operator(c) == Gf2Matrix.identity(1)
     lin, report = linearize(c)
     assert equivalent(c, lin)
-    assert report.within_budget(1)
+    assert report.within_budget
     assert lin.negations.bits == 0
 
 
