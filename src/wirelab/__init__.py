@@ -13,7 +13,6 @@ from .circuit import (
     collapse,
     equivalent,
     is_linear_gate,
-    linear_operator,
     weak_counterexample,
 )
 from .transforms import (
@@ -58,7 +57,6 @@ __all__ = [
     "first_basis_columns",
     "is_linear_gate",
     "linear_circuit_lower_bound",
-    "linear_operator",
     "linearize",
     "log2_count_upper",
     "log2_num_operators",

@@ -162,13 +162,20 @@ def _ratio_millionths(num: int, den: int) -> str:
     return f"{v // 10**6}.{v % 10**6:06d}"
 
 
+def bounds_rows(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> tuple[tuple[int, int, int], ...]:
+    """The table's rows ``(n, L_star_general, L_star_linear)``, one per n."""
+    return tuple((n, min_wires_lower_bound(n), linear_circuit_lower_bound(n)) for n in ns)
+
+
 def bounds_table(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> str:
-    """Fixed-format table of both lower bounds for the given n values.
+    """Fixed-format table of ``bounds_rows(ns)``.
 
     ``ratio`` is L_star_linear * log2(n) / n^2 (printed with six exact
     decimals), so n must be a power of two.  The output is byte-stable:
     same inputs, same text.
     """
+    if any(n & (n - 1) for n in ns):
+        raise ValueError("table rows need n to be a power of two")
     lines = [
         "# wire lower bounds from exact counting",
         "# L_star_general: largest L with"
@@ -178,12 +185,8 @@ def bounds_table(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> str:
         "# ratio = L_star_linear * log2(n) / n^2",
         "n L_star_general L_star_linear n^2 ratio",
     ]
-    for n in ns:
+    for n, general, linear in bounds_rows(ns):
         k = n.bit_length() - 1
-        if 1 << k != n:
-            raise ValueError("table rows need n to be a power of two")
-        general = min_wires_lower_bound(n)
-        linear = linear_circuit_lower_bound(n)
         lines.append(
             f"{n} {general} {linear} {n * n} {_ratio_millionths(linear * k, n * n)}"
         )

@@ -1,5 +1,5 @@
 """Circuit models: general DAG circuits and depth-2 circuits with
-arbitrary gates, plus evaluation, wire/depth accounting, linearity
+arbitrary gates, plus evaluation, wire/depth accounting, gate parity
 checks and text serialization.
 
 Conventions used throughout:
@@ -22,6 +22,13 @@ from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec, parse_decima
 MAX_FANIN = 24
 
 
+def check_fanin(fanin: int) -> None:
+    """Raise ValueError unless a table may have ``fanin`` arguments; code
+    that builds a table's 2**fanin bits itself checks before building."""
+    if not 0 <= fanin <= MAX_FANIN:
+        raise ValueError(f"fanin must be in [0, {MAX_FANIN}]")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """A gate function on ``fanin`` ordered arguments, packed into ``bits``."""
@@ -30,8 +37,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.fanin <= MAX_FANIN:
-            raise ValueError(f"fanin must be in [0, {MAX_FANIN}]")
+        check_fanin(self.fanin)
         if self.bits < 0 or self.bits >> (1 << self.fanin):
             raise ValueError("table has bits beyond 2**fanin entries")
 
@@ -42,6 +48,7 @@ class TruthTable:
     @staticmethod
     def parity(fanin: int, positions=None, negated: bool = False) -> "TruthTable":
         """XOR of the arguments at ``positions`` (all of them by default)."""
+        check_fanin(fanin)  # before building 2**fanin bits
         mask = (1 << fanin) - 1 if positions is None else sum(1 << p for p in set(positions))
         return TruthTable(fanin, _kernels.parity_table(fanin, mask, int(negated)))
 
@@ -377,35 +384,15 @@ def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
 class NotLinearError(ValueError):
     """A circuit that does not compute x -> a*x for any matrix ``a``.
 
-    ``x`` is the lowest input on which the circuit differs from the
-    candidate matrix read off its unit vectors.
+    Raised by the passes that prove their result against one exhaustive
+    sweep (``transforms.linearize``, ``compress.encode``).  ``x`` is the
+    lowest input on which the circuit differs from the matrix read off
+    its unit vectors: 0 when the circuit does not map 0 to 0.
     """
 
     def __init__(self, x: int):
         self.x = x
         super().__init__("circuit does not compute a linear operator")
-
-
-def linear_operator(c: Circuit) -> Gf2Matrix:
-    """The matrix ``a`` with c(x) = a*x for all x.
-
-    Column j of the candidate is the value at unit vector j of one
-    exhaustive sweep, which then verifies it on all 2**n inputs.  Raises
-    NotLinearError otherwise; circuits with c(0) != 0 always fail.
-    """
-    table = collapse(c)
-    n = c.n
-    words = [0] * n
-    for j in range(n):
-        unit = 1 << (1 << j)  # a mask, not a shift: costs 2**j bits, not 2**n
-        for i, col in enumerate(table.columns):
-            if col & unit:
-                words[i] |= 1 << j
-    a = Gf2Matrix(n, n, tuple(words))
-    expected = operator_table_of_matrix(a)
-    if table != expected:
-        raise NotLinearError(table.first_difference(expected))
-    return a
 
 
 def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:

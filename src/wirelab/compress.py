@@ -9,7 +9,10 @@ certificate compiles into its matrix: output i sees B_i*x, where B_i
 holds the middle gates it reads; writing each column of B_i over B_i's
 first basis gives, by linearity, output i's response to each unit
 vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
-one matrix-vector product with the result.
+one matrix-vector product with the result.  ``encode`` reads the basis
+values off one sweep of the circuit, builds the same matrix from its own
+reduction, and proves the certificate by comparing that matrix's operator
+with the sweep on all 2**n inputs.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Depth2Circuit, is_linear_gate, linear_operator
+from .circuit import Depth2Circuit, NotLinearError, collapse, is_linear_gate, operator_table_of_matrix
 from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, reduce_columns
 
 MAGIC = b"OPE1"
@@ -92,14 +95,14 @@ class OperatorEncoding:
 
 
 def encode(c: Depth2Circuit) -> OperatorEncoding:
-    """Build the certificate of ``c``.
+    """Build the certificate of ``c`` and prove it.
 
-    The circuit must have no direct wires, every middle gate must XOR
-    exactly its wires (no negation, no ignored wire) and the circuit must
-    compute a matrix-vector product (``linear_operator`` checks that on all
-    2**n inputs, raising NotLinearError, and its matrix gives the basis
-    values).  Middle gates feeding no output are omitted from the
-    certificate; they cannot influence it.
+    The circuit must have no direct wires and every middle gate must XOR
+    exactly its wires (no negation, no ignored wire).  Each output's basis
+    values are read off one sweep of ``c``; the matrix they decode to must
+    then agree with that sweep on all 2**n inputs, or NotLinearError names
+    the first input where it does not.  Middle gates feeding no output are
+    omitted from the certificate; they cannot influence it.
     """
     for o in c.outputs:
         if o.directs:
@@ -107,7 +110,7 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     for j, m in enumerate(c.middle):
         if is_linear_gate(m.table) != (tuple(range(len(m.inputs))), False):
             raise ValueError(f"middle gate {j} is not the pure parity of its wires")
-    a = linear_operator(c)
+    table = collapse(c)
 
     used = sorted({j for o in c.outputs for j in o.mids})
     remap = {j: k for k, j in enumerate(used)}
@@ -118,10 +121,28 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     # output's first basis comes from the same reduction decode_matrix runs
     b_cols = Gf2Matrix(len(used), c.n, b_rows).transpose().row_words
     basis_bits = []
-    for i, seen in enumerate(c_rows):
-        chosen, _ = reduce_columns([col & seen for col in b_cols])
-        basis_bits.append(tuple(a.entry(i, j) for j in chosen))
+    words = []
+    for col, seen in zip(table.columns, c_rows):
+        chosen, coeffs = reduce_columns([b & seen for b in b_cols])
+        # output value at unit vector j; a mask, not a shift: 2**j bits, not 2**n
+        stored = tuple(1 if col & (1 << (1 << j)) else 0 for j in chosen)
+        basis_bits.append(stored)
+        words.append(_row_word(coeffs, stored))
+    x = table.first_difference(operator_table_of_matrix(Gf2Matrix(c.n, c.n, tuple(words))))
+    if x is not None:
+        raise NotLinearError(x)
     return OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
+
+
+def _row_word(coeffs: list[int], stored: tuple[int, ...]) -> int:
+    """Matrix row of an output from its reduction and its basis values:
+    bit j is the parity of ``coeffs[j] & values``."""
+    values = row = 0
+    for bit in reversed(stored):
+        values = values << 1 | bit
+    for cj in reversed(coeffs):
+        row = row << 1 | ((cj & values).bit_count() & 1)
+    return row
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
@@ -143,12 +164,7 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
                 f"output {i} stores {len(stored)} basis values,"
                 f" but its wire pattern has rank {len(chosen)}"
             )
-        values = row = 0
-        for bit in reversed(stored):
-            values = values << 1 | bit
-        for cj in reversed(coeffs):  # row bit j: parity of coeffs[j] & values
-            row = row << 1 | ((cj & values).bit_count() & 1)
-        words.append(row)
+        words.append(_row_word(coeffs, stored))
     return Gf2Matrix(enc.n, enc.n, tuple(words))
 
 

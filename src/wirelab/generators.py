@@ -25,6 +25,7 @@ from .circuit import (
     MiddleGate,
     OutputGate,
     TruthTable,
+    check_fanin,
     is_linear_gate,
 )
 
@@ -206,6 +207,7 @@ def linear_middle_instance(
     for i in range(n):
         t_i = bit_indices(c[i])
         d_i = len(t_i)
+        check_fanin(d_i)  # before the image and the loop over 2**d_i values
         mu = rng.getrandbits(d_i) if d_i else 0
         a_row = 0
         for k in range(d_i):
@@ -237,6 +239,7 @@ def _column_span_points(m: Gf2Matrix) -> set[int]:
 
 
 def _random_table(rng: random.Random, fanin: int) -> TruthTable:
+    check_fanin(fanin)  # before drawing 2**fanin bits
     if fanin == 0:
         return TruthTable.constant(0)
     return TruthTable(fanin, rng.getrandbits(1 << fanin))

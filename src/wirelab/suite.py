@@ -34,7 +34,7 @@ from .generators import (
     random_linear_circuit,
     random_matrix,
 )
-from .gf2 import Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
+from .gf2 import Gf2Vector, matvec, reduce_columns
 from .transforms import cap_fanin, linearize
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
@@ -223,31 +223,31 @@ def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> Check
 
 
 def run_gf2_oracles(trials: int = 1000, dim_max: int = 12, seed: int = 46) -> CheckResult:
-    """Bitset kernels vs naive list-of-list Gaussian elimination."""
+    """The elimination and matvec against naive list-of-list arithmetic."""
 
     def trial(rng: random.Random, s: int):
         rows_n = rng.randint(1, dim_max)
         cols_n = rng.randint(1, dim_max)
         m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
         lists = [list(m.row(i).coords()) for i in range(rows_n)]
+        cols = [list(col) for col in zip(*lists)]
         # the first basis is the greedy one: each column that raises the rank
         kept: list[list[int]] = []
         greedy = []
-        for j, col in enumerate(map(list, zip(*lists))):
+        for j, col in enumerate(cols):
             if naive_rank(kept + [col]) > len(kept):
                 kept.append(col)
                 greedy.append(j)
-        chosen = first_basis_columns(m)
-        if rank(m) != naive_rank(lists) or chosen != greedy:
+        chosen, coeffs = reduce_columns(m.transpose().row_words)
+        if chosen != greedy:
             return "gf2-oracles", repr(m), None
-        if chosen:
-            basis = [m.column(j) for j in chosen]
-            picks = [k for k in range(len(basis)) if rng.random() < 0.5]
-            y = Gf2Vector.zero(rows_n)
-            for k in picks:
-                y = y ^ basis[k]
-            # unique coefficients: the basis is independent
-            if solve_in_span(basis, y) != tuple(1 if k in picks else 0 for k in range(len(basis))):
+        # each column is the XOR of the basis columns its coefficients select
+        for col, cj in zip(cols, coeffs):
+            xor = [0] * rows_n
+            for k, j in enumerate(chosen):
+                if (cj >> k) & 1:
+                    xor = [a ^ b for a, b in zip(xor, cols[j])]
+            if xor != col or cj >> len(chosen):
                 return "gf2-oracles", repr(m), None
         v = Gf2Vector(cols_n, rng.getrandbits(cols_n))
         if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
@@ -271,40 +271,42 @@ def run_gf2_oracles(trials: int = 1000, dim_max: int = 12, seed: int = 46) -> Ch
     return result
 
 
-def run_counting_bounds() -> CheckResult:
-    """Size and growth laws of the general counting bound, plus table stability."""
+def run_counting() -> tuple[CheckResult, CheckResult]:
+    """Both counting checks from one computation of the bounds table's rows.
+
+    ``counting-bounds``: the general bound stays below n^2 and at least
+    doubles with n, and a second computation of the rows equals the first.
+    ``linear-counting``: the linear bound has the n^2/log n shape, its
+    scaled value staying inside the frozen interval.  The time goes to
+    the first check, 0.0 to the second.
+    """
     t0 = time.time()
-    failures = 0
-    notes = []
-    values = {}
-    for n in (8, 16, 32, 64, 128):
-        values[n] = bounds_mod.min_wires_lower_bound(n)
-        if not values[n] <= n * n:
-            failures += 1
+    rows = bounds_mod.bounds_rows()
+    general = {n: g for n, g, _ in rows if n in (8, 16, 32, 64, 128)}
+    failures = sum(1 for n, g in general.items() if not g <= n * n)
+    notes = ["L_star_general " + " ".join(f"{n}:{g}" for n, g in general.items())]
     for n in (8, 16, 32, 64):
-        if values[2 * n] < 2 * values[n]:
+        if general[2 * n] < 2 * general[n]:
             failures += 1
             notes.append(f"growth violated at n={n}")
-    if bounds_mod.bounds_table() != bounds_mod.bounds_table():
+    if bounds_mod.bounds_rows() != rows:
         failures += 1
         notes.append("table emission not deterministic")
-    notes.insert(0, "L_star_general " + " ".join(f"{n}:{values[n]}" for n in sorted(values)))
-    return CheckResult("counting-bounds", 1, failures, time.time() - t0, notes=tuple(notes))
 
-
-def run_linear_counting() -> CheckResult:
-    """n^2/log n shape: the scaled bound stays inside the frozen interval."""
-    t0 = time.time()
     lo, hi = bounds_mod.LINEAR_RATIO_INTERVAL
-    failures = 0
-    notes = []
-    for n in (16, 32, 64, 128, 256):
-        k = n.bit_length() - 1
-        ratio = bounds_mod.linear_circuit_lower_bound(n) * k / (n * n)
-        notes.append(f"n={n} ratio={ratio:.6f}")
-        if not lo <= ratio <= hi:
-            failures += 1
-    return CheckResult("linear-counting", 1, failures, time.time() - t0, notes=tuple(notes))
+    linear_failures = 0
+    linear_notes = []
+    for n, _, linear in rows:
+        if n in (16, 32, 64, 128, 256):
+            k = n.bit_length() - 1
+            ratio = linear * k / (n * n)
+            linear_notes.append(f"n={n} ratio={ratio:.6f}")
+            if not lo <= ratio <= hi:
+                linear_failures += 1
+    return (
+        CheckResult("counting-bounds", 1, failures, time.time() - t0, notes=tuple(notes)),
+        CheckResult("linear-counting", 1, linear_failures, 0.0, notes=tuple(linear_notes)),
+    )
 
 
 def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResult]:
@@ -325,8 +327,7 @@ def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResu
         stages,
         run_codec(trials, n_max, seed + 1),
         run_fanin_cap(small, n_max, seed + 2),
-        run_counting_bounds(),
-        run_linear_counting(),
+        *run_counting(),
         run_weak_vs_full(small, n_max, seed + 3),
         run_gf2_oracles(2 * trials, 12, seed + 4),
     ]

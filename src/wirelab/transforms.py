@@ -3,30 +3,32 @@
 The linearization pipeline turns a depth-2 circuit with linear output
 gates that computes a matrix-vector product into an all-parity circuit:
 
-1. ``linear_operator``       - check exhaustively that the circuit
-   computes x -> a*x (in particular that it maps 0 to 0);
-2. ``remove_direct_wires``   - reroute input->output wires through fresh
+1. ``remove_direct_wires``   - reroute input->output wires through fresh
    identity middle gates (adds at most n first-level wires);
-3. ``normalize_output_xor``  - make every output a pure XOR of its wires,
+2. ``normalize_output_xor``  - make every output a pure XOR of its wires,
    paying for negations with one shared constant-1 middle gate (adds at
-   most n second-level wires);
+   most n second-level wires); an output gate that is no parity at all
+   stops the run here, before any sweep;
+3. the read-off: middle gate j becomes the parity of its inputs i with
+   g_j(e_i) != g_j(0), which are the arguments in the mask of
+   ``_kernels.parity_candidate`` of its table, and the second-level
+   wiring is kept as is;
+4. the proof: one sweep of the input and one operator table of the
+   result, compared on all 2**n inputs (NotLinearError at the first
+   difference).
 
-then read the result off the normalized circuit: middle gate j becomes
-the parity of its inputs i with g_j(e_i) != g_j(0), which are the
-arguments in the mask of ``_kernels.parity_candidate`` of its table, and
-the second-level wiring is kept as is.
-
-The g_j(0) terms may be dropped because the outputs are pure parities
-and the circuit maps 0 to 0: the g_j(0) read by output i XOR to its value
-at 0, which is zero, so output i at e_i is the XOR of g_j(e_i) ^ g_j(0)
-over the gates it reads.  A gate with no wire from input i adds nothing
-at e_i, so the read-off first level is never wider than the normalized
-circuit's.
+The read-off gives output i at e_j the XOR of g(e_j) ^ g(0) over the
+gates it reads, which is c(e_j) ^ c(0) because the outputs are pure
+parities.  So the result is x -> a*x for the matrix a read off c's unit
+vectors whenever c(0) = 0, and it differs from c at x = 0 otherwise:
+the first difference is the lowest input on which c is not x -> a*x.
+A gate with no wire from input i adds nothing at e_i, so the read-off
+first level is never wider than the normalized circuit's.
 
 ``linearize`` returns the result with a ``LinearizationReport`` that
-holds what the run proved and built: the matrix of step 1 (n row words,
+holds what the run proved and built: the result's matrix (n row words,
 not the 2**n-entry table it was checked on) and the two stage circuits,
-the outputs of steps 2 and 3, the second of which the result is read
+the outputs of steps 1 and 2, the second of which the result is read
 off.  Callers check the all-parity result against the matrix, and the
 stages as they are, without running a pass again.
 """
@@ -41,10 +43,11 @@ from .circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
+    NotLinearError,
     OutputGate,
     TruthTable,
+    collapse,
     is_linear_gate,
-    linear_operator,
 )
 from .gf2 import Gf2Matrix, Gf2Vector, bit_indices
 from . import _kernels
@@ -65,10 +68,11 @@ class LinearizationReport:
     ``added_first_level`` counts the identity gates created while
     removing direct wires, ``added_second_level`` the wires paid to the
     constant gate for negated outputs.  ``matrix`` is the operator the
-    input was proven to compute on all 2**n inputs; the result must have
-    it as its operator matrix and no negations.  ``stages`` holds the
-    circuits after stage 1 (``remove_direct_wires``) and stage 2
-    (``normalize_output_xor``), the second being the one read off.
+    input was proven to compute on all 2**n inputs (the result's own);
+    the result must have it as its operator matrix and no negations.
+    ``stages`` holds the circuits after stage 1 (``remove_direct_wires``)
+    and stage 2 (``normalize_output_xor``), the second being the one read
+    off.
     """
 
     wires_before: int
@@ -176,13 +180,13 @@ def normalize_output_xor(c: Depth2Circuit) -> Depth2Circuit:
 def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationReport]:
     """Full pipeline: an equivalent all-parity circuit plus its report.
 
-    Requires linear output gates and a circuit computing a matrix-vector
-    product (NotLinearError, with the lowest input that shows it,
-    otherwise); the result computes the same operator with at most 2n
-    more wires, its first level never wider than the normalized circuit's.
-    The report holds the proven matrix and both stage circuits.
+    Requires parity output gates (NonLinearGateError, before any sweep)
+    and a circuit computing a matrix-vector product (NotLinearError, with
+    the lowest input that shows it, otherwise); the result computes the
+    same operator with at most 2n more wires, its first level never wider
+    than the normalized circuit's.  The report holds the proven matrix
+    and both stage circuits.
     """
-    a = linear_operator(c)
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
 
@@ -196,6 +200,9 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         n, r, tuple(sum(1 << j for j in o.mids) for o in s2.outputs)
     )
     result = LinearDepth2Circuit(first, second, Gf2Vector.zero(n))
+    x = collapse(c).first_difference(collapse(result))
+    if x is not None:
+        raise NotLinearError(x)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
     added_sl = sum(1 for o in s1.outputs if is_linear_gate(o.table)[1])
@@ -204,7 +211,7 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         wires_after=result.wire_count(),
         added_first_level=added_fl,
         added_second_level=added_sl,
-        matrix=a,
+        matrix=result.operator_matrix(),
         stages=(s1, s2),
     )
     return result, report

@@ -17,7 +17,6 @@ from wirelab.circuit import (
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
-    NotLinearError,
     OutputGate,
     TruthTable,
     collapse,
@@ -27,7 +26,6 @@ from wirelab.circuit import (
     general_from_text,
     general_to_text,
     is_linear_gate,
-    linear_operator,
     operator_table_of_matrix,
     table_from_hex,
     table_to_hex,
@@ -42,7 +40,7 @@ from wirelab.generators import (
     random_linear_circuit,
     random_matrix,
 )
-from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec
+from wirelab.gf2 import Gf2Matrix, Gf2Vector
 from wirelab.transforms import linearize
 
 
@@ -217,34 +215,13 @@ def test_is_linear_gate_negated_parity_roundtrip():
     assert rebuilt == t
 
 
-def test_computes_linear_composition():
-    c = LinearDepth2Circuit(
-        random_matrix(4, 4, 0.5, seed=10),
-        random_matrix(4, 4, 0.5, seed=11),
-        Gf2Vector.zero(4),
-    )
-    a = linear_operator(c)
-    assert a == matmul(c.second_level, c.first_level)
-
-
-def test_computes_linear_rejects_nonzero_at_zero():
-    c = Depth2Circuit(2, (), (
-        OutputGate((), (), TruthTable.constant(1)),
-        OutputGate((), (), TruthTable.constant(0)),
-    ))
-    with pytest.raises(NotLinearError) as err:
-        linear_operator(c)
-    assert err.value.x == 0
-
-
 def test_computes_linear_recovers_planted_matrix():
     c, a = linear_middle_instance(4, 5, 0.5, seed=10)
-    assert linear_operator(c) == a
+    assert collapse(c) == operator_table_of_matrix(a)
 
 
-def test_linear_operator_returns_the_proven_matrix():
+def test_linear_output_instance_computes_its_planted_matrix():
     c, a = linear_output_instance(5, 6, 0.5, seed=18)
-    assert linear_operator(c) == a
     assert collapse(c) == operator_table_of_matrix(a)
 
 

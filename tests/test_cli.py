@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from oracles import eval_depth2
-from wirelab import _kernels, circuit, cli, suite
+from wirelab import _kernels, circuit, cli, compress, suite
 from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -237,6 +237,40 @@ def test_linearize_builds_one_operator_table(tmp_path, capsys, monkeypatch):
     assert built == [8]
 
 
+def test_encode_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    swept = []
+    for name in ("output_vectors_depth2", "node_vectors_general"):
+        def counted(n, *rest, fn=getattr(_kernels, name)):
+            swept.append(n)
+            return fn(n, *rest)
+        monkeypatch.setattr(_kernels, name, counted)
+    code, out = run(capsys, "encode", "--in", str(src))
+    assert code == 0 and out.startswith("n=8\n")
+    assert swept == [8]
+
+
+def test_encode_builds_one_operator_table(tmp_path, capsys, monkeypatch):
+    # the table of the certificate's own matrix, compared with the sweep
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    built = []
+    real = compress.operator_table_of_matrix
+
+    def counted(a, *rest):
+        built.append(a.rows)
+        return real(a, *rest)
+
+    monkeypatch.setattr(compress, "operator_table_of_matrix", counted)
+    monkeypatch.setattr(circuit, "operator_table_of_matrix", counted)
+    code, out = run(capsys, "encode", "--in", str(src))
+    assert code == 0 and out.startswith("n=8\n")
+    assert built == [8]
+
+
 def _flip_a_read_first_level_entry(lin):
     # a middle gate some output reads, so the flip changes the operator
     j = next(j for j in range(lin.r) if any((w >> j) & 1 for w in lin.second_level.row_words))
@@ -269,12 +303,18 @@ def test_linearize_reports_ok_false_for_a_wrong_result(tmp_path, capsys, monkeyp
 
 
 def test_linearize_prints_lowest_counterexample(tmp_path, capsys):
-    src = tmp_path / "r.ckt"
-    run(capsys, "gen-circuit", "--family", "random", "--n", "5", "--seed", "28", "--out", str(src))
+    # parity outputs, but middle gate 0 (inputs 0, 1, 3) swapped for majority:
+    # 0 at zero and at every unit vector, 1 once two of its inputs are set
+    src = tmp_path / "maj.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "5", "--seed", "7",
+        "--out", str(src))
+    c = depth2_from_text(src.read_text())
+    majority = dataclasses.replace(c.middle[0], table=TruthTable(3, 0b11101000))
+    c = dataclasses.replace(c, middle=(majority,) + c.middle[1:])
+    src.write_text(depth2_to_text(c))
     code, out = run(capsys, "linearize", "--in", str(src))
     assert code == 1
     assert out == "linear=false\ncounterexample=11000\n"
-    c = depth2_from_text(src.read_text())
     # the candidate matrix: column j is c at unit vector j
     cols = [eval_depth2(c, [int(i == j) for i in range(5)]) for j in range(5)]
 
@@ -296,10 +336,38 @@ def test_encode_prints_lowest_counterexample(tmp_path, capsys):
         "depth2 v1\nn 2 r 2\nmid 0: in 0 ; tt 2\nmid 1: in 1 ; tt 2\n"
         "out 0: mid 0 1 ; direct ; tt 8\nout 1: mid 1 ; direct ; tt 2\n"
     )
-    for command in ("encode", "linearize"):
-        code, out = run(capsys, command, "--in", str(src))
-        assert code == 1
-        assert out == "linear=false\ncounterexample=11\n"
+    code, out = run(capsys, "encode", "--in", str(src))
+    assert code == 1
+    assert out == "linear=false\ncounterexample=11\n"
+    # the same AND one layer down, read by an identity output: linearize's case
+    src.write_text(
+        "depth2 v1\nn 2 r 1\nmid 0: in 0 1 ; tt 8\n"
+        "out 0: mid 0 ; direct ; tt 2\nout 1: mid ; direct ; tt 0\n"
+    )
+    code, out = run(capsys, "linearize", "--in", str(src))
+    assert code == 1
+    assert out == "linear=false\ncounterexample=11\n"
+
+
+def test_linearize_refuses_a_non_parity_output_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # a random circuit and an AND of two parities: output gate 0 of each
+    # is not a parity, and linearize must say so before it sweeps
+    random_src, and_src = tmp_path / "r.ckt", tmp_path / "and.ckt"
+    run(capsys, "gen-circuit", "--family", "random", "--n", "5", "--seed", "28", "--out", str(random_src))
+    and_src.write_text(
+        "depth2 v1\nn 2 r 2\nmid 0: in 0 ; tt 2\nmid 1: in 1 ; tt 2\n"
+        "out 0: mid 0 1 ; direct ; tt 8\nout 1: mid 1 ; direct ; tt 2\n"
+    )
+
+    def sweep(*args):
+        raise AssertionError("linearize swept a circuit it must refuse")
+
+    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    for src in (random_src, and_src):
+        assert cli.main(["linearize", "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: output gate 0 is not a (possibly negated) parity\n"
 
 
 def test_verify_equiv_counterexample(tmp_path, capsys):

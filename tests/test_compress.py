@@ -8,10 +8,11 @@ from wirelab.circuit import (
     Depth2Circuit,
     LinearDepth2Circuit,
     MiddleGate,
+    NotLinearError,
     OutputGate,
     TruthTable,
     collapse,
-    linear_operator,
+    operator_table_of_matrix,
 )
 from wirelab.compress import (
     CorruptEncodingError,
@@ -24,8 +25,8 @@ from wirelab.compress import (
     encode,
     serialize,
 )
-from wirelab.generators import linear_middle_instance
-from wirelab.gf2 import Gf2Matrix, Gf2Vector, matvec
+from wirelab.generators import linear_middle_instance, random_matrix
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec
 
 
 def identity_depth2(n: int) -> Depth2Circuit:
@@ -83,6 +84,23 @@ def test_encode_rejects_nonlinear_operators():
         encode(Depth2Circuit(2, mids, outs))
 
 
+def test_encode_rejects_nonzero_image_of_zero():
+    # no middle gates; output 0 is the constant 1, so c(0) != 0
+    outs = (OutputGate((), (), TruthTable.constant(1)), OutputGate((), (), TruthTable.constant(0)))
+    with pytest.raises(NotLinearError) as err:
+        encode(Depth2Circuit(2, (), outs))
+    assert err.value.x == 0
+
+
+def test_encode_proves_a_composition_is_its_product():
+    c = LinearDepth2Circuit(
+        random_matrix(4, 4, 0.5, seed=10),
+        random_matrix(4, 4, 0.5, seed=11),
+        Gf2Vector.zero(4),
+    )
+    assert decode_matrix(encode(c.to_depth2())) == matmul(c.second_level, c.first_level)
+
+
 # --- decode ------------------------------------------------------------------
 
 def test_decode_zero_input_gives_zero():
@@ -96,7 +114,8 @@ def test_decode_unit_vectors_give_matrix_columns():
     enc = encode(c)
     for j in range(5):
         assert decode(enc, Gf2Vector.unit(5, j)) == a.column(j)
-    assert decode_matrix(enc) == a == linear_operator(c)
+    assert decode_matrix(enc) == a
+    assert collapse(c) == operator_table_of_matrix(a)
 
 
 def test_decode_roundtrip_exhaustive():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from wirelab.circuit import collapse, is_linear_gate, linear_operator
+from wirelab import _kernels, cli, generators
+from wirelab.circuit import collapse, is_linear_gate, operator_table_of_matrix
 from wirelab.generators import (
     linear_middle_instance,
     linear_output_instance,
@@ -24,7 +27,7 @@ def test_linear_output_family_postconditions():
     # every output gate linear, operator linear, checked by the checkers
     c, a = linear_output_instance(4, 5, 0.5, seed=12)
     assert all(is_linear_gate(o.table) is not None for o in c.outputs)
-    assert linear_operator(c) == a
+    assert collapse(c) == operator_table_of_matrix(a)
 
 
 def test_linear_output_family_really_nonlinear_middle():
@@ -41,7 +44,7 @@ def test_linear_middle_family_postconditions():
     for m in c.middle:
         got = is_linear_gate(m.table)
         assert got == (tuple(range(len(m.inputs))), False)
-    assert linear_operator(c) == a
+    assert collapse(c) == operator_table_of_matrix(a)
 
 
 def test_linear_middle_family_usually_nonlinear_outputs():
@@ -77,3 +80,38 @@ def test_random_linear_circuit_negations():
     assert c.negations.weight() == 5
     c0 = random_linear_circuit(5, 5, 0.5, seed=4)
     assert c0.negations.weight() == 0
+
+
+@pytest.mark.parametrize("family, n, r", [
+    ("random", 30, 30),
+    ("general", 30, 30),
+    ("linear", 30, 30),
+    ("linear-output", 30, 30),
+    ("linear-middle", 30, 30),
+    ("linear-middle", 24, 30),  # parity middle gates of fanin 24, outputs of fanin 30
+])
+def test_fanin_cap_is_checked_before_a_table_is_built(family, n, r, monkeypatch, capsys):
+    # at density 1 some gate has fanin above 24: its table would take
+    # 2**25 bits or more, so nothing of that size may be drawn or built
+    real_getrandbits = random.Random.getrandbits
+    real_parity_table = _kernels.parity_table
+
+    def getrandbits(self, k):
+        assert k <= 1 << 24, f"asked for {k} random bits"
+        return real_getrandbits(self, k)
+
+    def parity_table(fanin, mask, neg):
+        assert fanin <= 24, f"parity table of fanin {fanin}"
+        return real_parity_table(fanin, mask, neg)
+
+    def column_span_points(m):
+        raise AssertionError("2**fanin points built before the fanin check")
+
+    monkeypatch.setattr(random.Random, "getrandbits", getrandbits)
+    monkeypatch.setattr(_kernels, "parity_table", parity_table)
+    monkeypatch.setattr(generators, "_column_span_points", column_span_points)
+    argv = ["gen-circuit", "--family", family, "--n", str(n), "--r", str(r), "--density", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fanin must be in [0, 24]\n"

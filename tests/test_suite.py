@@ -1,20 +1,22 @@
 """The seeded battery: planted failures, sweep counts and a golden report.
 
 Failures are planted by replacing names that ``wirelab.suite`` imported
-(or, for a stage circuit, that ``linearize`` calls), so each check is
-shown to count its failing trials and to keep the first witness, without
-a broken library.
+(or, for a stage circuit, that ``linearize`` calls, and for a counting
+bound, that ``bounds`` calls), so each check is shown to count its
+failing trials and to keep the first witness, without a broken library.
 """
 
 import dataclasses
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from wirelab import _kernels, cli, suite, transforms
+from wirelab import _kernels, bounds, cli, suite, transforms
 from wirelab.circuit import depth2_from_text, equivalent
+from wirelab.generators import random_matrix
 from wirelab.gf2 import Gf2Matrix
 
 GOLDEN = Path(__file__).parent / "data" / "suite_report.golden"
@@ -91,6 +93,52 @@ def test_cli_suite_writes_the_witness_and_exits_1(monkeypatch, tmp_path, capsys)
     assert witness.startswith(f"failed=codec-roundtrip\nseed={bad[0]}\ninput=10000\n")
     assert f"witness_codec:\n{witness}" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["witness_codec.txt"]
+
+
+def test_gf2_oracles_catch_a_dropped_coefficient_bit(monkeypatch):
+    real = suite.reduce_columns
+
+    def reduce_columns(cols):
+        chosen, coeffs = real(cols)
+        return chosen, coeffs[:-1] + [coeffs[-1] & (coeffs[-1] - 1)]
+
+    monkeypatch.setattr(suite, "reduce_columns", reduce_columns)
+    trials, dim_max, seed = 30, 6, 46
+    bad = []  # a trial fails when its last column is nonzero: it has a bit to drop
+    for t in range(trials):
+        s = suite._trial_seed(seed, t)
+        rng = random.Random(s)
+        rows_n, cols_n = rng.randint(1, dim_max), rng.randint(1, dim_max)
+        m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
+        if any((w >> (cols_n - 1)) & 1 for w in m.row_words):
+            bad.append(s)
+    assert bad and len(bad) < trials
+    r = suite.run_gf2_oracles(trials, dim_max, seed)
+    assert (r.trials, r.failures, r.ok) == (trials, len(bad), False)
+    assert r.witness.startswith(f"failed=gf2-oracle\nseed={bad[0]}\ncircuit:\nGf2Matrix(")
+
+
+def test_linear_counting_fails_on_a_bound_outside_the_interval(monkeypatch):
+    real = bounds.linear_circuit_lower_bound
+    monkeypatch.setattr(bounds, "linear_circuit_lower_bound", lambda n: 0 if n == 256 else real(n))
+    general, linear = suite.run_counting()
+    assert general.ok  # both computations of the rows saw the same bound
+    assert (linear.trials, linear.failures, linear.ok) == (1, 1, False)
+    assert linear.notes[-1] == "n=256 ratio=0.000000"
+
+
+def test_battery_computes_each_linear_bound_twice(monkeypatch):
+    # once for the rows, once more to check that they are deterministic
+    calls = Counter()
+    real = bounds.linear_circuit_lower_bound
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(bounds, "linear_circuit_lower_bound", counted)
+    suite.run_all(2, 4, 42)
+    assert calls == Counter(dict.fromkeys(bounds.DEFAULT_TABLE_NS, 2))
 
 
 def test_linearize_trial_sweeps_four_times(monkeypatch):

@@ -13,10 +13,10 @@ from wirelab.circuit import (
     TruthTable,
     collapse,
     equivalent,
-    linear_operator,
+    operator_table_of_matrix,
 )
-from wirelab.generators import linear_output_instance, random_general
-from wirelab.gf2 import Gf2Matrix, Gf2Vector, bit_indices
+from wirelab.generators import linear_output_instance, random_general, random_matrix
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul
 from wirelab.transforms import (
     NonLinearGateError,
     cap_fanin,
@@ -225,6 +225,16 @@ def test_linearize_rejects_nonzero_image_of_zero():
     assert err.value.x == 0
 
 
+def test_linearize_proves_a_composition_is_its_product():
+    c = LinearDepth2Circuit(
+        random_matrix(4, 4, 0.5, seed=10),
+        random_matrix(4, 4, 0.5, seed=11),
+        Gf2Vector.zero(4),
+    )
+    _, report = linearize(c.to_depth2())
+    assert report.matrix == matmul(c.second_level, c.first_level)
+
+
 def test_linearize_rejects_negated_identity():
     c = Depth2Circuit(
         1, (MiddleGate((0,), TruthTable.identity()),), (parity_out([0], negated=True),)
@@ -287,7 +297,7 @@ def test_linearize_stage2_constant_gate_ends_dead():
     # first-level wires, and its second-level wire stays behind harmlessly
     mids = (MiddleGate((0,), TruthTable(1, 0b01)),)  # NOT x0
     c = Depth2Circuit(1, mids, (parity_out([0], negated=True),))  # y = x0
-    assert linear_operator(c) == Gf2Matrix.identity(1)
+    assert collapse(c) == operator_table_of_matrix(Gf2Matrix.identity(1))
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget
