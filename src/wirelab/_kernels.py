@@ -5,10 +5,35 @@ Circuits are evaluated on all 2**n inputs at once by manipulating
 ``x`` (input assignments are encoded with coordinate ``i`` taken from
 bit ``i`` of ``x``).  Gates combine value vectors with big-int bitwise
 ops, so the inner loop runs in C inside the int implementation.
+
+A sweep builds each gate in one of four forms, decided once per gate
+from its table and preds:
+
+* **row word.**  A parity gate whose arguments are all inputs or row
+  words is itself a row word over the inputs (the XOR of its argument
+  rows) plus a negation bit, and no value vector is built for it.  Its
+  vector is built only when a non-parity gate or an output reads it, as
+  the XOR of the input masks in its row.  A sweep uses row words only
+  when the masks of the rows it must build cost no more big-int XORs
+  than XORing every parity gate's argument vectors; otherwise each
+  parity gate XORs its argument vectors.
+* **fold.**  A repeated pred is folded into its first occurrence on the
+  table itself (swap the repeat to the top variable, keep the half where
+  it equals the first occurrence), a few ops on a 2**fanin-bit int.
+  The forms below then see distinct preds only.
+* **stretch.**  A non-parity gate whose preds are distinct inputs is its
+  table tiled up to 2**n bits (``x |= x << w``), with at most fanin
+  delta swaps against the input masks that move table variable k to
+  input ``ps[k]``.  The sweep stretches a gate only when a work estimate
+  from its fanin and its swaps (``_stretch_pays``) beats the mux tree's
+  2**(fanin-1) merges; a gate wired to inputs ``0..n-1`` in order, as
+  every gate ``cap_fanin`` rewires, is its table.
+* **mux tree** (``_mux_tree``) for every other gate: 2**(fanin-1) merges.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 BACKEND = "python"
@@ -36,11 +61,13 @@ def variable_mask(i: int, n: int) -> int:
     return m
 
 
-def input_vectors(n: int) -> list[int]:
-    """Value vectors of the n input coordinates; every sweep starts here,
-    so the cap is checked before the first 2**n-bit int is built."""
+@lru_cache(maxsize=1)
+def input_vectors(n: int) -> tuple[tuple[int, ...], int]:
+    """Value vectors of the n input coordinates and the all-ones vector,
+    built once per n; every sweep starts here, so the cap is checked
+    before the first 2**n-bit int is built."""
     check_exhaustive(n)
-    return [variable_mask(i, n) for i in range(n)]
+    return tuple(variable_mask(i, n) for i in range(n)), (1 << (1 << n)) - 1
 
 
 def parity_candidate(table: int, fanin: int) -> tuple[int, int]:
@@ -65,16 +92,34 @@ def parity_table(fanin: int, mask: int, neg: int) -> int:
     return t
 
 
+def _parity_of(table: int, fanin: int) -> tuple[int, int] | None:
+    """``parity_candidate`` of the table if the table is that parity, else None."""
+    mask, neg = parity_candidate(table, fanin)
+    return (mask, neg) if table == parity_table(fanin, mask, neg) else None
+
+
+def _xor(vecs, neg: int, full: int) -> int:
+    """XOR of value vectors, complemented if ``neg``; one XOR per vector
+    after the first."""
+    it = iter(vecs)
+    acc = next(it, 0)
+    for v in it:
+        acc ^= v
+    return acc ^ full if neg else acc
+
+
+def row_vector(n: int, row: int, neg: int) -> int:
+    """Value vector of the XOR of the inputs in ``row``, complemented if ``neg``."""
+    masks, full = input_vectors(n)
+    return _xor((masks[i] for i in range(row.bit_length()) if (row >> i) & 1), neg, full)
+
+
 def apply_table(table: int, argvecs: list[int], full: int) -> int:
     """Value vector of a gate given its table and argument value vectors."""
-    fanin = len(argvecs)
-    mask, neg = parity_candidate(table, fanin)
-    if table == parity_table(fanin, mask, neg):
-        acc = full if neg else 0
-        for k in range(fanin):
-            if (mask >> k) & 1:
-                acc ^= argvecs[k]
-        return acc
+    parity = _parity_of(table, len(argvecs))
+    if parity is not None:
+        mask, neg = parity
+        return _xor((v for k, v in enumerate(argvecs) if (mask >> k) & 1), neg, full)
     return _mux_tree(table, argvecs, full)
 
 
@@ -107,18 +152,159 @@ def _mux_tree(table: int, argvecs: list[int], full: int) -> int:
     return pending[fanin]
 
 
-def _sweep(n: int, preds, tables) -> list[int]:
-    """Value vectors of the n inputs, then of each gate in order; gate
-    arguments index the vectors before it.
+def _swap(x: int, i: int, j: int, mi: int, mj: int) -> int:
+    """Delta swap of variables ``i < j`` of the function whose bit b is
+    bit b of ``x``; ``mi`` and ``mj`` are the variables' masks, and may
+    be longer than ``x``."""
+    delta = (1 << j) - (1 << i)
+    t = (x ^ (x >> delta)) & mi
+    t ^= t & mj  # the lower bit of each swapped pair: bit i set, bit j clear
+    return x ^ t ^ (t << delta)
 
-    Both public entry points call this directly and never each other, so
-    a wrapper installed on one of them sees each sweep exactly once.
+
+def _fold(table: int, ps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The same gate with every repeated pred folded into its first occurrence."""
+    ps = list(ps)
+    first: dict[int, int] = {}
+    k = 0
+    while k < len(ps):
+        f = first.setdefault(ps[k], k)
+        if f == k:
+            k += 1
+            continue
+        top = len(ps) - 1
+        if k != top:  # the repeat becomes the top variable
+            table = _swap(table, k, top, variable_mask(k, top + 1), variable_mask(top, top + 1))
+            ps[k] = ps[top]
+        ps.pop()
+        half = 1 << top
+        lo, hi = table & ((1 << half) - 1), table >> half
+        table = lo ^ ((lo ^ hi) & variable_mask(f, top))  # hi where the first occurrence is 1
+    return table, tuple(ps)
+
+
+def _stretch_pays(ps, n: int) -> bool:
+    """Whether a stretch of a gate on distinct inputs ``ps`` costs less
+    than its mux tree.
+
+    In units of one mux merge on whole vectors, the mux tree costs
+    2**(fanin-1).  The stretch costs about 1 for the tiling, and each
+    table variable k not already at input ``ps[k]`` at most one swap:
+    1 for its interpreter overhead plus 13 * 2**j / 2**n for its big-int
+    ops, where j = max(ps[k], fanin - 1) is the swap's top position.
     """
-    vecs = input_vectors(n)
-    full = (1 << (1 << n)) - 1
+    top = len(ps) - 1
+    moves = work = 0
+    for k, p in enumerate(ps):
+        if p != k:
+            moves += 1
+            work += 1 << max(p, top)
+    return ((1 + moves) << n) + 13 * work < 1 << (n + top)
+
+
+def _stretch(table: int, ps, n: int, masks) -> int:
+    """Value vector of a gate on distinct inputs ``ps`` from its table.
+
+    Positions ``len(ps)..n-1`` start out holding variables the table
+    ignores.  Delta swaps move table variable k to input ``ps[k]``, in the
+    order of the targets, so a swap with top position j touches nothing
+    above ``max(j, len(ps) - 1)``: the ignored inputs are tiled on top only
+    as far as the next swap needs, and early swaps work on short ints.
+    """
+    at = list(range(n))  # the variable at each position
+    where = list(range(n))  # the position of each variable
+    x = table
+    width = 1 << len(ps)
+    for p, k in sorted(zip(ps, range(len(ps)))):
+        q = where[k]
+        if q == p:
+            continue
+        i, j = (p, q) if p < q else (q, p)
+        while width <= 1 << j:
+            x |= x << width
+            width <<= 1
+        x = _swap(x, i, j, masks[i], masks[j])
+        other = at[p]
+        at[p], at[q] = k, other
+        where[k], where[other] = p, q
+    total = 1 << n
+    while width < total:
+        x |= x << width
+        width <<= 1
+    return x
+
+
+_ROW, _PARITY, _TABLE = 0, 1, 2
+
+
+def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
+    """Value vectors of the nodes in ``outputs`` (every node by default):
+    the n inputs, then each gate in order; gate arguments index the nodes
+    before it.
+
+    A first pass reads each gate's form and the rows of the parity gates
+    that read only row words; the second builds the vectors a reader
+    needs.  Both public entry points call this directly and never each
+    other, so a wrapper installed on one of them sees each sweep exactly
+    once.
+    """
+    masks, full = input_vectors(n)
+    # per node: its row word shifted up one, with its negation bit as bit 0,
+    # so that one XOR combines rows and negations; None for a vector node
+    words = [2 << i for i in range(n)]
+    plan = []
+    needed = set()  # row-word gates that a vector gate or an output reads
+    arg_xors = 0  # XORs of argument vectors that the row-word gates replace
     for ps, t in zip(preds, tables):
-        vecs.append(apply_table(t, [vecs[p] for p in ps], full))
-    return vecs
+        d = len(ps)
+        if d > 1 and len(set(ps)) < d:
+            t, ps = _fold(t, ps)
+            d = len(ps)
+        parity = _parity_of(t, d)
+        if parity is not None:
+            mask, neg = parity
+            args = ps if mask + 1 == 1 << d else [p for k, p in enumerate(ps) if (mask >> k) & 1]
+            word = neg
+            for p in args:
+                w = words[p]
+                if w is None:
+                    plan.append((_PARITY, args, neg))
+                    break
+                word ^= w
+            else:
+                words.append(word)
+                plan.append((_ROW, args, neg))
+                arg_xors += len(args)
+                continue
+        else:
+            args = ps
+            plan.append((_TABLE, ps, t))
+        words.append(None)
+        for p in args:
+            if p >= n and words[p] is not None:
+                needed.add(p)
+    if outputs is None:
+        outputs = range(n + len(plan))
+    needed.update(o for o in outputs if o >= n and words[o] is not None)
+    use_rows = sum((words[g] >> 1).bit_count() for g in needed) <= arg_xors
+
+    vecs = list(masks)
+    for node, (form, args, x) in enumerate(plan, n):
+        if form == _ROW:
+            if not use_rows:
+                v = _xor([vecs[p] for p in args], x, full)
+            elif node in needed:
+                v = row_vector(n, words[node] >> 1, words[node] & 1)
+            else:
+                v = None
+        elif form == _PARITY:
+            v = _xor([vecs[p] for p in args], x, full)
+        elif max(args) < n and _stretch_pays(args, n):
+            v = _stretch(x, args, n, masks)
+        else:
+            v = _mux_tree(x, [vecs[p] for p in args], full)
+        vecs.append(v)
+    return [vecs[o] for o in outputs]
 
 
 def node_vectors_general(n: int, preds: list[tuple[int, ...]], tables: list[int]) -> list[int]:
@@ -138,6 +324,7 @@ def output_vectors_depth2(
     # middle gate j is node n + j; an output reads its middle gates, then its direct inputs.
     # Lists, not generator expressions: with a generator per output, peak RSS grew
     # with every repeated sweep at n = 18-20 (by about 2 MB over a few thousand).
+    r = len(mid_inputs)
     out_args = [[n + j for j in ms] + list(ds) for ms, ds in zip(out_mids, out_directs)]
-    vecs = _sweep(n, chain(mid_inputs, out_args), chain(mid_tables, out_tables))
-    return vecs[n + len(mid_inputs):]
+    outputs = range(n + r, n + r + len(out_args))
+    return _sweep(n, chain(mid_inputs, out_args), chain(mid_tables, out_tables), outputs)

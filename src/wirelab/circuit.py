@@ -13,6 +13,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -349,14 +350,8 @@ def operator_table_of_matrix(a: Gf2Matrix, negations: Gf2Vector | None = None) -
     n = a.rows
     if a.cols != n:
         raise ValueError("operator matrix must be square")
-    masks = _kernels.input_vectors(n)
-    full = (1 << (1 << n)) - 1
-    cols = []
-    for i in range(n):
-        acc = full if negations is not None and negations.bit(i) else 0
-        for j in bit_indices(a.row_words[i]):
-            acc ^= masks[j]
-        cols.append(acc)
+    negs = negations.bits if negations is not None else 0
+    cols = (_kernels.row_vector(n, a.row_words[i], (negs >> i) & 1) for i in range(n))
     return OperatorTable(n, tuple(cols))
 
 
@@ -411,7 +406,7 @@ def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:
 # Truth tables are written as hex with the nibble holding table bits 0-3
 # first (bit 0 = least significant bit of the first nibble).
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_NOT_HEX = re.compile("[^0-9a-fA-F]")
 
 
 def _hex_len(fanin: int) -> int:
@@ -425,9 +420,9 @@ def table_to_hex(t: TruthTable) -> str:
 def table_from_hex(text: str, fanin: int) -> TruthTable:
     # int() of the whole string would also accept underscores, a 0x
     # prefix, surrounding whitespace and other scripts' digits
-    bad = next((ch for ch in text if ch not in _HEX_DIGITS), None)
+    bad = _NOT_HEX.search(text)
     if bad is not None:
-        raise ValueError(f"invalid literal for int() with base 16: {bad!r}")
+        raise ValueError(f"invalid literal for int() with base 16: {bad.group()!r}")
     if len(text) != _hex_len(fanin):  # only the length table_to_hex writes
         raise ValueError(f"tt of fanin {fanin} takes {_hex_len(fanin)} hex digits, got {len(text)}")
     return TruthTable(fanin, int(text[::-1], 16))
