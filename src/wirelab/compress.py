@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Depth2Circuit, NotLinearError, collapse, is_linear_gate, operator_table_of_matrix
+from .circuit import Depth2Circuit, check_operator, collapse, is_linear_gate
 from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, reduce_columns
 
 MAGIC = b"OPE1"
@@ -128,9 +128,7 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
         stored = tuple(1 if col & (1 << (1 << j)) else 0 for j in chosen)
         basis_bits.append(stored)
         words.append(_row_word(coeffs, stored))
-    x = table.first_difference(operator_table_of_matrix(Gf2Matrix(c.n, c.n, tuple(words))))
-    if x is not None:
-        raise NotLinearError(x)
+    check_operator(table, Gf2Matrix(c.n, c.n, tuple(words)))
     return OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul
+from .gf2 import Gf2Matrix, bit_indices, matmul
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -36,20 +36,13 @@ def random_matrix(rows: int, cols: int, density: float = 0.5, seed: int = 0) -> 
     return Gf2Matrix(rows, cols, _random_words(random.Random(seed), rows, cols, density))
 
 
-def random_linear_circuit(
-    n: int, r: int, density: float = 0.5, seed: int = 0, negation_density: float = 0.0
-) -> LinearDepth2Circuit:
+def random_linear_circuit(n: int, r: int, density: float = 0.5, seed: int = 0) -> LinearDepth2Circuit:
     """All-parity depth-2 circuit with random wiring."""
     _check_density(density)
-    _check_density(negation_density)
     rng = random.Random(seed)
     b = _random_words(rng, r, n, density)
     c = _random_words(rng, n, r, density)
-    neg = 0
-    for i in range(n):
-        if rng.random() < negation_density:
-            neg |= 1 << i
-    return LinearDepth2Circuit(Gf2Matrix(r, n, b), Gf2Matrix(n, r, c), Gf2Vector(n, neg))
+    return LinearDepth2Circuit(Gf2Matrix(r, n, b), Gf2Matrix(n, r, c))
 
 
 def random_depth2(n: int, r: int, density: float = 0.5, seed: int = 0) -> Depth2Circuit:

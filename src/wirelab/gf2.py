@@ -6,8 +6,8 @@ matrix row word is column ``j``).  All values are immutable and all
 operations are pure functions.
 
 One elimination, ``reduce_columns``, scans column words left to right;
-the first basis, the rank, span solving and the certificate codec
-(``compress``) all read their answers off it.
+the first basis (whose size is the rank), span solving and the
+certificate codec (``compress``) all read their answers off it.
 """
 
 from __future__ import annotations
@@ -61,16 +61,8 @@ class Gf2Vector:
             raise ValueError("unit index out of range")
         return Gf2Vector(length, 1 << i)
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise ValueError("coordinate out of range")
-        return (self.bits >> i) & 1
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
         if self.length != other.length:
@@ -210,11 +202,6 @@ def first_basis_columns(m: Gf2Matrix) -> list[int]:
     independent column set and its size equals the rank.
     """
     return reduce_columns(m.transpose().row_words)[0]
-
-
-def rank(m: Gf2Matrix) -> int:
-    """Dimension of the column space (equals the row rank over GF(2))."""
-    return len(first_basis_columns(m))
 
 
 def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:

@@ -6,16 +6,17 @@ gates that computes a matrix-vector product into an all-parity circuit:
 1. ``remove_direct_wires``   - reroute input->output wires through fresh
    identity middle gates (adds at most n first-level wires);
 2. ``normalize_output_xor``  - make every output a pure XOR of its wires,
-   paying for negations with one shared constant-1 middle gate (adds at
-   most n second-level wires); an output gate that is no parity at all
+   paying for each negated output with a wire to one shared constant-1
+   middle gate (adds at most n second-level wires); an output gate that
+   is no parity at all, or whose constant wire would pass the fanin cap,
    stops the run here, before any sweep;
 3. the read-off: middle gate j becomes the parity of its inputs i with
    g_j(e_i) != g_j(0), which are the arguments in the mask of
    ``_kernels.parity_candidate`` of its table, and the second-level
    wiring is kept as is;
-4. the proof: one sweep of the input and one operator table of the
-   result, compared on all 2**n inputs (NotLinearError at the first
-   difference).
+4. the proof: ``check_operator`` compares one sweep of the input with
+   x -> a*x for the result's matrix a on all 2**n inputs
+   (NotLinearError at the first difference).
 
 The read-off gives output i at e_j the XOR of g(e_j) ^ g(0) over the
 gates it reads, which is c(e_j) ^ c(0) because the outputs are pure
@@ -38,18 +39,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuit import (
+    MAX_FANIN,
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
     LinearDepth2Circuit,
     MiddleGate,
-    NotLinearError,
     OutputGate,
     TruthTable,
+    check_operator,
     collapse,
     is_linear_gate,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices
+from .gf2 import Gf2Matrix, bit_indices
 from . import _kernels
 
 
@@ -69,7 +71,7 @@ class LinearizationReport:
     removing direct wires, ``added_second_level`` the wires paid to the
     constant gate for negated outputs.  ``matrix`` is the operator the
     input was proven to compute on all 2**n inputs (the result's own);
-    the result must have it as its operator matrix and no negations.
+    the result must have it as its operator matrix.
     ``stages`` holds the circuits after stage 1 (``remove_direct_wires``)
     and stage 2 (``normalize_output_xor``), the second being the one read
     off.
@@ -147,7 +149,8 @@ def normalize_output_xor(c: Depth2Circuit) -> Depth2Circuit:
     Wires an output's parity ignores are dropped; a negated parity is
     rewired to one shared constant-1 middle gate (added on demand, fanin
     0) which absorbs the complement.  Raises NonLinearGateError when an
-    output gate is not a parity at all.
+    output gate is not a parity at all, and ValueError when a negated
+    parity already reads ``MAX_FANIN`` wires, before any table is built.
     """
     for o in c.outputs:
         if o.directs:
@@ -159,6 +162,11 @@ def normalize_output_xor(c: Depth2Circuit) -> Depth2Circuit:
         if lin is None:
             raise NonLinearGateError(i)
         positions, negated = lin
+        if negated and len(positions) >= MAX_FANIN:
+            raise ValueError(
+                f"output gate {i} is a negated parity of {len(positions)} wires;"
+                f" its wire to the constant gate would pass the fanin cap {MAX_FANIN}"
+            )
         parsed.append((positions, negated))
         if negated or len(positions) != len(o.mids):
             dirty = True
@@ -199,10 +207,9 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     second = Gf2Matrix(
         n, r, tuple(sum(1 << j for j in o.mids) for o in s2.outputs)
     )
-    result = LinearDepth2Circuit(first, second, Gf2Vector.zero(n))
-    x = collapse(c).first_difference(collapse(result))
-    if x is not None:
-        raise NotLinearError(x)
+    result = LinearDepth2Circuit(first, second)
+    matrix = result.operator_matrix()
+    check_operator(collapse(c), matrix)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
     added_sl = sum(1 for o in s1.outputs if is_linear_gate(o.table)[1])
@@ -211,7 +218,7 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         wires_after=result.wire_count(),
         added_first_level=added_fl,
         added_second_level=added_sl,
-        matrix=result.operator_matrix(),
+        matrix=matrix,
         stages=(s1, s2),
     )
     return result, report

@@ -240,11 +240,6 @@ def test_golden_values_regenerated_independently():
         assert ratio_s == f"{millionths // 10**6}.{millionths % 10**6:06d}"
 
 
-def test_table_requires_powers_of_two():
-    with pytest.raises(ValueError):
-        bounds_table((6,))
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         log2_count_upper(0, 0)

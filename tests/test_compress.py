@@ -96,7 +96,6 @@ def test_encode_proves_a_composition_is_its_product():
     c = LinearDepth2Circuit(
         random_matrix(4, 4, 0.5, seed=10),
         random_matrix(4, 4, 0.5, seed=11),
-        Gf2Vector.zero(4),
     )
     assert decode_matrix(encode(c.to_depth2())) == matmul(c.second_level, c.first_level)
 

@@ -9,7 +9,6 @@ from wirelab.generators import (
     linear_output_instance,
     random_depth2,
     random_general,
-    random_linear_circuit,
     random_matrix,
 )
 from wirelab.gf2 import Gf2Vector
@@ -73,13 +72,6 @@ def test_density_bounds_checked():
 def test_random_general_over_fanin_injection():
     c = random_general(4, 6, seed=2, over_fanin_gates=2)
     assert sum(1 for g in c.gates if len(g.preds) > 4) >= 2
-
-
-def test_random_linear_circuit_negations():
-    c = random_linear_circuit(5, 5, 0.5, seed=4, negation_density=1.0)
-    assert c.negations.weight() == 5
-    c0 = random_linear_circuit(5, 5, 0.5, seed=4)
-    assert c0.negations.weight() == 0
 
 
 @pytest.mark.parametrize("family, n, r", [

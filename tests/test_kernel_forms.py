@@ -319,3 +319,19 @@ def test_row_words_never_cost_more_xors_than_argument_vectors(monkeypatch):
     spent, by_args = _xor_count(monkeypatch, sparse)
     assert spent <= by_args
     assert_collapse_matches(sparse, eval_depth2)
+
+
+def test_general_collapse_builds_only_what_its_outputs_read(monkeypatch):
+    # gate k XORs the gate before it with input k mod n; every output reads
+    # the last gate, whose row is the one vector the sweep has to build
+    n = 16
+    gates = [GeneralGate((0, 1), TruthTable.parity(2))]
+    gates += [GeneralGate((n + k - 1, k % n), TruthTable.parity(2)) for k in range(1, 30)]
+    c = GeneralCircuit(n, tuple(gates), (n + 29,) * n)
+    xors = _spy(monkeypatch, "_xor")
+    table = collapse(c)
+    built = len(xors)  # not the calls themselves: their 2**16-bit arguments
+    assert built == 1
+    rng = random.Random(30)
+    for x in [0] + rng.sample(range(1 << n), 32):
+        assert list(table.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)])

@@ -4,8 +4,11 @@ import sys
 from pathlib import Path
 
 import wirelab
+from wirelab import cli
 from wirelab.generators import linear_output_instance
 from wirelab.transforms import linearize
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -24,17 +27,19 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "wirelab", f"{path.name} imports {name}"
 
 
-def _benchmark_tracer():
-    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(name: str, monkeypatch):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, listed
+    in ``sys.modules`` for the test's duration (dataclasses look it up)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     # the tracer looks these names up only when a traced run installs it
-    tracing = _benchmark_tracer()
+    tracing = _load_perfbench("tracing", monkeypatch)
     for key, owner, attr, _ in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{key}: {owner.__name__}.{attr}"
     assert hasattr(wirelab, "BACKEND")
@@ -44,3 +49,27 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     tracing._linearize_counts(tracer, (c,), result)
     assert result[1].added != 0  # so that a count of 0 would show
     assert tracer.bucket_counts()["transforms.wires_added"] == result[1].added
+
+
+def test_benchmark_tiny_pools_pass_their_oracles_under_the_tracer(tmp_path, monkeypatch):
+    # every op of every workload, once, with the parser first built while
+    # the tracer's wrappers are installed
+    workloads = _load_perfbench("workloads", monkeypatch)
+    tracing = _load_perfbench("tracing", monkeypatch)
+    cli.build_parser.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        for name, make in workloads.WORKLOADS.items():
+            pool = make(1, True, tmp_path / name)
+            assert pool.ops, name
+            for op in pool.ops:
+                out = op.run()
+                attempted, failed = op.check(out)
+                assert attempted >= 1 and failed == 0, f"{name}: {op.kind}"
+                assert isinstance(op.digest(out), bytes)
+            assert pool.verify() == [], name
+    finally:
+        tracer.uninstall()
+        cli.build_parser.cache_clear()

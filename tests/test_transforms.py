@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import parity_rows
+from wirelab import _kernels
 from wirelab._kernels import ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -229,7 +230,6 @@ def test_linearize_proves_a_composition_is_its_product():
     c = LinearDepth2Circuit(
         random_matrix(4, 4, 0.5, seed=10),
         random_matrix(4, 4, 0.5, seed=11),
-        Gf2Vector.zero(4),
     )
     _, report = linearize(c.to_depth2())
     assert report.matrix == matmul(c.second_level, c.first_level)
@@ -301,7 +301,20 @@ def test_linearize_stage2_constant_gate_ends_dead():
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget
-    assert lin.negations.bits == 0
+
+
+def test_linearize_names_a_negated_output_at_the_fanin_cap(monkeypatch):
+    # NOT x0, then 23 identities on x_(j mod 3): the XOR of all 24 is the
+    # constant 1, so the negated output 0 is 0 and the circuit is linear,
+    # but paying for its negation takes a 25th wire
+    mids = (MiddleGate((0,), TruthTable(1, 0b01)),)
+    mids += tuple(MiddleGate((j % 3,), TruthTable.identity()) for j in range(1, 24))
+    c = Depth2Circuit(3, mids, (parity_out(range(24), negated=True), parity_out([1]), parity_out([2])))
+    sweeps = []
+    monkeypatch.setattr(_kernels, "_sweep", lambda *args: sweeps.append(args))
+    with pytest.raises(ValueError, match="^output gate 0 .* fanin cap 24$"):
+        linearize(c)
+    assert sweeps == []
 
 
 def test_linearize_requires_linear_semantics():
