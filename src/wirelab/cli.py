@@ -7,11 +7,12 @@ usage errors: bad arguments (generator parameters included), input files
 that are missing, unreadable or malformed (the message names the file
 and, where the format has them, the line or bit offset), and inputs a
 command cannot take, such as an ``encode`` circuit whose middle gates are
-not parities or a ``linearize`` circuit whose output gates are not.  Failed verifications return 1 themselves; every error
-raised out of a command is a usage error.  Commands that sweep all 2**n
-inputs accept n up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a
-larger circuit, a ``suite --n-max`` outside 3 to 20, or a ``suite
---trials`` below 1, is a usage error too.
+not parities or a ``linearize`` circuit whose output gates are not.
+Failed verifications return 1 themselves; every error raised out of a
+command is a usage error.  Commands that sweep all 2**n inputs accept n
+up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a larger circuit, a
+``suite --n-max`` outside 3 to 20, or a ``suite --trials`` below 1, is a
+usage error too.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ holds the middle gates it reads; writing each column of B_i over B_i's
 first basis gives, by linearity, output i's response to each unit
 vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
 one matrix-vector product with the result.  ``encode`` reads the basis
-values off one sweep of the circuit, builds the same matrix from its own
-reduction, and proves the certificate by comparing that matrix's operator
-with the sweep on all 2**n inputs.
+values off one sweep of the circuit and proves the certificate through
+``decode_matrix``: the matrix it decodes to must agree with the sweep on
+all 2**n inputs.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -121,26 +121,13 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     # output's first basis comes from the same reduction decode_matrix runs
     b_cols = Gf2Matrix(len(used), c.n, b_rows).transpose().row_words
     basis_bits = []
-    words = []
     for col, seen in zip(table.columns, c_rows):
-        chosen, coeffs = reduce_columns([b & seen for b in b_cols])
+        chosen, _ = reduce_columns([b & seen for b in b_cols])
         # output value at unit vector j; a mask, not a shift: 2**j bits, not 2**n
-        stored = tuple(1 if col & (1 << (1 << j)) else 0 for j in chosen)
-        basis_bits.append(stored)
-        words.append(_row_word(coeffs, stored))
-    check_operator(table, Gf2Matrix(c.n, c.n, tuple(words)))
-    return OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
-
-
-def _row_word(coeffs: list[int], stored: tuple[int, ...]) -> int:
-    """Matrix row of an output from its reduction and its basis values:
-    bit j is the parity of ``coeffs[j] & values``."""
-    values = row = 0
-    for bit in reversed(stored):
-        values = values << 1 | bit
-    for cj in reversed(coeffs):
-        row = row << 1 | ((cj & values).bit_count() & 1)
-    return row
+        basis_bits.append(tuple(1 if col & (1 << (1 << j)) else 0 for j in chosen))
+    enc = OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
+    check_operator(table, decode_matrix(enc))
+    return enc
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
@@ -162,7 +149,13 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
                 f"output {i} stores {len(stored)} basis values,"
                 f" but its wire pattern has rank {len(chosen)}"
             )
-        words.append(_row_word(coeffs, stored))
+        # bit k of values is the k-th stored basis value
+        values = row = 0
+        for bit in reversed(stored):
+            values = values << 1 | bit
+        for cj in reversed(coeffs):
+            row = row << 1 | ((cj & values).bit_count() & 1)
+        words.append(row)
     return Gf2Matrix(enc.n, enc.n, tuple(words))
 
 

@@ -52,6 +52,8 @@ def random_depth2(n: int, r: int, density: float = 0.5, seed: int = 0) -> Depth2
     circuit of constants computing the zero operator.
     """
     _check_density(density)
+    if r < 0:
+        raise ValueError("middle gate count must be non-negative")
     rng = random.Random(seed)
     mids = []
     for _ in range(r):

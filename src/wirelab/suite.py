@@ -132,7 +132,7 @@ def _trials(names: dict[str, str], trials: int, seed: int, trial) -> tuple[Check
     )
 
 
-def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tuple[CheckResult, CheckResult]:
+def run_linearization(trials: int, n_max: int, seed: int) -> tuple[CheckResult, CheckResult]:
     """End-to-end linearization equivalence/budget, plus per-stage accounting
     of the two stage circuits ``linearize`` built and read its result off;
     the result and both stages are compared with one sweep of the input."""
@@ -163,7 +163,7 @@ def run_linearization(trials: int = 500, n_max: int = 8, seed: int = 42) -> tupl
     )
 
 
-def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
+def run_codec(trials: int, n_max: int, seed: int) -> CheckResult:
     """Encode/decode roundtrip, matrix recovery, length law, serialization."""
 
     def trial(rng: random.Random, s: int):
@@ -184,7 +184,7 @@ def run_codec(trials: int = 500, n_max: int = 8, seed: int = 43) -> CheckResult:
     return _trials({"codec": "codec-roundtrip"}, trials, seed, trial)[0]
 
 
-def run_fanin_cap(trials: int = 200, n_max: int = 8, seed: int = 44) -> CheckResult:
+def run_fanin_cap(trials: int, n_max: int, seed: int) -> CheckResult:
     """Fanin capping: semantics, fanin bound, wire monotonicity, idempotence."""
 
     def trial(rng: random.Random, s: int):
@@ -204,7 +204,7 @@ def run_fanin_cap(trials: int = 200, n_max: int = 8, seed: int = 44) -> CheckRes
     return _trials({"fanin-cap": "fanin-cap"}, trials, seed, trial)[0]
 
 
-def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> CheckResult:
+def run_weak_vs_full(trials: int, n_max: int, seed: int) -> CheckResult:
     """For all-parity circuits, unit-vector agreement must equal full equality."""
 
     def trial(rng: random.Random, s: int):
@@ -222,7 +222,7 @@ def run_weak_vs_full(trials: int = 200, n_max: int = 8, seed: int = 45) -> Check
     return _trials({"weak-vs-full": "weak-vs-full"}, trials, seed, trial)[0]
 
 
-def run_gf2_oracles(trials: int = 1000, dim_max: int = 12, seed: int = 46) -> CheckResult:
+def run_gf2_oracles(trials: int, dim_max: int, seed: int) -> CheckResult:
     """The elimination and matvec against naive list-of-list arithmetic."""
 
     def trial(rng: random.Random, s: int):
@@ -310,11 +310,12 @@ def run_counting() -> tuple[CheckResult, CheckResult]:
 
 
 def run_all(trials: int = 500, n_max: int = 8, seed: int = 42) -> list[CheckResult]:
-    """The full battery; smaller batches reuse the main trial count.  Trials
-    draw n from ``N_MIN`` to ``n_max`` and sweep all 2**n inputs, so an
-    ``n_max`` below ``N_MIN`` (NMaxError) or above the exhaustive cap
-    (ExhaustiveCapError), or fewer than one trial (TrialsError), is refused
-    before any trial runs."""
+    """The full battery, and the one place its seeds and trial counts are
+    set; smaller batches reuse the main trial count.  Trials draw n from
+    ``N_MIN`` to ``n_max`` and sweep all 2**n inputs, so an ``n_max``
+    below ``N_MIN`` (NMaxError) or above the exhaustive cap
+    (ExhaustiveCapError), or fewer than one trial (TrialsError), is
+    refused before any trial runs."""
     if trials < 1:
         raise TrialsError(f"must be at least 1, got {trials}")
     if n_max < N_MIN:

@@ -212,7 +212,8 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     check_operator(collapse(c), matrix)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
-    added_sl = sum(1 for o in s1.outputs if is_linear_gate(o.table)[1])
+    const = len(s1.middle)  # the constant gate, where normalize_output_xor added one
+    added_sl = sum(const in o.mids for o in s2.outputs)
     report = LinearizationReport(
         wires_before=c.wire_count(),
         wires_after=result.wire_count(),

@@ -28,15 +28,7 @@ SEED = 42
 
 @pytest.fixture(scope="module")
 def battery():
-    lin, stages = suite.run_linearization(TRIALS, N_MAX, SEED)
-    return {
-        "linearize": lin,
-        "stage-budgets": stages,
-        "codec": suite.run_codec(TRIALS, N_MAX, SEED + 1),
-        "fanin-cap": suite.run_fanin_cap(200, N_MAX, SEED + 2),
-        "weak-vs-full": suite.run_weak_vs_full(200, N_MAX, SEED + 3),
-        "gf2-oracles": suite.run_gf2_oracles(1000, 12, SEED + 4),
-    }
+    return {r.name: r for r in suite.run_all(TRIALS, N_MAX, SEED)}
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:

@@ -140,6 +140,7 @@ def test_bad_generator_arguments_are_usage_errors(capsys):
         (["gen-matrix", "--n", "3", "--density", "2"], "density must lie in [0, 1]"),
         (["gen-circuit", "--n", "0"], "need at least one input"),
         (["gen-circuit", "--family", "general", "--n", "3", "--r", "0"], "need at least one gate"),
+        (["gen-circuit", "--family", "random", "--n", "3", "--r", "-2"], "middle gate count must be non-negative"),
     ):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()

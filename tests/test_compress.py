@@ -4,6 +4,7 @@ import random
 import pytest
 from oracles import decode_per_point
 
+from wirelab import compress
 from wirelab.circuit import (
     Depth2Circuit,
     LinearDepth2Circuit,
@@ -98,6 +99,24 @@ def test_encode_proves_a_composition_is_its_product():
         random_matrix(4, 4, 0.5, seed=11),
     )
     assert decode_matrix(encode(c.to_depth2())) == matmul(c.second_level, c.first_level)
+
+
+def test_encode_proves_through_the_decoder(monkeypatch):
+    # encode proves the matrix its certificate decodes to, so a decoder
+    # fault fails the proof at the first input it shows on
+    c, _ = linear_middle_instance(5, 6, 0.5, seed=3)
+    encode(c)
+    real = compress.decode_matrix
+
+    def flipped(enc):
+        rows = list(real(enc).row_words)
+        rows[0] ^= 1  # A[0][0]
+        return Gf2Matrix(enc.n, enc.n, tuple(rows))
+
+    monkeypatch.setattr(compress, "decode_matrix", flipped)
+    with pytest.raises(NotLinearError) as err:
+        encode(c)
+    assert err.value.x == 1
 
 
 # --- decode ------------------------------------------------------------------
