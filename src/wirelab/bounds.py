@@ -20,9 +20,12 @@ by
     count(L) = L * C(2*n*L, L) * 2^(n + L)
 
 (for each middle-layer size r <= L: at most C(2nr, L) <= C(2nL, L) ways
-to place L wires among the nr + nr = 2nr slots and 2^{n+r} <= 2^{n+L}
-negation patterns).  The largest L with count(L) < 2^{n^2} then certifies
-that some matrix needs more than L wires, and grows like n^2 / log n.
+to place L wires among the nr + nr = 2nr slots).  All-parity circuits
+compute x -> Ax and carry no negations, so the factor 2^(n+L) counts
+nothing real; it is kept as an over-count, which only loosens the upper
+bound, and the golden table depends on it.  The largest L with
+count(L) < 2^{n^2} then certifies that some matrix needs more than L
+wires, and grows like n^2 / log n.
 
 Both thresholds come from one bisection, ``_last_true``.  Evaluating
 count(L) exactly costs a binomial with L factors, so

@@ -366,23 +366,29 @@ class NotLinearError(ValueError):
     """A circuit that does not compute x -> a*x for the matrix ``a`` its
     pass built.
 
-    Raised only by ``check_operator``, which ``transforms.linearize`` and
-    ``compress.encode`` call on one exhaustive sweep of their input.
-    ``x`` is the lowest input on which the circuit differs from x -> a*x:
-    0 when the circuit does not map 0 to 0.
+    Raised only by ``check_operator``.  ``transforms.linearize`` and
+    ``compress.encode`` accept by algebra and decide by sweep: each first
+    tries a proof that builds no 2**n-bit vector, when a fixed work rule
+    says it costs no more than a sweep, and calls ``check_operator`` on
+    one exhaustive sweep of its input when that proof does not run or
+    does not succeed.  ``x`` is the lowest input on which the circuit
+    differs from x -> a*x (0 when the circuit does not map 0 to 0), and
+    ``n`` the circuit's input count.
     """
 
-    def __init__(self, x: int):
+    def __init__(self, x: int, n: int):
         self.x = x
+        self.n = n
         super().__init__("circuit does not compute a linear operator")
 
 
 def check_operator(table: OperatorTable, a: Gf2Matrix) -> None:
     """Raise NotLinearError at the lowest input on which ``table`` is not
-    x -> a*x; both paper cases prove their result here."""
+    x -> a*x; both paper cases decide here, by sweep, whatever their
+    algebra does not accept."""
     x = table.first_difference(operator_table_of_matrix(a))
     if x is not None:
-        raise NotLinearError(x)
+        raise NotLinearError(x, table.n)
 
 
 def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:

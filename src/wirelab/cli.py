@@ -126,7 +126,8 @@ def cmd_gen_matrix(args) -> int:
 
 def cmd_gen_circuit(args) -> int:
     r = args.r if args.r is not None else args.n
-    matrix = None
+    if args.matrix_out and args.family not in ("linear-output", "linear-middle"):
+        raise UsageError("--matrix-out needs a planted family")  # before anything is written
     if args.family == "general":
         g = random_general(args.n, r, args.seed, over_fanin_gates=max(1, r // 2))
         _write_or_print(general_to_text(g), args.out)
@@ -141,8 +142,6 @@ def cmd_gen_circuit(args) -> int:
         c, matrix = linear_middle_instance(args.n, r, args.density, args.seed)
     _write_or_print(depth2_to_text(c), args.out)
     if args.matrix_out:
-        if matrix is None:
-            raise UsageError("--matrix-out needs a planted family")
         Path(args.matrix_out).write_text(gf2.to_text(matrix))
     return 0
 

@@ -9,10 +9,15 @@ certificate compiles into its matrix: output i sees B_i*x, where B_i
 holds the middle gates it reads; writing each column of B_i over B_i's
 first basis gives, by linearity, output i's response to each unit
 vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
-one matrix-vector product with the result.  ``encode`` reads the basis
-values off one sweep of the circuit and proves the certificate through
-``decode_matrix``: the matrix it decodes to must agree with the sweep on
-all 2**n inputs.
+one matrix-vector product with the result.  ``encode`` reads each basis
+value straight off the output's table and proves the certificate through
+``decode_matrix``, accepted by algebra and decided by sweep: output i
+computes row i of the decoded matrix if it does so on the 2**rho_i
+inputs supported on B_i's first basis and the row lies in B_i's row
+space (``_subcube_proof``).  That proof runs only when its work, the sum
+over outputs of (wires read) * 2**rho_i, is at most a sweep's,
+(gates) * 2**n.  When it does not run or does not succeed, the decoded
+matrix must agree with one sweep of the circuit on all 2**n inputs.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -33,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernels
+from ._kernels import check_exhaustive
 from .circuit import Depth2Circuit, check_operator, collapse, is_linear_gate
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, reduce_columns
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, row_echelon
 
 MAGIC = b"OPE1"
 _FIELD = 16  # width of the count fields (n, r, |B|, |C|, t_i)
@@ -98,63 +105,107 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     """Build the certificate of ``c`` and prove it.
 
     The circuit must have no direct wires and every middle gate must XOR
-    exactly its wires (no negation, no ignored wire).  Each output's basis
-    values are read off one sweep of ``c``; the matrix they decode to must
-    then agree with that sweep on all 2**n inputs, or NotLinearError names
-    the first input where it does not.  Middle gates feeding no output are
-    omitted from the certificate; they cannot influence it.
+    exactly its wires (no negation, no ignored wire).  Output i's basis
+    values are its table at the middle values of its chosen unit vectors.
+    The certificate is accepted by algebra and decided by sweep: the
+    subcube proof (``_subcube_proof``) runs when its work is at most a
+    sweep's, and when it does not run or does not succeed, the matrix
+    the certificate decodes to must agree with one sweep of ``c`` on all
+    2**n inputs, or NotLinearError names the first input where it does
+    not.  Middle gates feeding no output are omitted from the
+    certificate; they cannot influence it.
     """
+    check_exhaustive(c.n)  # before any work: the deciding sweep may still run
     for o in c.outputs:
         if o.directs:
             raise ValueError("direct wires must be removed before encoding")
     for j, m in enumerate(c.middle):
         if is_linear_gate(m.table) != (tuple(range(len(m.inputs))), False):
             raise ValueError(f"middle gate {j} is not the pure parity of its wires")
-    table = collapse(c)
 
+    rows = [sum(1 << i for i in m.inputs) for m in c.middle]
     used = sorted({j for o in c.outputs for j in o.mids})
     remap = {j: k for k, j in enumerate(used)}
-    b_rows = tuple(sum(1 << i for i in c.middle[j].inputs) for j in used)
+    b_rows = tuple(rows[j] for j in used)
     c_rows = tuple(sum(1 << remap[j] for j in o.mids) for o in c.outputs)
 
-    # masking rows out of B's columns keeps their dependencies, so each
-    # output's first basis comes from the same reduction decode_matrix runs
-    b_cols = Gf2Matrix(len(used), c.n, b_rows).transpose().row_words
+    # per output: B_i's pivots and reduced rows, and its table's index at
+    # each pivot's unit vector, whose entry there is the basis value
+    proofs = []
     basis_bits = []
-    for col, seen in zip(table.columns, c_rows):
-        chosen, _ = reduce_columns([b & seen for b in b_cols])
-        # output value at unit vector j; a mask, not a shift: 2**j bits, not 2**n
-        basis_bits.append(tuple(1 if col & (1 << (1 << j)) else 0 for j in chosen))
+    for o in c.outputs:
+        pivots, reduced = row_echelon(rows[j] for j in o.mids)
+        units = [sum(((rows[j] >> p) & 1) << t for t, j in enumerate(o.mids)) for p in pivots]
+        proofs.append((pivots, reduced, units))
+        basis_bits.append(tuple((o.table.bits >> u) & 1 for u in units))
     enc = OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
-    check_operator(table, decode_matrix(enc))
+    a = decode_matrix(enc)
+    subcubes = sum(len(o.mids) << len(pivots) for o, (pivots, _, _) in zip(c.outputs, proofs))
+    if subcubes > (c.r + c.n) << c.n or not _subcube_proof(c, proofs, a):
+        check_operator(collapse(c), a)
     return enc
+
+
+def _subcube_proof(c: Depth2Circuit, proofs, a: Gf2Matrix) -> bool:
+    """Whether every output i of ``c`` provably computes x -> a_i * x.
+
+    Output i reads y = B_i * x through its table; ``proofs[i]`` holds
+    B_i's pivots, its reduced rows and the table's index at each pivot's
+    unit vector.  The proof has two parts: (a) on the 2**rho_i inputs
+    supported on the pivots, the kernel's value of the output equals
+    a_i * x; (b) a_i reduces to zero against the reduced rows, so it lies
+    in B_i's row space.  Any x shares its image B_i * x with some x' of
+    that subcube, (a) gives the output a_i * x' there, and (b) gives
+    a_i * x = a_i * x'.  So (a) and (b) cover all 2**n inputs, whatever
+    produced ``a``.
+    """
+    masks, _ = _kernels.input_vectors(max((len(p) for p, _, _ in proofs), default=0))
+    for o, (pivots, reduced, units), row in zip(c.outputs, proofs, a.row_words):
+        rest = row
+        for w in reduced:
+            if rest & w & -w:
+                rest ^= w
+        if rest:
+            return False
+        # subcube input k is pivot k: it sets bit t of the table index when
+        # it sets the output's argument t, and adds bit p of row to a_i * x
+        full = (1 << (1 << len(pivots))) - 1
+        args = [0] * len(o.mids)
+        want = 0
+        for k, (p, u) in enumerate(zip(pivots, units)):
+            mask = masks[k] & full
+            for t in bit_indices(u):
+                args[t] ^= mask
+            if (row >> p) & 1:
+                want ^= mask
+        if _kernels.apply_table(o.table.bits, args, full) != want:
+            return False
+    return True
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
     """The operator's n-by-n matrix, compiled from the certificate alone.
 
-    Output i sees the columns of B restricted to its middle gates (the
-    rows C_i selects).  One left-to-right reduction over those n columns
-    finds the first basis and writes every other column as a combination
-    of it; by linearity, A[i][j] is the parity of column j's coefficients
-    against the stored basis values.
+    Output i sees y = B_i * x, where B_i holds the rows of the middle
+    gates it reads (the rows C_i selects).  One row-echelon reduction of
+    those rows finds the first basis of B_i's columns, and bit j of the
+    k-th reduced row is column j's coefficient on basis element k; by
+    linearity, row i is the XOR of the reduced rows whose stored basis
+    value is 1.
     """
-    b_cols = Gf2Matrix(enc.r, enc.n, enc.b_rows).transpose().row_words
     words = []
     for i, seen in enumerate(enc.c_rows):
         stored = enc.basis_bits[i]
-        chosen, coeffs = reduce_columns(map(seen.__and__, b_cols))
-        if len(chosen) != len(stored):
+        pivots, reduced = row_echelon(enc.b_rows[j] for j in bit_indices(seen))
+        if len(pivots) != len(stored):
             raise CorruptEncodingError(
                 f"output {i} stores {len(stored)} basis values,"
-                f" but its wire pattern has rank {len(chosen)}"
+                f" but its wire pattern has rank {len(pivots)}"
             )
-        # bit k of values is the k-th stored basis value
-        values = row = 0
-        for bit in reversed(stored):
-            values = values << 1 | bit
-        for cj in reversed(coeffs):
-            row = row << 1 | ((cj & values).bit_count() & 1)
+        row = 0
+        for w, bit in zip(reduced, stored):
+            if bit:
+                row ^= w
         words.append(row)
     return Gf2Matrix(enc.n, enc.n, tuple(words))
 

@@ -5,8 +5,9 @@ Vectors and matrices store their 0/1 entries packed into Python ints
 matrix row word is column ``j``).  All values are immutable and all
 operations are pure functions.
 
-One elimination, ``reduce_columns``, scans column words left to right;
-the first basis (whose size is the rank), span solving and the
+One elimination, ``row_echelon``, brings row words to reduced row
+echelon form with each pivot at its row's lowest set bit; the first
+basis of the columns (whose size is the rank), span solving and the
 certificate codec (``compress``) all read their answers off it.
 """
 
@@ -168,30 +169,28 @@ def matmul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(a.rows, b.cols, tuple(words))
 
 
-def reduce_columns(cols) -> tuple[list[int], list[int]]:
-    """One left-to-right elimination over column words.
+def row_echelon(rows) -> tuple[list[int], list[int]]:
+    """The reduced row echelon form of row words, each row's pivot its
+    lowest set bit.
 
-    Column j joins the basis iff it is not in the span of the basis
-    columns before it.  Returns ``(chosen, coeffs)``: ``chosen`` lists the
-    basis columns' indices, and bit k of ``coeffs[j]`` is column j's
-    coefficient on basis element k (so a chosen column is a unit).
+    Returns ``(pivots, reduced)``: the nonzero reduced rows in pivot
+    order, and their pivot columns.  No other reduced row has a bit at a
+    pivot, so the pivots are the greedy first basis of the columns
+    (column j is a pivot iff it is not in the span of the columns before
+    it), and bit j of ``reduced[k]`` is column j's coefficient on basis
+    element k.
     """
-    reduced: list[tuple[int, int, int]] = []  # (pivot mask, vector, coefficients)
-    chosen: list[int] = []
-    coeffs: list[int] = []
-    for j, v in enumerate(cols):
-        c = 0
-        for pivot, vec, cv in reduced:
-            if v & pivot:
-                v ^= vec
-                c ^= cv
-        if v:  # column j joins the basis as element k
-            k = len(reduced)
-            reduced.append((v & -v, v, c ^ (1 << k)))
-            chosen.append(j)
-            c = 1 << k
-        coeffs.append(c)
-    return chosen, coeffs
+    reduced: list[int] = []
+    for v in rows:
+        for w in reduced:
+            if v & w & -w:
+                v ^= w
+        if v:
+            low = v & -v  # no reduced row's pivot, so above the pivot of every row holding it
+            reduced = [w ^ v if w & low else w for w in reduced]
+            reduced.append(v)
+    reduced.sort(key=lambda w: w & -w)
+    return [(w & -w).bit_length() - 1 for w in reduced], reduced
 
 
 def first_basis_columns(m: Gf2Matrix) -> list[int]:
@@ -201,7 +200,7 @@ def first_basis_columns(m: Gf2Matrix) -> list[int]:
     smaller index, so the result is the lexicographically earliest maximal
     independent column set and its size equals the rank.
     """
-    return reduce_columns(m.transpose().row_words)[0]
+    return row_echelon(m.row_words)[0]
 
 
 def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
@@ -214,12 +213,14 @@ def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
     t = len(basis)
     if any(u.length != y.length for u in basis):
         raise ValueError("basis/vector length mismatch")
-    chosen, coeffs = reduce_columns([u.bits for u in basis] + [y.bits])
-    if chosen[:t] != list(range(t)):
+    # the basis vectors, then y, as the columns of a y.length-by-(t + 1) matrix
+    cols = Gf2Matrix(t + 1, y.length, tuple(u.bits for u in basis) + (y.bits,))
+    pivots, reduced = row_echelon(cols.transpose().row_words)
+    if pivots[:t] != list(range(t)):
         raise ValueError("basis vectors are not linearly independent")
-    if len(chosen) > t:
+    if len(pivots) > t:
         raise NotInSpanError("vector is not in the span of the basis")
-    return tuple((coeffs[t] >> k) & 1 for k in range(t))
+    return tuple((w >> t) & 1 for w in reduced)
 
 
 def parse_decimal(token: str) -> int:

@@ -6,7 +6,8 @@ the battery is deterministic in its seed.  Trials compare against
 exhaustive sweeps or independently implemented oracles.  A check keeps
 the witness of its first failing trial: ``failed=`` the failure kind,
 ``seed=`` the trial seed, ``input=`` the offending input where one is
-known, then ``circuit:`` and the circuit (or matrix) the trial drew.
+known, ``error=`` the exception where the trial raised one, then
+``circuit:`` and the circuit (or matrix) the trial drew.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import bounds as bounds_mod
 from ._kernels import check_exhaustive
 from .circuit import (
     LinearDepth2Circuit,
+    NotLinearError,
     collapse,
     depth2_to_text,
     equivalent,
@@ -34,7 +36,7 @@ from .generators import (
     random_linear_circuit,
     random_matrix,
 )
-from .gf2 import Gf2Vector, matvec, reduce_columns
+from .gf2 import Gf2Vector, matvec, row_echelon
 from .transforms import cap_fanin, linearize
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
@@ -74,10 +76,12 @@ def _trial_seed(seed: int, t: int) -> int:
     return seed * _SEED_STRIDE + t
 
 
-def _witness(kind: str, text: str, x: Gf2Vector | None, seed: int) -> str:
+def _witness(kind: str, text: str, x: Gf2Vector | None, seed: int, error: str | None = None) -> str:
     parts = [f"failed={kind}", f"seed={seed}"]
     if x is not None:
         parts.append(f"input={x}")
+    if error is not None:
+        parts.append(f"error={error}")
     return "\n".join(parts) + "\ncircuit:\n" + text
 
 
@@ -107,24 +111,36 @@ def naive_rank(rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # batteries
 
-def _trials(names: dict[str, str], trials: int, seed: int, trial) -> tuple[CheckResult, ...]:
+def _trials(names: dict[str, str], trials: int, seed: int, draw, check, text) -> tuple[CheckResult, ...]:
     """One result per check in ``names`` (check name -> witness kind).
 
-    Trial t calls ``trial(random.Random(s), s)``, s = _trial_seed(seed, t),
-    which returns None on a pass, else (check name, circuit text, input or
-    None).  The loop's time goes to the first check, 0.0 to the others.
+    Trial t draws its instance with ``draw(random.Random(s), s)``,
+    s = _trial_seed(seed, t), then runs ``check(instance)``, which
+    returns None on a pass, else (check name, input or None);
+    ``text(instance)`` is the circuit its witness carries.  A check that
+    raises, as a pass whose own proof fails does, fails the first check
+    in ``names``: its witness adds ``error=`` with the exception's type
+    and message, and for NotLinearError the input it names.  The loop's
+    time goes to the first check, 0.0 to the others.
     """
     t0 = time.time()
+    first = next(iter(names))
     failures = dict.fromkeys(names, 0)
     witness: dict[str, str | None] = dict.fromkeys(names)
     for t in range(trials):
         s = _trial_seed(seed, t)
-        failed = trial(random.Random(s), s)
+        instance = draw(random.Random(s), s)
+        error = None
+        try:
+            failed = check(instance)
+        except Exception as e:  # any fault inside a trial fails its check
+            error = f"{type(e).__name__}: {e}"
+            failed = first, Gf2Vector(e.n, e.x) if isinstance(e, NotLinearError) else None
         if failed is not None:
-            name, text, x = failed
+            name, x = failed
             failures[name] += 1
             if witness[name] is None:
-                witness[name] = _witness(names[name], text, x, s)
+                witness[name] = _witness(names[name], text(instance), x, s, error)
     elapsed = time.time() - t0
     return tuple(
         CheckResult(name, trials, failures[name], elapsed if k == 0 else 0.0, witness=witness[name])
@@ -132,19 +148,27 @@ def _trials(names: dict[str, str], trials: int, seed: int, trial) -> tuple[Check
     )
 
 
+def _depth2_text(instance) -> str:
+    return depth2_to_text(instance[0])
+
+
 def run_linearization(trials: int, n_max: int, seed: int) -> tuple[CheckResult, CheckResult]:
     """End-to-end linearization equivalence/budget, plus per-stage accounting
     of the two stage circuits ``linearize`` built and read its result off;
     the result and both stages are compared with one sweep of the input."""
 
-    def trial(rng: random.Random, s: int):
+    def draw(rng: random.Random, s: int):
         n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
-        c, planted = linear_output_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
+        return linear_output_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
+
+    def check(instance):
+        c, planted = instance
+        n = c.n
         table = collapse(c)
         lin, rep = linearize(c)
         if collapse(lin) != table or not rep.within_budget or lin.operator_matrix() != planted:
-            return "linearize", depth2_to_text(c), None
+            return "linearize", None
         s1, s2 = rep.stages
         if (
             s1.wire_count() - c.wire_count() > n
@@ -154,82 +178,96 @@ def run_linearization(trials: int, n_max: int, seed: int) -> tuple[CheckResult, 
             or collapse(s1) != table
             or collapse(s2) != table
         ):
-            return "stage-budgets", depth2_to_text(c), None
+            return "stage-budgets", None
         return None
 
     return _trials(
         {"linearize": "linearize-equivalence-or-budget", "stage-budgets": "stage-budget-or-equivalence"},
-        trials, seed, trial,
+        trials, seed, draw, check, _depth2_text,
     )
 
 
 def run_codec(trials: int, n_max: int, seed: int) -> CheckResult:
     """Encode/decode roundtrip, matrix recovery, length law, serialization."""
 
-    def trial(rng: random.Random, s: int):
+    def draw(rng: random.Random, s: int):
         n = rng.randint(N_MIN, n_max)
         r = rng.randint(1, 12)
-        c, planted = linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
+        return linear_middle_instance(n, r, rng.uniform(0.2, 0.8), seed=s)
+
+    def check(instance):
+        c, planted = instance
         enc = encode(c)
         decoded = decode_matrix(enc)
         bad_x = operator_table_of_matrix(decoded).first_difference(collapse(c))
         if bad_x is not None:
-            return "codec", depth2_to_text(c), Gf2Vector(n, bad_x)
+            return "codec", Gf2Vector(c.n, bad_x)
         w = enc.field_width()
-        length_max = 96 + 16 * n + 2 * enc.wire_count() * w + sum(len(b) for b in enc.basis_bits)
+        length_max = 96 + 16 * c.n + 2 * enc.wire_count() * w + sum(len(b) for b in enc.basis_bits)
         if decoded != planted or deserialize(serialize(enc)) != enc or bit_length(enc) > length_max:
-            return "codec", depth2_to_text(c), None
+            return "codec", None
         return None
 
-    return _trials({"codec": "codec-roundtrip"}, trials, seed, trial)[0]
+    return _trials({"codec": "codec-roundtrip"}, trials, seed, draw, check, _depth2_text)[0]
 
 
 def run_fanin_cap(trials: int, n_max: int, seed: int) -> CheckResult:
     """Fanin capping: semantics, fanin bound, wire monotonicity, idempotence."""
 
-    def trial(rng: random.Random, s: int):
+    def draw(rng: random.Random, s: int):
         n = rng.randint(2, n_max)
         gates = rng.randint(2, 8)
-        c = random_general(n, gates, seed=s, over_fanin_gates=rng.randint(1, max(1, gates // 2)))
+        return random_general(n, gates, seed=s, over_fanin_gates=rng.randint(1, max(1, gates // 2)))
+
+    def check(c):
         capped = cap_fanin(c)
         if (
             collapse(capped) != collapse(c)
-            or max(len(g.preds) for g in capped.gates) > n
+            or max(len(g.preds) for g in capped.gates) > c.n
             or capped.wire_count() > c.wire_count()
             or cap_fanin(capped) != capped
         ):
-            return "fanin-cap", general_to_text(c), None
+            return "fanin-cap", None
         return None
 
-    return _trials({"fanin-cap": "fanin-cap"}, trials, seed, trial)[0]
+    return _trials({"fanin-cap": "fanin-cap"}, trials, seed, draw, check, general_to_text)[0]
 
 
 def run_weak_vs_full(trials: int, n_max: int, seed: int) -> CheckResult:
     """For all-parity circuits, unit-vector agreement must equal full equality."""
 
-    def trial(rng: random.Random, s: int):
+    def draw(rng: random.Random, s: int):
         n = rng.randint(2, n_max)
         r = rng.randint(1, 12)
         c = random_linear_circuit(n, r, rng.uniform(0.2, 0.8), seed=s)
         if rng.random() < 0.5:
-            a = c.operator_matrix()  # agreeing pair
-        else:
-            a = random_matrix(n, n, rng.uniform(0.2, 0.8), seed=s + 1)
+            return c, c.operator_matrix()  # agreeing pair
+        return c, random_matrix(n, n, rng.uniform(0.2, 0.8), seed=s + 1)
+
+    def check(instance):
+        c, a = instance
         if (weak_counterexample(c, a) is None) != equivalent(c, LinearDepth2Circuit.from_matrix(a)):
-            return "weak-vs-full", depth2_to_text(c.to_depth2()), None
+            return "weak-vs-full", None
         return None
 
-    return _trials({"weak-vs-full": "weak-vs-full"}, trials, seed, trial)[0]
+    return _trials(
+        {"weak-vs-full": "weak-vs-full"}, trials, seed, draw, check,
+        lambda instance: depth2_to_text(instance[0].to_depth2()),
+    )[0]
 
 
 def run_gf2_oracles(trials: int, dim_max: int, seed: int) -> CheckResult:
     """The elimination and matvec against naive list-of-list arithmetic."""
 
-    def trial(rng: random.Random, s: int):
+    def draw(rng: random.Random, s: int):
         rows_n = rng.randint(1, dim_max)
         cols_n = rng.randint(1, dim_max)
         m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
-        lists = [list(m.row(i).coords()) for i in range(rows_n)]
+        return m, Gf2Vector(cols_n, rng.getrandbits(cols_n))
+
+    def check(instance):
+        m, v = instance
+        lists = [list(m.row(i).coords()) for i in range(m.rows)]
         cols = [list(col) for col in zip(*lists)]
         # the first basis is the greedy one: each column that raises the rank
         kept: list[list[int]] = []
@@ -238,24 +276,25 @@ def run_gf2_oracles(trials: int, dim_max: int, seed: int) -> CheckResult:
             if naive_rank(kept + [col]) > len(kept):
                 kept.append(col)
                 greedy.append(j)
-        chosen, coeffs = reduce_columns(m.transpose().row_words)
+        chosen, reduced = row_echelon(m.row_words)
         if chosen != greedy:
-            return "gf2-oracles", repr(m), None
+            return "gf2-oracles", None
         # each column is the XOR of the basis columns its coefficients select
-        for col, cj in zip(cols, coeffs):
-            xor = [0] * rows_n
-            for k, j in enumerate(chosen):
-                if (cj >> k) & 1:
-                    xor = [a ^ b for a, b in zip(xor, cols[j])]
-            if xor != col or cj >> len(chosen):
-                return "gf2-oracles", repr(m), None
-        v = Gf2Vector(cols_n, rng.getrandbits(cols_n))
+        for j, col in enumerate(cols):
+            xor = [0] * m.rows
+            for k, w in enumerate(reduced):
+                if (w >> j) & 1:
+                    xor = [a ^ b for a, b in zip(xor, cols[chosen[k]])]
+            if xor != col:
+                return "gf2-oracles", None
         if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
-            return "gf2-oracles", repr(m), None
+            return "gf2-oracles", None
         return None
 
     t0 = time.time()
-    result = _trials({"gf2-oracles": "gf2-oracle"}, trials, seed, trial)[0]
+    result = _trials(
+        {"gf2-oracles": "gf2-oracle"}, trials, seed, draw, check, lambda instance: repr(instance[0])
+    )[0]
     # exhaustive matvec sweep against naive_matvec, all dims <= 8
     for rows_n in range(1, 9):
         for cols_n in range(1, 9):

@@ -14,9 +14,15 @@ gates that computes a matrix-vector product into an all-parity circuit:
    g_j(e_i) != g_j(0), which are the arguments in the mask of
    ``_kernels.parity_candidate`` of its table, and the second-level
    wiring is kept as is;
-4. the proof: ``check_operator`` compares one sweep of the input with
-   x -> a*x for the result's matrix a on all 2**n inputs
-   (NotLinearError at the first difference).
+4. the proof, accepted by algebra and decided by sweep: output i of
+   step 2 computes row i of the result's matrix a iff the XOR of its
+   middle gates' algebraic normal forms is exactly that row's degree-1
+   monomials (``_anf_proof``).  The algebra runs only when its work,
+   Σ 2**fanin over the read non-parity middle gates times 2**6, is at
+   most a sweep's, (gates of the input) * 2**n.  When it does not run or
+   does not succeed, ``check_operator`` compares one sweep of the input
+   with x -> a*x on all 2**n inputs, and only it raises NotLinearError,
+   at the first difference.
 
 The read-off gives output i at e_j the XOR of g(e_j) ^ g(0) over the
 gates it reads, which is c(e_j) ^ c(0) because the outputs are pure
@@ -53,6 +59,7 @@ from .circuit import (
 )
 from .gf2 import Gf2Matrix, bit_indices
 from . import _kernels
+from ._kernels import check_exhaustive
 
 
 class NonLinearGateError(ValueError):
@@ -192,9 +199,13 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     and a circuit computing a matrix-vector product (NotLinearError, with
     the lowest input that shows it, otherwise); the result computes the
     same operator with at most 2n more wires, its first level never wider
-    than the normalized circuit's.  The report holds the proven matrix
-    and both stage circuits.
+    than the normalized circuit's.  The result is accepted by algebra and
+    decided by sweep: the ANF proof (``_anf_proof``) runs when its work
+    is at most a sweep's, and when it does not run or does not succeed,
+    one sweep of ``c`` must agree with the result's matrix on all 2**n
+    inputs.  The report holds the proven matrix and both stage circuits.
     """
+    check_exhaustive(c.n)  # before any work: the deciding sweep may still run
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
 
@@ -209,7 +220,8 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     )
     result = LinearDepth2Circuit(first, second)
     matrix = result.operator_matrix()
-    check_operator(collapse(c), matrix)
+    if not _anf_proof(s2, matrix, (c.r + n) << n):
+        check_operator(collapse(c), matrix)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
     const = len(s1.middle)  # the constant gate, where normalize_output_xor added one
@@ -223,3 +235,55 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
         stages=(s1, s2),
     )
     return result, report
+
+
+# The ANF proof handles one monomial per interpreter step, a sweep 64
+# inputs per machine word: monomials weigh 2**6 inputs of a sweep.
+_MONOMIAL_WEIGHT = 6
+
+
+def _anf_proof(s2: Depth2Circuit, matrix: Gf2Matrix, sweep_work: int) -> bool:
+    """Whether every output of ``s2``, a pure XOR of its middle gates,
+    provably computes x -> matrix * x; False when the proof does not run.
+
+    A middle gate's algebraic normal form (ANF) is the XOR of monomials
+    over its inputs.  Output i computes the XOR of its gates' ANFs, which
+    is row i of ``matrix`` iff its monomials are exactly that row's
+    degree-1 monomials: every monomial of degree 0 (the constant gate and
+    negated gates) or of degree >= 2 cancels.  A parity gate's ANF is its
+    inputs and its negation bit; any other gate's comes from a Moebius
+    transform of its table.  The proof runs only when its work, Σ 2**fanin
+    over the read non-parity gates weighted by 2**_MONOMIAL_WEIGHT, is at
+    most ``sweep_work``.
+    """
+    read = sorted({j for o in s2.outputs for j in o.mids})
+    parities = {j: _kernels.parity_of(s2.middle[j].table.bits, s2.middle[j].table.fanin) for j in read}
+    work = sum(1 << s2.middle[j].table.fanin for j in read if parities[j] is None)
+    if work << _MONOMIAL_WEIGHT > sweep_work:
+        return False
+    # per read gate: its degree-1 monomials as a row word, and its other monomials
+    # as a set of input masks (the empty mask is the constant 1)
+    terms = {}
+    for j in read:
+        g = s2.middle[j]
+        parity = parities[j]
+        if parity is not None:
+            mask, neg = parity
+            terms[j] = (sum(1 << g.inputs[k] for k in bit_indices(mask)), {0} if neg else set())
+            continue
+        linear, other = 0, set()
+        for b in bit_indices(_kernels.moebius(g.table.bits, g.table.fanin)):
+            mono = sum(1 << g.inputs[k] for k in bit_indices(b))
+            if b & (b - 1) or not b:
+                other.add(mono)
+            else:
+                linear |= mono
+        terms[j] = (linear, other)
+    for o, want in zip(s2.outputs, matrix.row_words):
+        linear, other = 0, set()
+        for j in o.mids:
+            linear ^= terms[j][0]
+            other ^= terms[j][1]
+        if linear != want or other:
+            return False
+    return True

@@ -3,7 +3,7 @@
 Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 per-point certificate decoder runs its own Gauss-Jordan elimination on
-lists of 0/1 entries, so it shares no code with ``gf2.reduce_columns``,
+lists of 0/1 entries, so it shares no code with ``gf2.row_echelon``,
 which the compiled decoder uses.
 """
 

@@ -51,6 +51,16 @@ def test_gen_circuit_families(tmp_path, capsys):
     general_from_text(gpath.read_text())
 
 
+@pytest.mark.parametrize("family", ["random", "linear", "general"])
+def test_matrix_out_without_a_planted_matrix_is_refused_before_any_write(tmp_path, capsys, family):
+    code = cli.main(["gen-circuit", "--family", family, "--n", "3", "--out", str(tmp_path / "c.ckt"),
+                     "--matrix-out", str(tmp_path / "m.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", "error: --matrix-out needs a planted family\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_command(tmp_path, capsys):
     path = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear", "--n", "3", "--seed", "1", "--out", str(path))
@@ -205,69 +215,101 @@ def test_linearize_report_and_verify(tmp_path, capsys):
     assert code == 0 and "equivalent=true" in out
 
 
-def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
-    src = tmp_path / "c.ckt"
-    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
-        "--seed", "7", "--out", str(src))
+def _complement_a_read_middle_gate(path):
+    # an output parity uses the gate, so the output is no longer 0 at x = 0
+    c = depth2_from_text(path.read_text())
+    o = next(o for o in c.outputs if circuit.is_linear_gate(o.table)[0])
+    j = o.mids[circuit.is_linear_gate(o.table)[0][0]]
+    m = dataclasses.replace(c.middle[j], table=c.middle[j].table.complement())
+    path.write_text(depth2_to_text(dataclasses.replace(c, middle=c.middle[:j] + (m,) + c.middle[j + 1:])))
+
+
+def _complement_output_gate_0(path):
+    c = depth2_from_text(path.read_text())
+    o = dataclasses.replace(c.outputs[0], table=c.outputs[0].table.complement())
+    path.write_text(depth2_to_text(dataclasses.replace(c, outputs=(o,) + c.outputs[1:])))
+
+
+def _count_sweeps(monkeypatch):
     swept = []
     for name in ("output_vectors_depth2", "node_vectors_general"):
         def counted(n, *rest, fn=getattr(_kernels, name)):
             swept.append(n)
             return fn(n, *rest)
         monkeypatch.setattr(_kernels, name, counted)
+    return swept
+
+
+def _count_operator_tables(monkeypatch):
+    built = []
+    real = circuit.operator_table_of_matrix
+
+    def counted(a):
+        built.append(a.rows)
+        return real(a)
+
+    monkeypatch.setattr(circuit, "operator_table_of_matrix", counted)
+    return built
+
+
+@pytest.mark.parametrize("family, command", [("linear-output", "linearize"), ("linear-middle", "encode")])
+def test_accepted_circuits_are_proven_without_a_sweep(tmp_path, capsys, monkeypatch, family, command):
+    # at n = 8 both work rules choose the algebra: no 2**n-bit vector, no operator table
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", family, "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    swept = _count_sweeps(monkeypatch)
+    built = _count_operator_tables(monkeypatch)
+    code, out = run(capsys, command, "--in", str(src))
+    assert code == 0 and ("ok=true" in out if command == "linearize" else out.startswith("n=8\n"))
+    assert (swept, built) == ([], [])
+
+
+def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
+    # a circuit it refuses: the ANF proof fails and one sweep decides
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
+        "--seed", "7", "--out", str(src))
+    _complement_a_read_middle_gate(src)
+    swept = _count_sweeps(monkeypatch)
     code, out = run(capsys, "linearize", "--in", str(src))
-    assert code == 0 and "ok=true" in out
+    assert (code, out) == (1, "linear=false\ncounterexample=00000000\n")
     assert swept == [8]
 
 
 def test_linearize_builds_one_operator_table(tmp_path, capsys, monkeypatch):
-    # the table of the input's sweep; the result is checked by its matrix
+    # the table of the result's matrix, compared with the sweep that decides
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
         "--seed", "7", "--out", str(src))
-    built = []
-    real = circuit.operator_table_of_matrix
-
-    def counted(a):
-        built.append(a.rows)
-        return real(a)
-
-    monkeypatch.setattr(circuit, "operator_table_of_matrix", counted)
+    _complement_a_read_middle_gate(src)
+    built = _count_operator_tables(monkeypatch)
     code, out = run(capsys, "linearize", "--in", str(src))
-    assert code == 0 and "ok=true" in out
+    assert (code, out) == (1, "linear=false\ncounterexample=00000000\n")
     assert built == [8]
 
 
 def test_encode_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
+    # a circuit it refuses: the subcube proof fails and one sweep decides
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "8", "--r", "8",
         "--seed", "7", "--out", str(src))
-    swept = []
-    for name in ("output_vectors_depth2", "node_vectors_general"):
-        def counted(n, *rest, fn=getattr(_kernels, name)):
-            swept.append(n)
-            return fn(n, *rest)
-        monkeypatch.setattr(_kernels, name, counted)
+    _complement_output_gate_0(src)
+    swept = _count_sweeps(monkeypatch)
     code, out = run(capsys, "encode", "--in", str(src))
-    assert code == 0 and out.startswith("n=8\n")
+    assert (code, out) == (1, "linear=false\ncounterexample=00000000\n")
     assert swept == [8]
 
 
 def test_encode_builds_one_operator_table(tmp_path, capsys, monkeypatch):
-    # the table of the certificate's own matrix, compared with the sweep
+    # the table of the certificate's own matrix, compared with the sweep that decides
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear-middle", "--n", "8", "--r", "8",
         "--seed", "7", "--out", str(src))
-    built = []
-    real = circuit.operator_table_of_matrix
-
-    def counted(a):
-        built.append(a.rows)
-        return real(a)
-
-    monkeypatch.setattr(circuit, "operator_table_of_matrix", counted)
+    _complement_output_gate_0(src)
+    built = _count_operator_tables(monkeypatch)
     code, out = run(capsys, "encode", "--in", str(src))
-    assert code == 0 and out.startswith("n=8\n")
+    assert (code, out) == (1, "linear=false\ncounterexample=00000000\n")
     assert built == [8]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from oracles import decode_per_point
@@ -27,7 +28,7 @@ from wirelab.compress import (
     serialize,
 )
 from wirelab.generators import linear_middle_instance, random_matrix
-from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec, row_echelon
 
 
 def identity_depth2(n: int) -> Depth2Circuit:
@@ -347,3 +348,50 @@ def test_operator_encoding_validation():
         OperatorEncoding(2, 1, (), (0, 0), ((), ()))  # no row word for the middle gate
     with pytest.raises(ValueError):
         OperatorEncoding(2, 1, (0,), (0, 0), ((1,), ()))  # more basis bits than wires
+
+
+# --- the subcube proof -------------------------------------------------------
+
+def test_encode_proves_n20_without_a_2n_bit_vector():
+    c, a = linear_middle_instance(20, 10, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        enc = encode(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20) // 8
+    assert decode_matrix(enc) == a
+
+
+def test_a_decoder_fault_off_the_chosen_inputs_fails_part_b(monkeypatch):
+    # flip A[i][j] for a column j that is not one of output i's chosen
+    # inputs: the subcube sees no difference, the row-space test does
+    c, _ = linear_middle_instance(6, 4, 0.5, seed=5)
+    rows = [sum(1 << k for k in m.inputs) for m in c.middle]
+    i, j = next(
+        (i, j) for i, o in enumerate(c.outputs) for j in range(c.n)
+        if j not in row_echelon(rows[t] for t in o.mids)[0]
+    )
+    real = compress.decode_matrix
+
+    def flipped(enc):
+        words = list(real(enc).row_words)
+        words[i] ^= 1 << j
+        return Gf2Matrix(enc.n, enc.n, tuple(words))
+
+    # what the sweep reports: the lowest input where c differs from the faulty matrix
+    swept = operator_table_of_matrix(flipped(encode(c))).first_difference(collapse(c))
+    proofs = []
+    real_proof = compress._subcube_proof
+
+    def subcube_proof(*args):
+        proofs.append(real_proof(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(compress, "decode_matrix", flipped)
+    monkeypatch.setattr(compress, "_subcube_proof", subcube_proof)
+    with pytest.raises(NotLinearError) as err:
+        encode(c)
+    assert proofs == [False]
+    assert err.value.x == swept == 1 << j

@@ -13,7 +13,7 @@ from wirelab.gf2 import (
     from_text,
     matmul,
     matvec,
-    reduce_columns,
+    row_echelon,
     solve_in_span,
     to_text,
 )
@@ -179,8 +179,11 @@ def test_property_solve_recombines_span_members(m, data):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_property_reduce_columns_is_the_greedy_basis_with_coefficients(m):
+    # the row-echelon reduction: its pivots are the greedy first basis of
+    # the columns, and bit j of reduced row k is column j's coefficient on
+    # basis element k
+    chosen, reduced = row_echelon(m.row_words)
     cols = m.transpose().row_words
-    chosen, coeffs = reduce_columns(cols)
     kept: list[list[int]] = []
     greedy = []
     for j in range(m.cols):
@@ -189,9 +192,10 @@ def test_property_reduce_columns_is_the_greedy_basis_with_coefficients(m):
             kept.append(col)
             greedy.append(j)
     assert chosen == greedy
+    assert len(reduced) == len(chosen)
     for j, col in enumerate(cols):
         acc = 0
         for k, basis_col in enumerate(chosen):
-            if (coeffs[j] >> k) & 1:
+            if (reduced[k] >> j) & 1:
                 acc ^= cols[basis_col]
-        assert acc == col and coeffs[j] >> len(chosen) == 0
+        assert acc == col

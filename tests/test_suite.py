@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from wirelab import _kernels, bounds, cli, suite, transforms
-from wirelab.circuit import depth2_from_text, equivalent
+from wirelab import _kernels, bounds, cli, compress, suite, transforms
+from wirelab.circuit import depth2_from_text, equivalent, general_from_text
 from wirelab.generators import random_matrix
 from wirelab.gf2 import Gf2Matrix
 
@@ -54,6 +54,67 @@ def test_codec_counts_every_planted_failure_and_keeps_the_first(monkeypatch):
     assert r.witness.startswith(f"failed=codec-roundtrip\nseed={bad[0]}\ninput=10000\ncircuit:\n")
     c = depth2_from_text(r.witness.split("circuit:\n", 1)[1])
     assert c.n == 5
+
+
+def _flip_first_entry_at_n5_in_compress(monkeypatch):
+    # the decoder encode proves through: its proof fails and it raises
+    real = compress.decode_matrix
+
+    def decode_matrix(enc):
+        a = real(enc)
+        if enc.n != 5:
+            return a
+        return Gf2Matrix(a.rows, a.cols, (a.row_words[0] ^ 1,) + a.row_words[1:])
+
+    monkeypatch.setattr(compress, "decode_matrix", decode_matrix)
+
+
+RAISED = "error=NotLinearError: circuit does not compute a linear operator\n"
+
+
+def test_codec_counts_a_proof_that_fails_inside_encode(monkeypatch):
+    _flip_first_entry_at_n5_in_compress(monkeypatch)
+    trials, n_max, seed = 30, 6, 43
+    bad = _seeds_drawing_n5(trials, n_max, seed)
+    assert bad
+    r = suite.run_codec(trials, n_max, seed)
+    assert (r.trials, r.failures, r.ok) == (trials, len(bad), False)
+    head = f"failed=codec-roundtrip\nseed={bad[0]}\ninput=10000\n{RAISED}circuit:\n"
+    assert r.witness.startswith(head)
+    assert depth2_from_text(r.witness[len(head):]).n == 5
+
+
+def test_cli_suite_exits_1_on_a_proof_that_fails_inside_encode(monkeypatch, capsys):
+    _flip_first_entry_at_n5_in_compress(monkeypatch)
+    trials, n_max, seed = 10, 6, 7
+    bad = _seeds_drawing_n5(trials, n_max, seed + 1)  # the codec check runs at seed + 1
+    assert bad
+    code = cli.main(["suite", "--trials", str(trials), "--n-max", str(n_max), "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"check=codec trials={trials} failures={len(bad)} " in out
+    assert f"witness_codec:\nfailed=codec-roundtrip\nseed={bad[0]}\ninput=10000\n{RAISED}" in out
+    assert out.endswith("suite_ok=false\n")
+
+
+def test_fanin_cap_counts_a_value_error_raised_inside_cap_fanin(monkeypatch):
+    real = suite.cap_fanin
+
+    def cap_fanin(c):
+        if c.n == 3:
+            raise ValueError("planted")
+        return real(c)
+
+    monkeypatch.setattr(suite, "cap_fanin", cap_fanin)
+    trials, n_max, seed = 20, 5, 44
+    bad = [suite._trial_seed(seed, t) for t in range(trials)
+           if random.Random(suite._trial_seed(seed, t)).randint(2, n_max) == 3]
+    assert bad and len(bad) < trials
+    r = suite.run_fanin_cap(trials, n_max, seed)
+    assert (r.trials, r.failures, r.ok) == (trials, len(bad), False)
+    head = f"failed=fanin-cap\nseed={bad[0]}\nerror=ValueError: planted\ncircuit:\n"
+    assert r.witness.startswith(head)
+    assert general_from_text(r.witness[len(head):]).n == 3
 
 
 def test_stage_check_fails_alone_on_a_non_equivalent_stage(monkeypatch):
@@ -96,21 +157,22 @@ def test_cli_suite_writes_the_witness_and_exits_1(monkeypatch, tmp_path, capsys)
 
 
 def test_gf2_oracles_catch_a_dropped_coefficient_bit(monkeypatch):
-    real = suite.reduce_columns
+    real = suite.row_echelon
 
-    def reduce_columns(cols):
-        chosen, coeffs = real(cols)
-        return chosen, coeffs[:-1] + [coeffs[-1] & (coeffs[-1] - 1)]
+    def row_echelon(rows):
+        # column 0 loses its coefficient bit: it is a unit when column 0 is nonzero
+        pivots, reduced = real(rows)
+        return pivots, [reduced[0] & ~1] + reduced[1:] if reduced else reduced
 
-    monkeypatch.setattr(suite, "reduce_columns", reduce_columns)
+    monkeypatch.setattr(suite, "row_echelon", row_echelon)
     trials, dim_max, seed = 30, 6, 46
-    bad = []  # a trial fails when its last column is nonzero: it has a bit to drop
+    bad = []  # a trial fails when its column 0 is nonzero: it has a bit to drop
     for t in range(trials):
         s = suite._trial_seed(seed, t)
         rng = random.Random(s)
         rows_n, cols_n = rng.randint(1, dim_max), rng.randint(1, dim_max)
         m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
-        if any((w >> (cols_n - 1)) & 1 for w in m.row_words):
+        if any(w & 1 for w in m.row_words):
             bad.append(s)
     assert bad and len(bad) < trials
     r = suite.run_gf2_oracles(trials, dim_max, seed)
@@ -141,8 +203,9 @@ def test_battery_computes_each_linear_bound_twice(monkeypatch):
     assert calls == Counter(dict.fromkeys(bounds.DEFAULT_TABLE_NS, 2))
 
 
-def test_linearize_trial_sweeps_four_times(monkeypatch):
-    # linearize's own sweep of c, then one each of c, stage 1 and stage 2
+def test_linearize_trial_sweeps_the_input_and_both_stages(monkeypatch):
+    # one sweep each of c, stage 1 and stage 2, and linearize's own sweep
+    # of c only where its work rule declines the ANF proof
     calls = []
     real = _kernels._sweep
 
@@ -150,11 +213,22 @@ def test_linearize_trial_sweeps_four_times(monkeypatch):
         calls.append(args[0])
         return real(*args)
 
+    declined = []
+    real_proof = transforms._anf_proof
+
+    def anf_proof(s2, matrix, sweep_work):
+        proved = real_proof(s2, matrix, sweep_work)
+        if not proved:
+            declined.append(s2.n)
+        return proved
+
     monkeypatch.setattr(_kernels, "_sweep", sweep)
+    monkeypatch.setattr(transforms, "_anf_proof", anf_proof)
     trials = 10
-    lin, stages = suite.run_linearization(trials, 6, 42)
+    lin, stages = suite.run_linearization(trials, 8, 42)
     assert lin.ok and stages.ok
-    assert len(calls) == 4 * trials
+    assert 0 < len(declined) < trials
+    assert len(calls) == 3 * trials + len(declined)
 
 
 def test_trials_below_one_are_refused_before_any_trial(monkeypatch, capsys):

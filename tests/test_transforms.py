@@ -1,7 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from oracles import parity_rows
-from wirelab import _kernels
+from wirelab import _kernels, transforms
 from wirelab._kernels import ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -346,3 +349,49 @@ def test_linearize_second_level_unchanged_by_final_stage():
         s2 = normalize_output_xor(remove_direct_wires(c))
         lin, _ = linearize(c)
         assert lin.second_level.popcount() == s2.second_level_wires()
+
+
+# --- the ANF proof -----------------------------------------------------------
+
+def test_linearize_proves_n20_without_a_2n_bit_vector():
+    c, a = linear_output_instance(20, 10, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        _, rep = linearize(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20) // 8
+    assert rep.matrix == a
+
+
+def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
+    # output 0 reads identity gate 0 and a pair of equal fanin-n tables,
+    # which cancel: the circuit computes the identity
+    n = 6
+    base = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()
+    wide = MiddleGate(tuple(range(n)), TruthTable(n, 0x1234_5678_9ABC_DEF0))
+    assert _kernels.parity_of(wide.table.bits, n) is None
+    out0 = parity_out((0, n, n + 1))
+    c = Depth2Circuit(n, base.middle + (wide, wide), (out0,) + base.outputs[1:])
+    swept = []
+    real = _kernels._sweep
+
+    def sweep(*args):
+        swept.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    _, rep = linearize(c)
+    assert swept == [n]  # the rule declined the proof: two fanin-n tables outweigh a 14-gate sweep
+    assert rep.matrix == Gf2Matrix.identity(n)
+    # the same verdict as the ANF proof, run without the rule
+    assert transforms._anf_proof(rep.stages[1], rep.matrix, 1 << 62)
+    # and the same refusal once the pair no longer cancels
+    other = dataclasses.replace(wide, table=wide.table.complement())
+    bad = dataclasses.replace(c, middle=c.middle[:-1] + (other,))
+    with pytest.raises(NotLinearError) as err:
+        linearize(bad)
+    assert err.value.x == 0
+    s2 = normalize_output_xor(remove_direct_wires(bad))
+    assert not transforms._anf_proof(s2, rep.matrix, 1 << 62)
