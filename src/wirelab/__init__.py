@@ -2,7 +2,7 @@
 wire-count bounds, with exhaustive verification at desk scale."""
 
 from ._kernels import BACKEND, EXHAUSTIVE_CAP, ExhaustiveCapError
-from .gf2 import Gf2Matrix, Gf2Vector, first_basis_columns, matvec, solve_in_span
+from .gf2 import Gf2Matrix, Gf2Vector, matvec
 from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
@@ -54,7 +54,6 @@ __all__ = [
     "deserialize",
     "encode",
     "equivalent",
-    "first_basis_columns",
     "is_linear_gate",
     "linear_circuit_lower_bound",
     "linearize",
@@ -65,6 +64,5 @@ __all__ = [
     "normalize_output_xor",
     "remove_direct_wires",
     "serialize",
-    "solve_in_span",
     "weak_counterexample",
 ]

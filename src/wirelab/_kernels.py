@@ -331,7 +331,11 @@ def output_vectors_depth2(
     out_directs: list[tuple[int, ...]],
     out_tables: list[int],
 ) -> list[int]:
-    """Per-output value vectors of a depth-2 circuit over all 2**n inputs."""
+    """Per-output value vectors of a depth-2 circuit over all 2**n inputs.
+
+    No library code calls this: ``collapse`` sweeps a depth-2 circuit's
+    node view through ``node_vectors_general``.  Only the benchmark
+    (``perfbench``'s tracer and kernel timings) calls it."""
     # middle gate j is node n + j; an output reads its middle gates, then its direct inputs.
     # Lists, not generator expressions: with a generator per output, peak RSS grew
     # with every repeated sweep at n = 18-20 (by about 2 MB over a few thousand).

@@ -1,6 +1,12 @@
 """Circuit models: general DAG circuits and depth-2 circuits with
-arbitrary gates, plus evaluation, wire/depth accounting, gate parity
-checks and text serialization.
+arbitrary gates, plus evaluation, wire counts, gate parity checks and
+text serialization.
+
+A general or depth-2 circuit has one node view, ``_nodes``: the preds
+and table bits of each gate, in node order after the n inputs, and the
+output nodes.  The kernel (``collapse``, ``transforms.cap_fanin``) sweeps
+it, and ``_interpret``, the per-point interpreter behind both ``eval``
+methods, reads it one input at a time with no kernel code.
 
 Conventions used throughout:
 
@@ -57,11 +63,6 @@ class TruthTable:
     def identity() -> "TruthTable":
         return TruthTable.parity(1)
 
-    def value(self, assignment: int) -> int:
-        if not 0 <= assignment < (1 << self.fanin):
-            raise ValueError("assignment out of range")
-        return (self.bits >> assignment) & 1
-
     def complement(self) -> "TruthTable":
         return TruthTable(self.fanin, self.bits ^ ((1 << (1 << self.fanin)) - 1))
 
@@ -103,31 +104,15 @@ class GeneralCircuit:
             if not 0 <= o < total:
                 raise ValueError(f"output node {o} does not exist")
 
+    @cached_property
+    def _nodes(self) -> tuple[list, list, tuple[int, ...]]:
+        return [g.preds for g in self.gates], [g.table.bits for g in self.gates], self.outputs
+
     def eval(self, x: Gf2Vector) -> Gf2Vector:
-        if x.length != self.n:
-            raise ValueError("input length mismatch")
-        vals = [(x.bits >> i) & 1 for i in range(self.n)]
-        for g in self.gates:
-            idx = 0
-            for k, p in enumerate(g.preds):
-                idx |= vals[p] << k
-            vals.append(g.table.value(idx))
-        return Gf2Vector.from_coords(vals[o] for o in self.outputs)
+        return _interpret(self.n, self._nodes, x)
 
     def wire_count(self) -> int:
         return sum(len(g.preds) for g in self.gates)
-
-    def depth(self) -> int:
-        # longest input-to-output path; nodes unreachable from inputs carry None
-        dist: list[int | None] = [0] * self.n
-        for g in self.gates:
-            best = None
-            for p in g.preds:
-                if dist[p] is not None:
-                    best = dist[p] if best is None else max(best, dist[p])
-            dist.append(None if best is None else best + 1)
-        reach = [dist[o] for o in self.outputs if dist[o] is not None]
-        return max(reach, default=0)
 
 
 @dataclass(frozen=True)
@@ -170,34 +155,34 @@ class Depth2Circuit:
         if len(self.outputs) != self.n:
             raise ValueError("need exactly n output gates")
         r = len(self.middle)
-        for m in self.middle:
+        for j, m in enumerate(self.middle):
             for i in m.inputs:
                 if not 0 <= i < self.n:
-                    raise ValueError(f"middle gate wired to missing input {i}")
-        for o in self.outputs:
+                    raise ValueError(f"middle gate {j} wired to missing input {i}")
+        for k, o in enumerate(self.outputs):
             for j in o.mids:
                 if not 0 <= j < r:
-                    raise ValueError(f"output wired to missing middle gate {j}")
+                    raise ValueError(f"output {k} wired to missing middle gate {j}")
             for i in o.directs:
                 if not 0 <= i < self.n:
-                    raise ValueError(f"output wired to missing input {i}")
+                    raise ValueError(f"output {k} wired to missing input {i}")
 
     @property
     def r(self) -> int:
         return len(self.middle)
 
     @cached_property
-    def _dag(self) -> GeneralCircuit:
-        """The same circuit as a DAG: middle gate j is node n + j and
-        output i is node n + r + i, reading its middle gates, then its
-        direct inputs."""
+    def _nodes(self) -> tuple[list, list, range]:
+        """Middle gate j is node n + j and output i is node n + r + i,
+        reading its middle gates, then its direct inputs."""
         n, r = self.n, self.r
-        gates = [GeneralGate(m.inputs, m.table) for m in self.middle]
-        gates += [GeneralGate(tuple(n + j for j in o.mids) + o.directs, o.table) for o in self.outputs]
-        return GeneralCircuit(n, tuple(gates), tuple(range(n + r, n + r + n)))
+        preds = [m.inputs for m in self.middle]
+        preds += [[n + j for j in o.mids] + list(o.directs) for o in self.outputs]
+        tables = [m.table.bits for m in self.middle] + [o.table.bits for o in self.outputs]
+        return preds, tables, range(n + r, n + r + n)
 
     def eval(self, x: Gf2Vector) -> Gf2Vector:
-        return self._dag.eval(x)
+        return _interpret(self.n, self._nodes, x)
 
     def first_level_wires(self) -> int:
         return sum(len(m.inputs) for m in self.middle)
@@ -211,8 +196,19 @@ class Depth2Circuit:
     def wire_count(self) -> int:
         return self.first_level_wires() + self.second_level_wires() + self.direct_wires()
 
-    def depth(self) -> int:
-        return self._dag.depth()
+
+def _interpret(n: int, nodes, x: Gf2Vector) -> Gf2Vector:
+    """Outputs of a node view on one input, one table bit per gate."""
+    if x.length != n:
+        raise ValueError("input length mismatch")
+    preds, tables, outputs = nodes
+    vals = [(x.bits >> i) & 1 for i in range(n)]
+    for ps, bits in zip(preds, tables):
+        idx = 0
+        for k, p in enumerate(ps):
+            idx |= vals[p] << k
+        vals.append((bits >> idx) & 1)
+    return Gf2Vector.from_coords(vals[o] for o in outputs)
 
 
 @dataclass(frozen=True)
@@ -238,10 +234,6 @@ class LinearDepth2Circuit:
     def n(self) -> int:
         return self.second_level.rows
 
-    @property
-    def r(self) -> int:
-        return self.first_level.rows
-
     @staticmethod
     def from_matrix(a: Gf2Matrix) -> "LinearDepth2Circuit":
         """Canonical two-level circuit for x -> a*x (middle layer = a's rows)."""
@@ -257,9 +249,6 @@ class LinearDepth2Circuit:
 
     def wire_count(self) -> int:
         return self.first_level.popcount() + self.second_level.popcount()
-
-    def depth(self) -> int:
-        return self.to_depth2().depth()
 
     def to_depth2(self) -> Depth2Circuit:
         first, second = self.first_level.row_words, self.second_level.row_words
@@ -311,22 +300,10 @@ class OperatorTable:
 def collapse(c: Circuit) -> OperatorTable:
     """Evaluate ``c`` on all 2**n inputs; n above the exhaustive cap raises
     ``ExhaustiveCapError`` before any value vector is built."""
-    n = c.n
-    if isinstance(c, GeneralCircuit):
-        cols = _kernels.node_vectors_general(
-            n, [g.preds for g in c.gates], [g.table.bits for g in c.gates], outputs=c.outputs
-        )
-        return OperatorTable(n, tuple(cols))
-    if isinstance(c, Depth2Circuit):
-        cols = _kernels.output_vectors_depth2(
-            n,
-            [m.inputs for m in c.middle],
-            [m.table.bits for m in c.middle],
-            [o.mids for o in c.outputs],
-            [o.directs for o in c.outputs],
-            [o.table.bits for o in c.outputs],
-        )
-        return OperatorTable(n, tuple(cols))
+    if isinstance(c, (GeneralCircuit, Depth2Circuit)):
+        preds, tables, outputs = c._nodes
+        cols = _kernels.node_vectors_general(c.n, preds, tables, outputs=outputs)
+        return OperatorTable(c.n, tuple(cols))
     if isinstance(c, LinearDepth2Circuit):
         return operator_table_of_matrix(c.operator_matrix())
     raise TypeError(f"not a circuit: {type(c).__name__}")

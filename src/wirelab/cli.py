@@ -9,7 +9,8 @@ and, where the format has them, the line or bit offset), and inputs a
 command cannot take, such as an ``encode`` circuit whose middle gates are
 not parities or a ``linearize`` circuit whose output gates are not.
 Failed verifications return 1 themselves; every error raised out of a
-command is a usage error.  Commands that sweep all 2**n inputs accept n
+command is a usage error.  A command writes its ``--out`` file before it
+prints its report, so a refused write prints no report.  Commands that sweep all 2**n inputs accept n
 up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a larger circuit, a
 ``suite --n-max`` outside 3 to 20, or a ``suite --trials`` below 1, is a
 usage error too.
@@ -175,11 +176,11 @@ def cmd_cap_fanin(args) -> int:
     if not isinstance(c, GeneralCircuit):
         raise UsageError("cap-fanin expects a general circuit")
     capped = cap_fanin(c)
+    if args.out:
+        Path(args.out).write_text(general_to_text(capped))
     print(f"wires_before={c.wire_count()}")
     print(f"wires_after={capped.wire_count()}")
     print(f"max_fanin={max((len(g.preds) for g in capped.gates), default=0)}")
-    if args.out:
-        Path(args.out).write_text(general_to_text(capped))
     return 0
 
 
@@ -193,6 +194,8 @@ def cmd_linearize(args) -> int:
         return _verdict("linear", Gf2Vector(c.n, e.x))
     # lin is all-parity, so it computes x -> Mx on every input
     ok = report.within_budget and lin.operator_matrix() == report.matrix
+    if args.out:
+        Path(args.out).write_text(depth2_to_text(lin.to_depth2()))
     print(f"wires_before={report.wires_before}")
     print(f"wires_after={report.wires_after}")
     print(f"added={report.added}")
@@ -200,8 +203,6 @@ def cmd_linearize(args) -> int:
     print(f"added_second_level={report.added_second_level}")
     print(f"budget={report.budget}")
     print(f"ok={'true' if ok else 'false'}")
-    if args.out:
-        Path(args.out).write_text(depth2_to_text(lin.to_depth2()))
     return 0 if ok else 1
 
 
@@ -214,14 +215,14 @@ def cmd_encode(args) -> int:
     except NotLinearError as e:
         return _verdict("linear", Gf2Vector(c.n, e.x))
     data = serialize(enc)
+    if args.out:
+        Path(args.out).write_bytes(data)
     print(f"n={enc.n}")
     print(f"r={enc.r}")
     print(f"wires={enc.wire_count()}")
     print(f"bit_length={bit_length(enc)}")
     if args.hex:
         print(f"hex={data.hex()}")
-    if args.out:
-        Path(args.out).write_bytes(data)
     return 0
 
 

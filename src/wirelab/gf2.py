@@ -53,10 +53,6 @@ class Gf2Vector:
         return Gf2Vector(len(coords), bits)
 
     @staticmethod
-    def zero(length: int) -> "Gf2Vector":
-        return Gf2Vector(length, 0)
-
-    @staticmethod
     def unit(length: int, i: int) -> "Gf2Vector":
         if not 0 <= i < length:
             raise ValueError("unit index out of range")
@@ -64,11 +60,6 @@ class Gf2Vector:
 
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return Gf2Vector(self.length, self.bits ^ other.bits)
 
     def __str__(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.length))
@@ -92,35 +83,8 @@ class Gf2Matrix:
                 raise ValueError("row has entries outside [0, cols)")
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "Gf2Matrix":
-        """Build from an iterable of rows, each a 0/1 sequence."""
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        words = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            w = 0
-            for j, c in enumerate(r):
-                if c not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                w |= c << j
-            words.append(w)
-        return Gf2Matrix(len(rows), cols, tuple(words))
-
-    @staticmethod
     def identity(n: int) -> "Gf2Matrix":
         return Gf2Matrix(n, n, tuple(1 << i for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Gf2Matrix":
-        return Gf2Matrix(rows, cols, (0,) * rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ValueError("index out of range")
-        return (self.row_words[i] >> j) & 1
 
     def row(self, i: int) -> Gf2Vector:
         return Gf2Vector(self.cols, self.row_words[i])

@@ -116,9 +116,8 @@ def cap_fanin(c: GeneralCircuit) -> GeneralCircuit:
     n = c.n
     if all(len(g.preds) <= n for g in c.gates):
         return c
-    vecs = _kernels.node_vectors_general(
-        n, [g.preds for g in c.gates], [g.table.bits for g in c.gates]
-    )
+    preds, tables, _ = c._nodes
+    vecs = _kernels.node_vectors_general(n, preds, tables)
     all_inputs = tuple(range(n))
     gates = []
     for k, g in enumerate(c.gates):

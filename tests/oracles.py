@@ -57,15 +57,6 @@ def parity_rows(c) -> list[set[int]]:
     return rows
 
 
-def depth2_rule(mid_inputs, out_mids, out_directs) -> int:
-    """Depth of a depth-2 circuit from its adjacency lists: 2 if some
-    output reads a middle gate that has inputs, else 1 if there are
-    direct wires, else 0."""
-    if any(mid_inputs[j] for mids in out_mids for j in mids):
-        return 2
-    return 1 if any(out_directs) else 0
-
-
 def eval_general(c, x: list[int]) -> list[int]:
     """Sequential interpreter for a GeneralCircuit, values kept in a dict."""
     val = {i: x[i] for i in range(c.n)}

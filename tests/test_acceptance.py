@@ -107,9 +107,20 @@ def test_criterion_8_gf2_oracles(battery):
            f"trials={r.trials} failures={r.failures}")
 
 
-def test_cli_suite_runs_green(capsys):
-    code = cli.main(["suite", "--trials", "500", "--n-max", "8", "--seed", "42"])
+def test_cli_suite_runs_green(battery, capsys, monkeypatch):
+    # the CLI reports the fixture's battery rather than running it again;
+    # test_suite's golden-file test covers a real CLI run at 40 trials
+    results = list(battery.values())
+
+    def run_all(trials, n_max, seed):
+        assert (trials, n_max, seed) == (TRIALS, N_MAX, SEED)
+        return results
+
+    monkeypatch.setattr(suite, "run_all", run_all)
+    code = cli.main(["suite", "--trials", str(TRIALS), "--n-max", str(N_MAX), "--seed", str(SEED)])
     out = capsys.readouterr().out
     print("PASS cli-suite: exit=0" if code == 0 else f"FAIL cli-suite: exit={code}")
     assert code == 0
-    assert "suite_ok=true" in out
+    checks = [line for line in out.splitlines() if line.startswith("check=")]
+    assert checks == [r.report_lines()[0] for r in results]
+    assert out.endswith("suite_ok=true\n")

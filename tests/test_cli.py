@@ -145,6 +145,35 @@ def test_malformed_circuit_lines_are_usage_errors(tmp_path, capsys):
         assert captured.err.startswith(f"error: {src}: bad circuit line {line!r}: ")
 
 
+def test_depth2_wiring_errors_name_the_gate(tmp_path, capsys):
+    src = tmp_path / "a.ckt"
+    for body, message in (
+        ("mid 0: in 0 5 ; tt 6\nout 0: mid ; direct ; tt 0\nout 1: mid ; direct ; tt 0\n",
+         "middle gate 0 wired to missing input 5"),
+        ("mid 0: in 0 ; tt 2\nout 0: mid ; direct ; tt 0\nout 1: mid 3 ; direct ; tt 2\n",
+         "output 1 wired to missing middle gate 3"),
+        ("mid 0: in 0 ; tt 2\nout 0: mid ; direct 1 7 ; tt 6\nout 1: mid ; direct ; tt 0\n",
+         "output 0 wired to missing input 7"),
+    ):
+        src.write_text("depth2 v1\nn 2 r 1\n" + body)
+        assert cli.main(["eval", "--in", str(src), "--x", "10"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {src}: {message}\n")
+
+
+@pytest.mark.parametrize("family, command", [
+    ("linear-output", "linearize"), ("linear-middle", "encode"), ("general", "cap-fanin"),
+])
+def test_a_refused_out_write_prints_no_report(tmp_path, capsys, family, command):
+    src = tmp_path / "c.ckt"
+    run(capsys, "gen-circuit", "--family", family, "--n", "4", "--seed", "7", "--out", str(src))
+    out = tmp_path / "missing" / "x.out"
+    code = cli.main([command, "--in", str(src), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
 def test_bad_generator_arguments_are_usage_errors(capsys):
     for argv, message in (
         (["gen-matrix", "--n", "3", "--density", "2"], "density must lie in [0, 1]"),
@@ -233,9 +262,9 @@ def _complement_output_gate_0(path):
 def _count_sweeps(monkeypatch):
     swept = []
     for name in ("output_vectors_depth2", "node_vectors_general"):
-        def counted(n, *rest, fn=getattr(_kernels, name)):
+        def counted(n, *rest, fn=getattr(_kernels, name), **kwargs):
             swept.append(n)
-            return fn(n, *rest)
+            return fn(n, *rest, **kwargs)
         monkeypatch.setattr(_kernels, name, counted)
     return swept
 
@@ -315,10 +344,10 @@ def test_encode_builds_one_operator_table(tmp_path, capsys, monkeypatch):
 
 def _flip_a_read_first_level_entry(lin):
     # a middle gate some output reads, so the flip changes the operator
-    j = next(j for j in range(lin.r) if any((w >> j) & 1 for w in lin.second_level.row_words))
+    j = next(j for j in range(lin.first_level.rows) if any((w >> j) & 1 for w in lin.second_level.row_words))
     rows = list(lin.first_level.row_words)
     rows[j] ^= 1
-    return dataclasses.replace(lin, first_level=Gf2Matrix(lin.r, lin.n, tuple(rows)))
+    return dataclasses.replace(lin, first_level=Gf2Matrix(len(rows), lin.n, tuple(rows)))
 
 
 @pytest.mark.parametrize("spoil", [_flip_a_read_first_level_entry])

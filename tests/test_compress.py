@@ -52,7 +52,7 @@ def test_encode_zero_second_level():
     enc = encode(Depth2Circuit(3, mids, outs))
     assert enc.r == 0  # the unread middle gate is dropped
     assert enc.basis_bits == ((), (), ())
-    assert decode_matrix(enc) == Gf2Matrix.zero(3, 3)
+    assert decode_matrix(enc) == Gf2Matrix(3, 3, (0,) * 3)
 
 
 def test_encode_rejects_direct_wires():
@@ -125,7 +125,7 @@ def test_encode_proves_through_the_decoder(monkeypatch):
 def test_decode_zero_input_gives_zero():
     c, _ = linear_middle_instance(5, 6, 0.5, seed=19)
     enc = encode(c)
-    assert decode(enc, Gf2Vector.zero(5)) == Gf2Vector.zero(5)
+    assert decode(enc, Gf2Vector(5, 0)) == Gf2Vector(5, 0)
 
 
 def test_decode_unit_vectors_give_matrix_columns():
@@ -156,7 +156,7 @@ def _oracle_encodings():
     yield encode(identity_depth2(5)), Gf2Matrix.identity(5)
     mids = (MiddleGate((0, 2), TruthTable.parity(2)),)
     outs = tuple(OutputGate((), (), TruthTable.constant(0)) for _ in range(4))
-    yield encode(Depth2Circuit(4, mids, outs)), Gf2Matrix.zero(4, 4)
+    yield encode(Depth2Circuit(4, mids, outs)), Gf2Matrix(4, 4, (0,) * 4)
 
 
 def test_decode_matches_per_point_oracle_on_every_input():
@@ -175,7 +175,7 @@ def test_decode_matches_per_point_oracle_on_every_input():
 def test_decode_rejects_bad_input_length():
     enc = encode(identity_depth2(3))
     with pytest.raises(ValueError, match="length"):
-        decode(enc, Gf2Vector.zero(4))
+        decode(enc, Gf2Vector(4, 0))
 
 
 def test_decode_detects_corrupted_basis_string():

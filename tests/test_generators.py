@@ -59,7 +59,7 @@ def test_density_zero_gives_zero_operator():
     c = random_depth2(4, 3, 0.0, seed=1)
     assert all(m.table.fanin == 0 for m in c.middle)
     t = collapse(c)
-    assert all(t.value_at(x) == Gf2Vector.zero(4) for x in range(16))
+    assert all(t.value_at(x) == Gf2Vector(4, 0) for x in range(16))
 
 
 def test_density_bounds_checked():

@@ -56,6 +56,21 @@ def test_codec_counts_every_planted_failure_and_keeps_the_first(monkeypatch):
     assert c.n == 5
 
 
+def test_weak_vs_full_sweeps_its_full_side(monkeypatch):
+    # a kernel fault that sets one bit of the first output: matvec on unit
+    # vectors cannot see it, so every agreeing pair must now fail
+    assert suite.run_weak_vs_full(20, 5, 45).ok
+    real = _kernels._sweep
+
+    def flipped(*args, **kwargs):
+        vecs = real(*args, **kwargs)
+        return [vecs[0] ^ 1] + vecs[1:]
+
+    monkeypatch.setattr(_kernels, "_sweep", flipped)
+    r = suite.run_weak_vs_full(20, 5, 45)
+    assert r.failures > 0 and r.witness.startswith("failed=weak-vs-full\nseed=")
+
+
 def _flip_first_entry_at_n5_in_compress(monkeypatch):
     # the decoder encode proves through: its proof fails and it raises
     real = compress.decode_matrix

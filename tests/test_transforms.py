@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from oracles import parity_rows
-from wirelab import _kernels, transforms
+from wirelab import _kernels, gf2, transforms
 from wirelab._kernels import ExhaustiveCapError
 from wirelab.circuit import (
     Depth2Circuit,
@@ -200,8 +200,8 @@ def test_linearize_nand_at_zero_pair():
     assert equivalent(c, lin)
     assert report.within_budget
     assert lin.first_level.popcount() <= c.first_level_wires()
-    assert lin.first_level == Gf2Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    assert lin.operator_matrix() == Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert lin.first_level == gf2.from_text("3 3\n000\n000\n001\n")
+    assert lin.operator_matrix() == gf2.from_text("3 3\n001\n000\n000\n")
 
 
 def test_linearize_unpaired_not_and_constant():
@@ -215,7 +215,7 @@ def test_linearize_unpaired_not_and_constant():
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget
-    assert lin.first_level == Gf2Matrix.from_rows([[1], [0]])
+    assert lin.first_level == gf2.from_text("2 1\n1\n0\n")
     assert lin.operator_matrix() == Gf2Matrix.identity(1)
     assert lin.eval(Gf2Vector(1, 1)) == Gf2Vector(1, 1)
 
@@ -289,7 +289,7 @@ def test_linearize_cancellation_pair_instance():
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget
-    want = Gf2Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    want = gf2.from_text("3 3\n001\n000\n000\n")
     assert lin.operator_matrix() == want
     # the AND pair is non-zero on no unit vector: its first-level rows are empty
     assert lin.first_level.row_words[0] == 0 and lin.first_level.row_words[1] == 0
