@@ -26,9 +26,12 @@ from its table and preds:
   delta swaps against the input masks that move table variable k to
   input ``ps[k]``.  The sweep stretches a gate only when a work estimate
   from its fanin and its swaps (``_stretch_pays``) beats the mux tree's
-  2**(fanin-1) merges; a gate wired to inputs ``0..n-1`` in order, as
-  every gate ``cap_fanin`` rewires, is its table.
-* **mux tree** (``_mux_tree``) for every other gate: 2**(fanin-1) merges.
+  cost; a gate wired to inputs ``0..n-1`` in order, as every gate
+  ``cap_fanin`` rewires, is its table.
+* **mux tree** (``_mux_tree``) for every other gate: each table nibble
+  is looked up as one of 16 functions of the first two arguments, so the
+  tree does 2**(fanin-2) - 1 merges, the lowest 2**(fanin-3) of them
+  with a looked-up ``lo ^ hi``.
 """
 
 from __future__ import annotations
@@ -131,33 +134,84 @@ def apply_table(table: int, argvecs: list[int], full: int) -> int:
     return _mux_tree(table, argvecs, full)
 
 
+# The functions of (v0, v1) named by nibbles 1..7 of a table: bit
+# v0 + 2 * v1 of the nibble is the value there.  Nibble 0 is the zero
+# vector, and nibble 15 - k is the complement of nibble k.
+_NIBBLES = (
+    None,
+    lambda v0, v1, full: full ^ (v0 | v1),
+    lambda v0, v1, full: v0 ^ (v0 & v1),
+    lambda v0, v1, full: full ^ v1,
+    lambda v0, v1, full: v1 ^ (v0 & v1),
+    lambda v0, v1, full: full ^ v0,
+    lambda v0, v1, full: v0 ^ v1,
+    lambda v0, v1, full: full ^ (v0 & v1),
+)
+
+
+def _byte_plan(byte: int) -> tuple[int, int, int]:
+    """How ``_mux_tree`` builds the level-3 node of one table byte from the
+    kept leaves: the leaf of its low nibble, the leaf of the XOR of its
+    two nibbles, and the complements to apply (bit 1: of the low nibble,
+    bit 0: of the XOR)."""
+    low, diff = byte & 15, (byte & 15) ^ (byte >> 4)
+    return min(low, 15 - low), min(diff, 15 - diff), (low > 7) << 1 | (diff > 7)
+
+
+_BYTE_PLANS = tuple(_byte_plan(b) for b in range(256))
+
+
 def _mux_tree(table: int, argvecs: list[int], full: int) -> int:
     """Shannon expansion of a table with at least one argument.
 
     Node ``j`` of level ``k`` is the gate restricted to table bits
-    ``[j * 2**k, (j + 1) * 2**k)``.  A level-1 node depends on the first
-    argument only, so its two table bits pick 0, ~v0, v0 or full.  Nodes
-    ``lo = 2j`` and ``hi = 2j + 1`` of level ``k`` merge on argument ``k``
-    into ``lo ^ ((lo ^ hi) & v)``.  Level-1 nodes are made in order and
-    merged like a binary counter, so each level holds at most one pending
-    vector: memory stays at fanin + 1 vectors, not 2**(fanin - 1).
+    ``[j * 2**k, (j + 1) * 2**k)``.  Nodes ``lo = 2j`` and ``hi = 2j + 1``
+    of level ``k`` merge on argument ``k`` into ``lo ^ ((lo ^ hi) & v)``.
+
+    A level-2 node is a table nibble, which names one of 16 functions of
+    the first two arguments (v0, v1).  Each is built on its first use,
+    and of a complementary pair (nibbles k and 15 - k) only k < 8 is
+    kept, its partner one XOR with ``full`` away.  Nibble functions XOR
+    as their nibbles do, so a level-3 node, a table byte with nibbles
+    ``lo`` and ``hi``, is ``L(lo) ^ (L(lo ^ hi) & v2)``: two lookups and
+    at most three ops, where a merge takes three.  A gate of fanin 2
+    reads the zero vector as its third argument.
+
+    Level-3 nodes are made in order and merged like a binary counter, so
+    each level holds at most one pending vector, and a slot is cleared
+    once merged: besides the arguments, memory stays at fanin - 2
+    pending vectors, 7 leaves and ``full ^ v2``, not 2**(fanin-3) nodes.
     """
     fanin = len(argvecs)
-    v0 = argvecs[0]
-    leaves = (0, full ^ v0, v0, full)
-    pairs = table.to_bytes(((1 << fanin) + 7) >> 3, "little")
-    pending = [0] * (fanin + 1)
-    for j in range(1 << (fanin - 1)):
-        acc = leaves[(pairs[j >> 2] >> ((j & 3) << 1)) & 3]
-        level = 1
+    if fanin == 1:
+        return (0, full ^ argvecs[0], argvecs[0], full)[table & 3]
+    v0, v1, v2 = argvecs[0], argvecs[1], argvecs[2] if fanin > 2 else 0
+    fixes = (0, v2, full, full ^ v2)
+    leaves = [0] + [None] * 7
+    top = max(fanin, 3)
+    pending = [0] * (top + 1)
+    for j, byte in enumerate(table.to_bytes(((1 << fanin) + 7) >> 3, "little")):
+        low, diff, fix = _BYTE_PLANS[byte]
+        acc = leaves[low]
+        if acc is None:
+            acc = leaves[low] = _NIBBLES[low](v0, v1, full)
+        if diff:
+            d = leaves[diff]
+            if d is None:
+                d = leaves[diff] = _NIBBLES[diff](v0, v1, full)
+            acc ^= d & v2
+        if fix:
+            acc ^= fixes[fix]
+        level = 3
         while j & 1:
             lo = pending[level]
+            pending[level] = 0
             if lo != acc:
                 acc = lo ^ ((lo ^ acc) & argvecs[level])
             j >>= 1
             level += 1
         pending[level] = acc
-    return pending[fanin]
+    return pending[top]
 
 
 def _swap(x: int, i: int, j: int, mi: int, mj: int) -> int:
@@ -195,11 +249,15 @@ def _stretch_pays(ps, n: int) -> bool:
     """Whether a stretch of a gate on distinct inputs ``ps`` costs less
     than its mux tree.
 
-    In units of one mux merge on whole vectors, the mux tree costs
-    2**(fanin-1).  The stretch costs about 1 for the tiling, and each
-    table variable k not already at input ``ps[k]`` at most one swap:
-    1 for its interpreter overhead plus 13 * 2**j / 2**n for its big-int
-    ops, where j = max(ps[k], fanin - 1) is the swap's top position.
+    In units of one mux merge on whole vectors, the mux tree costs about
+    2**(fanin-2): 2**(fanin-3) table bytes of at most three ops each,
+    and 2**(fanin-3) - 1 merges of three.  The stretch
+    costs about 1 for the tiling, and each table variable k not already
+    at input ``ps[k]`` at most one swap: 1 for its interpreter overhead
+    plus 4 * 2**j / 2**n for its big-int ops, where j = max(ps[k],
+    fanin - 1) is the swap's top position.  The constants were fitted on
+    timings of both forms at n = 6..16 and fanin 2..11 (CPython 3.11 on
+    a 2-CPU x86-64 host).
     """
     top = len(ps) - 1
     moves = work = 0
@@ -207,7 +265,7 @@ def _stretch_pays(ps, n: int) -> bool:
         if p != k:
             moves += 1
             work += 1 << max(p, top)
-    return ((1 + moves) << n) + 13 * work < 1 << (n + top)
+    return ((1 + moves) << n) + 4 * work < 1 << (n + top - 1)
 
 
 def _stretch(table: int, ps, n: int, masks) -> int:

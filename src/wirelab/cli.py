@@ -37,7 +37,7 @@ from .circuit import (
     general_to_text,
     weak_counterexample,
 )
-from .compress import bit_length, decode, deserialize, encode, serialize
+from .compress import CorruptEncodingError, bit_length, decode, deserialize, encode, serialize
 from .generators import (
     linear_middle_instance,
     linear_output_instance,
@@ -229,7 +229,11 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     enc = _load(args.infile, deserialize, binary=True)
     x = _parse_x(args.x, enc.n)
-    print(f"z={decode(enc, x)}")
+    try:
+        z = decode(enc, x)
+    except CorruptEncodingError as e:  # a well-formed stream that decodes to nothing
+        raise UsageError(f"{args.infile}: {e}") from e
+    print(f"z={z}")
     return 0
 
 

@@ -319,8 +319,11 @@ def deserialize(data: bytes) -> OperatorEncoding:
             words[pos[0]] |= 1 << pos[1]
         levels.append(tuple(words))
     basis_bits = []
-    for i in range(n):
+    for i, wires in enumerate(levels[1]):
+        at = r.pos
         t = r.read(_FIELD, f"t_{i}")
+        if t > wires.bit_count():
+            raise EncodingFormatError(f"output {i} stores more basis bits than wires", at)
         basis_bits.append(r.read_bits(t, f"basis bit of output {i}"))
     at = r.pos
     if r.total - r.pos >= 8:

@@ -122,3 +122,18 @@ def decode_per_point(enc, x):
             z ^= coeff & value
         bits |= z << i
     return Gf2Vector(enc.n, bits)
+
+
+def ope1_stream(n, r, b_pairs, c_pairs, basis):
+    """An OPE1 stream written field by field, without ``serialize``."""
+    w = max(n, r).bit_length()
+    fields = [(byte, 8) for byte in b"OPE1"] + [(n, 16), (r, 16)]
+    for pairs in (b_pairs, c_pairs):
+        fields.append((len(pairs), 16))
+        fields += [(v, w) for pair in pairs for v in pair]
+    for bits in basis:
+        fields.append((len(bits), 16))
+        fields += [(b, 1) for b in bits]
+    text = "".join(format(v, f"0{width}b") for v, width in fields)
+    text += "0" * (-len(text) % 8)
+    return int(text, 2).to_bytes(len(text) // 8, "big")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import eval_depth2
+from oracles import eval_depth2, ope1_stream
 from wirelab import _kernels, circuit, cli, suite
 from wirelab.circuit import (
     Depth2Circuit,
@@ -114,6 +114,16 @@ def test_corrupt_certificate_is_a_usage_error(tmp_path, capsys):
         assert cli.main(["decode", "--in", str(ope), "--x", "0000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "(at bit " in err
+
+
+def test_certificate_without_its_basis_values_is_a_usage_error_naming_the_file(tmp_path, capsys):
+    # a well-formed stream whose output 0 reads a rank-1 pattern but stores nothing
+    ope = tmp_path / "bad.ope"
+    ope.write_bytes(ope1_stream(2, 1, [(0, 0), (0, 1)], [(0, 0), (1, 0)], [(), (1,)]))
+    assert cli.main(["decode", "--in", str(ope), "--x", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ope}: output 0 stores 0 basis values, but its wire pattern has rank 1\n"
 
 
 def test_bad_input_vector_and_matrix_are_usage_errors(tmp_path, capsys):

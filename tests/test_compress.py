@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from oracles import decode_per_point
+from oracles import decode_per_point, ope1_stream
 
 from wirelab import compress
 from wirelab.circuit import (
@@ -303,23 +303,8 @@ def test_deserialize_rejects_out_of_range_positions():
         deserialize(bytes(bad))
 
 
-def _stream(n, r, b_pairs, c_pairs, basis):
-    """An OPE1 stream written field by field, without ``serialize``."""
-    w = max(n, r).bit_length()
-    fields = [(byte, 8) for byte in b"OPE1"] + [(n, 16), (r, 16)]
-    for pairs in (b_pairs, c_pairs):
-        fields.append((len(pairs), 16))
-        fields += [(v, w) for pair in pairs for v in pair]
-    for bits in basis:
-        fields.append((len(bits), 16))
-        fields += [(b, 1) for b in bits]
-    text = "".join(format(v, f"0{width}b") for v, width in fields)
-    text += "0" * (-len(text) % 8)
-    return int(text, 2).to_bytes(len(text) // 8, "big")
-
-
 def test_hand_written_stream_with_sorted_pairs_is_accepted():
-    data = _stream(2, 2, [(0, 1), (1, 0)], [(0, 0), (1, 0), (1, 1)], [(1,), (0, 1)])
+    data = ope1_stream(2, 2, [(0, 1), (1, 0)], [(0, 0), (1, 0), (1, 1)], [(1,), (0, 1)])
     assert serialize(deserialize(data)) == data
 
 
@@ -335,10 +320,19 @@ def test_hand_written_stream_with_sorted_pairs_is_accepted():
     ],
 )
 def test_deserialize_rejects_repeated_or_unsorted_pairs(name, b_pairs, c_pairs, at):
-    data = _stream(2, 2, b_pairs, c_pairs, [(), ()])
+    data = ope1_stream(2, 2, b_pairs, c_pairs, [(), ()])
     with pytest.raises(EncodingFormatError, match=f"^{name} positions out of order") as err:
         deserialize(data)
     assert err.value.bit_offset == at
+
+
+def test_deserialize_reports_an_overlong_basis_string_at_its_length_field():
+    # output 1 reads one middle gate but stores two basis bits; its t_1
+    # field starts at bit 129, after 128 bits of header, pairs and t_0
+    data = ope1_stream(2, 1, [(0, 0), (0, 1)], [(0, 0), (1, 0)], [(1,), (0, 1)])
+    with pytest.raises(EncodingFormatError, match="^output 1 stores more basis bits than wires") as err:
+        deserialize(data)
+    assert err.value.bit_offset == 129
 
 
 def test_operator_encoding_validation():

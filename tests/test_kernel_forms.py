@@ -1,12 +1,14 @@
 """The four forms of a kernel sweep (row word, fold, stretch, mux tree):
 ``collapse`` against the per-point interpreters on circuits that hit
-each form, each form against the mux tree on its own, and pins on the
-work and memory the forms save."""
+each form, each form against the mux tree on its own, the mux tree
+against a per-point table lookup, and pins on the work and memory the
+forms save."""
 
 import random
 import sys
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +175,47 @@ def test_cap_fanin_is_equivalent(n, gates, seed, over):
     capped = cap_fanin(c)
     assert collapse(capped) == collapse(c)
     assert_collapse_matches(capped, eval_general)
+
+
+def _per_point(table, argvecs, points):
+    """A gate's value vector, one table lookup per point."""
+    vec = 0
+    for x in range(points):
+        index = sum(((v >> x) & 1) << k for k, v in enumerate(argvecs))
+        vec |= ((table >> index) & 1) << x
+    return vec
+
+
+def _leaf_tables(fanin, rng):
+    """Random tables, and tables built from chosen leaves: every byte value
+    in turn, over as many tables as that takes (so every nibble, and
+    every pair of nibbles one table byte holds), and complemented
+    nibbles (8..15) only."""
+    width = 1 << fanin
+    tables = [rng.getrandbits(width) for _ in range(6)]
+    if fanin == 2:  # one nibble, half a table byte
+        tables += range(16)
+    elif fanin > 2:
+        size = width >> 3
+        tables += [int.from_bytes(bytes(range(k, k + size)), "little") for k in range(0, 256, size)]
+        tables.append(sum(rng.randrange(8, 16) << (4 * j) for j in range(width >> 2)))
+    return tables
+
+
+@pytest.mark.parametrize("fanin", range(1, 10))
+def test_mux_tree_agrees_with_a_per_point_lookup(fanin):
+    rng = random.Random(fanin)
+    points = 128
+    full = (1 << points) - 1
+    v = rng.getrandbits(points)
+    arguments = [
+        [rng.getrandbits(points) for _ in range(fanin)],
+        [v] * fanin,  # equal arguments: equal halves merge by the lo == hi shortcut
+        [rng.choice((0, v, full)) for _ in range(fanin)],
+    ]
+    for table in _leaf_tables(fanin, rng):
+        for argvecs in arguments:
+            assert _kernels._mux_tree(table, argvecs, full) == _per_point(table, argvecs, points), (table, argvecs)
 
 
 @settings(max_examples=100, deadline=None)
