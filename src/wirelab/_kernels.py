@@ -101,14 +101,6 @@ def parity_of(table: int, fanin: int) -> tuple[int, int] | None:
     return (mask, neg) if table == parity_table(fanin, mask, neg) else None
 
 
-def moebius(table: int, fanin: int) -> int:
-    """Algebraic normal form of a table: bit b is the coefficient of the
-    monomial that ANDs the arguments in b (fanin masked shift-XORs)."""
-    for k in range(fanin):
-        table ^= (table << (1 << k)) & variable_mask(k, fanin)
-    return table
-
-
 def _xor(vecs, neg: int, full: int) -> int:
     """XOR of value vectors, complemented if ``neg``; one XOR per vector
     after the first."""

@@ -344,13 +344,12 @@ class NotLinearError(ValueError):
     pass built.
 
     Raised only by ``check_operator``.  ``transforms.linearize`` and
-    ``compress.encode`` accept by algebra and decide by sweep: each first
-    tries a proof that builds no 2**n-bit vector, when a fixed work rule
-    says it costs no more than a sweep, and calls ``check_operator`` on
-    one exhaustive sweep of its input when that proof does not run or
-    does not succeed.  ``x`` is the lowest input on which the circuit
-    differs from x -> a*x (0 when the circuit does not map 0 to 0), and
-    ``n`` the circuit's input count.
+    ``compress.encode`` each prove their result on a subcube of the
+    inputs, and call ``check_operator`` on one exhaustive sweep of their
+    input only when that proof fails, to name the lowest counterexample.
+    ``x`` is the lowest input on which the circuit differs from x -> a*x
+    (0 when the circuit does not map 0 to 0), and ``n`` the circuit's
+    input count.
     """
 
     def __init__(self, x: int, n: int):
@@ -361,8 +360,8 @@ class NotLinearError(ValueError):
 
 def check_operator(table: OperatorTable, a: Gf2Matrix) -> None:
     """Raise NotLinearError at the lowest input on which ``table`` is not
-    x -> a*x; both paper cases decide here, by sweep, whatever their
-    algebra does not accept."""
+    x -> a*x; both paper cases call it only when their subcube proof
+    fails."""
     x = table.first_difference(operator_table_of_matrix(a))
     if x is not None:
         raise NotLinearError(x, table.n)

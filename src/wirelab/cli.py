@@ -7,7 +7,8 @@ usage errors: bad arguments (generator parameters included), input files
 that are missing, unreadable or malformed (the message names the file
 and, where the format has them, the line or bit offset), and inputs a
 command cannot take, such as an ``encode`` circuit whose middle gates are
-not parities or a ``linearize`` circuit whose output gates are not.
+not parities or a ``linearize`` circuit whose output gates are not (the
+message names the file too).
 Failed verifications return 1 themselves; every error raised out of a
 command is a usage error.  A command writes its ``--out`` file before it
 prints its report, so a refused write prints no report.  Commands that sweep all 2**n inputs accept n
@@ -37,7 +38,7 @@ from .circuit import (
     general_to_text,
     weak_counterexample,
 )
-from .compress import CorruptEncodingError, bit_length, decode, deserialize, encode, serialize
+from .compress import bit_length, decode, deserialize, encode, serialize
 from .generators import (
     linear_middle_instance,
     linear_output_instance,
@@ -174,7 +175,7 @@ def cmd_verify_weak(args) -> int:
 def cmd_cap_fanin(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, GeneralCircuit):
-        raise UsageError("cap-fanin expects a general circuit")
+        raise ValueError("cap-fanin expects a general circuit")
     capped = cap_fanin(c)
     if args.out:
         Path(args.out).write_text(general_to_text(capped))
@@ -187,7 +188,7 @@ def cmd_cap_fanin(args) -> int:
 def cmd_linearize(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
-        raise UsageError("linearize expects a depth-2 circuit")
+        raise ValueError("linearize expects a depth-2 circuit")
     try:
         lin, report = linearize(c)
     except NotLinearError as e:
@@ -209,7 +210,7 @@ def cmd_linearize(args) -> int:
 def cmd_encode(args) -> int:
     c = load_circuit(args.infile)
     if not isinstance(c, Depth2Circuit):
-        raise UsageError("encode expects a depth-2 circuit")
+        raise ValueError("encode expects a depth-2 circuit")
     try:
         enc = encode(c)
     except NotLinearError as e:
@@ -228,11 +229,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     enc = _load(args.infile, deserialize, binary=True)
-    x = _parse_x(args.x, enc.n)
-    try:
-        z = decode(enc, x)
-    except CorruptEncodingError as e:  # a well-formed stream that decodes to nothing
-        raise UsageError(f"{args.infile}: {e}") from e
+    z = decode(enc, _parse_x(args.x, enc.n))
     print(f"z={z}")
     return 0
 
@@ -355,15 +352,12 @@ def main(argv=None) -> int:
     try:
         # looked up at each call, so a wrapper bound since the parser was built runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except ValueError as e:
+        # a refused input: name its file (verify-equiv's first; gen-* read none)
+        where = getattr(args, "infile", None) or getattr(args, "first", None)
+        print(f"error: {where}: {e}" if where else f"error: {e}", file=sys.stderr)
         return 2
-    except ExhaustiveCapError as e:
-        # what was swept: the input file (verify-equiv's have equal n)
-        where = getattr(args, "infile", None) or args.first
-        print(f"error: {where}: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

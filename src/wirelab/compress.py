@@ -11,13 +11,11 @@ first basis gives, by linearity, output i's response to each unit
 vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
 one matrix-vector product with the result.  ``encode`` reads each basis
 value straight off the output's table and proves the certificate through
-``decode_matrix``, accepted by algebra and decided by sweep: output i
-computes row i of the decoded matrix if it does so on the 2**rho_i
-inputs supported on B_i's first basis and the row lies in B_i's row
-space (``_subcube_proof``).  That proof runs only when its work, the sum
-over outputs of (wires read) * 2**rho_i, is at most a sweep's,
-(gates) * 2**n.  When it does not run or does not succeed, the decoded
-matrix must agree with one sweep of the circuit on all 2**n inputs.
+``decode_matrix``, on a subcube: output i computes row i of the decoded
+matrix if it does so on the 2**rho_i inputs supported on B_i's first
+basis and the row lies in B_i's row space (``_subcube_proof``).  Only
+when that proof fails does one sweep of the circuit on all 2**n inputs
+name the lowest input where the decoded matrix disagrees with it.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -107,15 +105,13 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     The circuit must have no direct wires and every middle gate must XOR
     exactly its wires (no negation, no ignored wire).  Output i's basis
     values are its table at the middle values of its chosen unit vectors.
-    The certificate is accepted by algebra and decided by sweep: the
-    subcube proof (``_subcube_proof``) runs when its work is at most a
-    sweep's, and when it does not run or does not succeed, the matrix
-    the certificate decodes to must agree with one sweep of ``c`` on all
-    2**n inputs, or NotLinearError names the first input where it does
-    not.  Middle gates feeding no output are omitted from the
-    certificate; they cannot influence it.
+    The certificate is proven on a subcube (``_subcube_proof``); when
+    that proof fails, one sweep of ``c`` on all 2**n inputs names the
+    first input where the matrix the certificate decodes to disagrees
+    with it (NotLinearError).  Middle gates feeding no output are omitted
+    from the certificate; they cannot influence it.
     """
-    check_exhaustive(c.n)  # before any work: the deciding sweep may still run
+    check_exhaustive(c.n)  # before any work: a refusal sweeps all 2**n inputs
     for o in c.outputs:
         if o.directs:
             raise ValueError("direct wires must be removed before encoding")
@@ -140,8 +136,7 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
         basis_bits.append(tuple((o.table.bits >> u) & 1 for u in units))
     enc = OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
     a = decode_matrix(enc)
-    subcubes = sum(len(o.mids) << len(pivots) for o, (pivots, _, _) in zip(c.outputs, proofs))
-    if subcubes > (c.r + c.n) << c.n or not _subcube_proof(c, proofs, a):
+    if not _subcube_proof(c, proofs, a):
         check_operator(collapse(c), a)
     return enc
 
@@ -330,7 +325,4 @@ def deserialize(data: bytes) -> OperatorEncoding:
         raise EncodingFormatError("trailing data after encoding", at)
     if r.read(r.total - r.pos, "padding"):
         raise EncodingFormatError("nonzero padding bits", at)
-    try:
-        return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
-    except ValueError as e:
-        raise EncodingFormatError(str(e), at) from e
+    return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))

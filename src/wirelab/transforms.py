@@ -14,15 +14,14 @@ gates that computes a matrix-vector product into an all-parity circuit:
    g_j(e_i) != g_j(0), which are the arguments in the mask of
    ``_kernels.parity_candidate`` of its table, and the second-level
    wiring is kept as is;
-4. the proof, accepted by algebra and decided by sweep: output i of
-   step 2 computes row i of the result's matrix a iff the XOR of its
-   middle gates' algebraic normal forms is exactly that row's degree-1
-   monomials (``_anf_proof``).  The algebra runs only when its work,
-   Σ 2**fanin over the read non-parity middle gates times 2**6, is at
-   most a sweep's, (gates of the input) * 2**n.  When it does not run or
-   does not succeed, ``check_operator`` compares one sweep of the input
-   with x -> a*x on all 2**n inputs, and only it raises NotLinearError,
-   at the first difference.
+4. the proof, on a subcube: let U be the union of the inputs of the
+   read non-parity middle gates.  One sweep builds those gates on the
+   2**|U| inputs supported on U, and output i of step 2 computes row i
+   of the result's matrix iff the row, XORed with the rows of its parity
+   gates, has no bit outside U and agrees there (``_subcube_proof``).
+   When it does not, ``check_operator`` compares one sweep of the input
+   with x -> a*x on all 2**n inputs and raises NotLinearError at the
+   first difference.
 
 The read-off gives output i at e_j the XOR of g(e_j) ^ g(0) over the
 gates it reads, which is c(e_j) ^ c(0) because the outputs are pure
@@ -198,13 +197,13 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     and a circuit computing a matrix-vector product (NotLinearError, with
     the lowest input that shows it, otherwise); the result computes the
     same operator with at most 2n more wires, its first level never wider
-    than the normalized circuit's.  The result is accepted by algebra and
-    decided by sweep: the ANF proof (``_anf_proof``) runs when its work
-    is at most a sweep's, and when it does not run or does not succeed,
-    one sweep of ``c`` must agree with the result's matrix on all 2**n
-    inputs.  The report holds the proven matrix and both stage circuits.
+    than the normalized circuit's.  The result is proven on a subcube
+    (``_subcube_proof``): the non-parity middle gates are swept over the
+    inputs they read; only a refusal sweeps ``c`` on all 2**n inputs, to
+    name its lowest counterexample.  The report holds the proven matrix
+    and both stage circuits.
     """
-    check_exhaustive(c.n)  # before any work: the deciding sweep may still run
+    check_exhaustive(c.n)  # before any work: a refusal sweeps all 2**n inputs
     s1 = remove_direct_wires(c)
     s2 = normalize_output_xor(s1)
 
@@ -219,7 +218,7 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     )
     result = LinearDepth2Circuit(first, second)
     matrix = result.operator_matrix()
-    if not _anf_proof(s2, matrix, (c.r + n) << n):
+    if not _subcube_proof(s2, rows, matrix):
         check_operator(collapse(c), matrix)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
@@ -236,53 +235,47 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     return result, report
 
 
-# The ANF proof handles one monomial per interpreter step, a sweep 64
-# inputs per machine word: monomials weigh 2**6 inputs of a sweep.
-_MONOMIAL_WEIGHT = 6
-
-
-def _anf_proof(s2: Depth2Circuit, matrix: Gf2Matrix, sweep_work: int) -> bool:
+def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> bool:
     """Whether every output of ``s2``, a pure XOR of its middle gates,
-    provably computes x -> matrix * x; False when the proof does not run.
+    provably computes x -> matrix * x.
 
-    A middle gate's algebraic normal form (ANF) is the XOR of monomials
-    over its inputs.  Output i computes the XOR of its gates' ANFs, which
-    is row i of ``matrix`` iff its monomials are exactly that row's
-    degree-1 monomials: every monomial of degree 0 (the constant gate and
-    negated gates) or of degree >= 2 cancels.  A parity gate's ANF is its
-    inputs and its negation bit; any other gate's comes from a Moebius
-    transform of its table.  The proof runs only when its work, Σ 2**fanin
-    over the read non-parity gates weighted by 2**_MONOMIAL_WEIGHT, is at
-    most ``sweep_work``.
+    ``rows[j]`` is middle gate j's read-off row, its input row when the
+    gate is a parity.  Let U be the union of the inputs of the read
+    non-parity gates, and w_i row i of ``matrix`` XORed with the rows of
+    output i's parity gates.  Then output i XOR matrix_i * x is the XOR of
+    w_i * x, of its parity gates' negation bits and of its non-parity
+    gates, which read only x_U.  So output i computes row i iff w_i has no
+    bit outside U and, on the 2**|U| inputs supported on U, its non-parity
+    gates XOR to w_i * z XORed with those negation bits.  One sweep builds
+    the non-parity gates there, with U renumbered 0..|U|-1; it never
+    covers more than 2**n points, and the proof holds whatever produced
+    ``matrix``.
     """
     read = sorted({j for o in s2.outputs for j in o.mids})
-    parities = {j: _kernels.parity_of(s2.middle[j].table.bits, s2.middle[j].table.fanin) for j in read}
-    work = sum(1 << s2.middle[j].table.fanin for j in read if parities[j] is None)
-    if work << _MONOMIAL_WEIGHT > sweep_work:
-        return False
-    # per read gate: its degree-1 monomials as a row word, and its other monomials
-    # as a set of input masks (the empty mask is the constant 1)
-    terms = {}
-    for j in read:
-        g = s2.middle[j]
-        parity = parities[j]
-        if parity is not None:
-            mask, neg = parity
-            terms[j] = (sum(1 << g.inputs[k] for k in bit_indices(mask)), {0} if neg else set())
-            continue
-        linear, other = 0, set()
-        for b in bit_indices(_kernels.moebius(g.table.bits, g.table.fanin)):
-            mono = sum(1 << g.inputs[k] for k in bit_indices(b))
-            if b & (b - 1) or not b:
-                other.add(mono)
-            else:
-                linear |= mono
-        terms[j] = (linear, other)
-    for o, want in zip(s2.outputs, matrix.row_words):
-        linear, other = 0, set()
+    # per read gate: its (mask, negation bit) as a parity, or None
+    forms = {j: _kernels.parity_of(s2.middle[j].table.bits, s2.middle[j].table.fanin) for j in read}
+    tables = [j for j, form in forms.items() if form is None]
+    span = sorted({i for j in tables for i in s2.middle[j].inputs})
+    at = {i: k for k, i in enumerate(span)}
+    k = len(span)
+    vecs = {}
+    if tables:  # an all-parity circuit needs no sweep
+        preds = [tuple(at[i] for i in s2.middle[j].inputs) for j in tables]
+        bits = [s2.middle[j].table.bits for j in tables]
+        outputs = range(k, k + len(tables))
+        vecs = dict(zip(tables, _kernels.node_vectors_general(k, preds, bits, outputs=outputs)))
+    outside = ~sum(1 << i for i in span)
+    for o, w in zip(s2.outputs, matrix.row_words):
+        got = neg = 0
         for j in o.mids:
-            linear ^= terms[j][0]
-            other ^= terms[j][1]
-        if linear != want or other:
+            if forms[j] is None:
+                got ^= vecs[j]
+            else:
+                w ^= rows[j]
+                neg ^= forms[j][1]
+        if w & outside:
+            return False
+        z = sum(1 << at[i] for i in bit_indices(w))
+        if got != (_kernels.row_vector(k, z, neg) if tables else neg):
             return False
     return True

@@ -235,8 +235,21 @@ def test_encode_of_a_non_parity_middle_layer_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["encode", "--in", str(src)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: middle gate ")
+    assert captured.err.startswith(f"error: {src}: middle gate ")
     assert captured.err.endswith(" is not the pure parity of its wires\n")
+
+
+def test_a_circuit_of_the_wrong_kind_is_refused_with_its_file_named(tmp_path, capsys):
+    general, depth2 = tmp_path / "g.ckt", tmp_path / "d.ckt"
+    run(capsys, "gen-circuit", "--family", "general", "--n", "3", "--out", str(general))
+    run(capsys, "gen-circuit", "--family", "linear", "--n", "3", "--out", str(depth2))
+    for command, src, kind in (
+        ("linearize", general, "a depth-2"), ("encode", general, "a depth-2"),
+        ("cap-fanin", depth2, "a general"),
+    ):
+        assert cli.main([command, "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {src}: {command} expects {kind} circuit\n")
 
 
 def test_linearize_report_and_verify(tmp_path, capsys):
@@ -293,7 +306,8 @@ def _count_operator_tables(monkeypatch):
 
 @pytest.mark.parametrize("family, command", [("linear-output", "linearize"), ("linear-middle", "encode")])
 def test_accepted_circuits_are_proven_without_a_sweep(tmp_path, capsys, monkeypatch, family, command):
-    # at n = 8 both work rules choose the algebra: no 2**n-bit vector, no operator table
+    # both prove on a subcube: no sweep of all 8 inputs, no operator table
+    # (linearize sweeps its non-parity middle gates over the 6 inputs they read)
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", family, "--n", "8", "--r", "8",
         "--seed", "7", "--out", str(src))
@@ -301,11 +315,12 @@ def test_accepted_circuits_are_proven_without_a_sweep(tmp_path, capsys, monkeypa
     built = _count_operator_tables(monkeypatch)
     code, out = run(capsys, command, "--in", str(src))
     assert code == 0 and ("ok=true" in out if command == "linearize" else out.startswith("n=8\n"))
-    assert (swept, built) == ([], [])
+    assert 8 not in swept and built == []
 
 
 def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
-    # a circuit it refuses: the ANF proof fails and one sweep decides
+    # a circuit it refuses: the subcube proof fails, and one sweep of all
+    # 8 inputs names the counterexample
     src = tmp_path / "c.ckt"
     run(capsys, "gen-circuit", "--family", "linear-output", "--n", "8", "--r", "8",
         "--seed", "7", "--out", str(src))
@@ -313,7 +328,7 @@ def test_linearize_sweeps_its_input_once(tmp_path, capsys, monkeypatch):
     swept = _count_sweeps(monkeypatch)
     code, out = run(capsys, "linearize", "--in", str(src))
     assert (code, out) == (1, "linear=false\ncounterexample=00000000\n")
-    assert swept == [8]
+    assert swept.count(8) == 1
 
 
 def test_linearize_builds_one_operator_table(tmp_path, capsys, monkeypatch):
@@ -444,7 +459,7 @@ def test_linearize_refuses_a_non_parity_output_before_any_sweep(tmp_path, capsys
         assert cli.main(["linearize", "--in", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: output gate 0 is not a (possibly negated) parity\n"
+        assert captured.err == f"error: {src}: output gate 0 is not a (possibly negated) parity\n"
 
 
 def test_verify_equiv_counterexample(tmp_path, capsys):

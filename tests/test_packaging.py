@@ -9,6 +9,7 @@ from wirelab.generators import linear_output_instance
 from wirelab.transforms import linearize
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -73,3 +74,32 @@ def test_benchmark_tiny_pools_pass_their_oracles_under_the_tracer(tmp_path, monk
     finally:
         tracer.uninstall()
         cli.build_parser.cache_clear()
+
+
+def test_every_library_function_is_referenced_outside_the_tests():
+    # a helper goes with its last caller: some code in the package or the
+    # benchmark names each module-level function (as a name, an attribute,
+    # an import or an identifier string such as the tracer's TARGETS);
+    # cmd_* are exempt, cli.main looks them up by name
+    package = Path(wirelab.__file__).parent
+    paths = [*package.glob("*.py"), *PERFBENCH.glob("*.py"), *BENCHMARKS.glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                referenced.add(node.value)
+    unreferenced = [
+        f"{path.name}: {node.name}"
+        for path, tree in trees.items() if path.parent == package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("cmd_") and node.name not in referenced
+    ]
+    assert unreferenced == []

@@ -219,8 +219,9 @@ def test_battery_computes_each_linear_bound_twice(monkeypatch):
 
 
 def test_linearize_trial_sweeps_the_input_and_both_stages(monkeypatch):
-    # one sweep each of c, stage 1 and stage 2, and linearize's own sweep
-    # of c only where its work rule declines the ANF proof
+    # three sweeps over all n inputs per trial, of c, stage 1 and stage 2;
+    # linearize itself sweeps at most once, its non-parity middle gates
+    # over the inputs they read
     calls = []
     real = _kernels._sweep
 
@@ -228,22 +229,28 @@ def test_linearize_trial_sweeps_the_input_and_both_stages(monkeypatch):
         calls.append(args[0])
         return real(*args)
 
-    declined = []
-    real_proof = transforms._anf_proof
+    inside = []  # per trial: n, and the input counts linearize swept
+    real_linearize = suite.linearize
 
-    def anf_proof(s2, matrix, sweep_work):
-        proved = real_proof(s2, matrix, sweep_work)
-        if not proved:
-            declined.append(s2.n)
-        return proved
+    def linearize(c):
+        before = len(calls)
+        result = real_linearize(c)
+        inside.append((c.n, calls[before:]))
+        return result
 
     monkeypatch.setattr(_kernels, "_sweep", sweep)
-    monkeypatch.setattr(transforms, "_anf_proof", anf_proof)
+    monkeypatch.setattr(suite, "linearize", linearize)
     trials = 10
     lin, stages = suite.run_linearization(trials, 8, 42)
     assert lin.ok and stages.ok
-    assert 0 < len(declined) < trials
-    assert len(calls) == 3 * trials + len(declined)
+    assert len(inside) == trials
+    assert all(len(ks) <= 1 and all(k <= n for k in ks) for n, ks in inside)
+    assert any(k < n for n, ks in inside for k in ks)
+    expected = Counter()
+    for n, ks in inside:
+        expected[n] += 3
+        expected.update(ks)
+    assert Counter(calls) == expected
 
 
 def test_trials_below_one_are_refused_before_any_trial(monkeypatch, capsys):

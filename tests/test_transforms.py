@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import tracemalloc
 
 import pytest
@@ -351,7 +352,7 @@ def test_linearize_second_level_unchanged_by_final_stage():
         assert lin.second_level.popcount() == s2.second_level_wires()
 
 
-# --- the ANF proof -----------------------------------------------------------
+# --- the subcube proof -------------------------------------------------------
 
 def test_linearize_proves_n20_without_a_2n_bit_vector():
     c, a = linear_output_instance(20, 10, 0.5, seed=1)
@@ -382,16 +383,40 @@ def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(_kernels, "_sweep", sweep)
-    _, rep = linearize(c)
-    assert swept == [n]  # the rule declined the proof: two fanin-n tables outweigh a 14-gate sweep
+    lin, rep = linearize(c)
+    assert swept == [n]  # the pair reads every input: its subcube is the whole cube
     assert rep.matrix == Gf2Matrix.identity(n)
-    # the same verdict as the ANF proof, run without the rule
-    assert transforms._anf_proof(rep.stages[1], rep.matrix, 1 << 62)
+    # the same verdict from the subcube proof on its own
+    rows = lin.first_level.row_words
+    assert transforms._subcube_proof(rep.stages[1], rows, rep.matrix)
     # and the same refusal once the pair no longer cancels
     other = dataclasses.replace(wide, table=wide.table.complement())
     bad = dataclasses.replace(c, middle=c.middle[:-1] + (other,))
     with pytest.raises(NotLinearError) as err:
         linearize(bad)
     assert err.value.x == 0
+    # a complemented table flips its negation bit and keeps its read-off row
     s2 = normalize_output_xor(remove_direct_wires(bad))
-    assert not transforms._anf_proof(s2, rep.matrix, 1 << 62)
+    assert not transforms._subcube_proof(s2, rows, rep.matrix)
+
+
+def test_wide_equal_tables_are_swept_over_the_inputs_they_read(monkeypatch):
+    # at n = 16, output 0 reads identity gate 0 and two equal fanin-12
+    # tables on inputs 2..15 but 5 and 9, which cancel
+    n = 16
+    base = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()
+    ins = tuple(i for i in range(2, n) if i not in (5, 9))
+    wide = MiddleGate(ins, TruthTable(12, random.Random(12).getrandbits(1 << 12)))
+    assert _kernels.parity_of(wide.table.bits, 12) is None
+    c = Depth2Circuit(n, base.middle + (wide, wide), (parity_out((0, n, n + 1)),) + base.outputs[1:])
+    swept = []
+    real = _kernels._sweep
+
+    def sweep(*args):
+        swept.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    _, rep = linearize(c)
+    assert swept == [12]
+    assert rep.matrix == Gf2Matrix.identity(n)
