@@ -6,16 +6,18 @@ words in memory, positions of their 1-entries in the stream) and, per
 output gate, the gate's values on the first basis of the value space it
 can see.  That is enough to recover the full operator, and the
 certificate compiles into its matrix: output i sees B_i*x, where B_i
-holds the middle gates it reads; writing each column of B_i over B_i's
-first basis gives, by linearity, output i's response to each unit
-vector.  ``decode_matrix`` does this once per certificate; ``decode`` is
-one matrix-vector product with the result.  ``encode`` reads each basis
-value straight off the output's table and proves the certificate through
-``decode_matrix``, on a subcube: output i computes row i of the decoded
-matrix if it does so on the 2**rho_i inputs supported on B_i's first
-basis and the row lies in B_i's row space (``_subcube_proof``).  Only
-when that proof fails does one sweep of the circuit on all 2**n inputs
-name the lowest input where the decoded matrix disagrees with it.
+holds the middle gates it reads, so by linearity its row a_i is the one
+vector in B_i's row space that takes the stored values at B_i's pivots
+(its first basis columns).  ``decode_matrix`` reads each a_i off one
+forward elimination of B_i (``gf2.echelon``), once per certificate;
+``decode`` is one matrix-vector product with the result.  ``encode``
+reads each basis value straight off the output's table and proves the
+certificate through ``decode_matrix``, on a subcube: output i computes
+row i of the decoded matrix if it does so on the 2**rho_i inputs
+supported on B_i's first basis and the row lies in B_i's row space
+(``_subcube_proof``).  Only when that proof fails does one sweep of the
+circuit on all 2**n inputs name the lowest input where the decoded
+matrix disagrees with it.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -26,9 +28,11 @@ Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
     per output i = 0..n-1: t_i, then t_i bits     16 + t_i bits
     zero padding to a byte boundary
 
-with w = ceil(log2(max(n, r) + 1)) and position pairs sorted row-major,
-so 96 + 16n + 2*w*(|B|+|C|) + sum(t_i) content bits in all.  ``_layout``
-is the one statement of this layout: ``serialize`` writes its fields and
+with w = ceil(log2(max(n, r) + 1)) and position pairs sorted row-major;
+``deserialize`` reads each pair as one 2w-bit key row*2**w + col and
+checks that the keys strictly increase.  That makes 96 + 16n +
+2*w*(|B|+|C|) + sum(t_i) content bits in all.  ``_layout`` is the one
+statement of this layout: ``serialize`` writes its fields and
 ``bit_length`` sums their widths.
 """
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from . import _kernels
 from ._kernels import check_exhaustive
 from .circuit import Depth2Circuit, check_operator, collapse, is_linear_gate
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matvec, row_echelon
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, echelon, matvec, row_echelon
 
 MAGIC = b"OPE1"
 _FIELD = 16  # width of the count fields (n, r, |B|, |C|, t_i)
@@ -82,14 +86,15 @@ class OperatorEncoding:
         for name, words, rows, cols in levels:
             if len(words) != rows:
                 raise ValueError(f"{name} needs {rows} row words, got {len(words)}")
-            if any(w < 0 or w >> cols for w in words):
+            if words and (min(words) < 0 or max(words) >> cols):
                 raise ValueError(f"{name} has a row word outside [0, 2**{cols})")
         if len(self.basis_bits) != self.n:
             raise ValueError("need one basis-bit string per output")
+        binary = set().union(*self.basis_bits) <= {0, 1}
         for i, bits in enumerate(self.basis_bits):
             if len(bits) > self.c_rows[i].bit_count():
                 raise ValueError(f"output {i} stores more basis bits than wires")
-            if any(b not in (0, 1) for b in bits):
+            if not (binary or set(bits) <= {0, 1}):
                 raise ValueError("basis bits must be 0 or 1")
 
     def field_width(self) -> int:
@@ -182,25 +187,27 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
     """The operator's n-by-n matrix, compiled from the certificate alone.
 
     Output i sees y = B_i * x, where B_i holds the rows of the middle
-    gates it reads (the rows C_i selects).  One row-echelon reduction of
-    those rows finds the first basis of B_i's columns, and bit j of the
-    k-th reduced row is column j's coefficient on basis element k; by
-    linearity, row i is the XOR of the reduced rows whose stored basis
-    value is 1.
+    gates it reads (the rows C_i selects).  One forward elimination of
+    those rows (``echelon``) finds the pivots p_k, the first basis of
+    B_i's columns.  By linearity, row i is the one vector in B_i's row
+    space whose bit p_k is the k-th stored basis value: walking the
+    pivots upward, XOR in echelon row k when bit p_k disagrees.
     """
     words = []
     for i, seen in enumerate(enc.c_rows):
         stored = enc.basis_bits[i]
-        pivots, reduced = row_echelon(enc.b_rows[j] for j in bit_indices(seen))
-        if len(pivots) != len(stored):
+        kept = echelon(enc.b_rows[j] for j in bit_indices(seen))
+        if len(kept) != len(stored):
             raise CorruptEncodingError(
                 f"output {i} stores {len(stored)} basis values,"
-                f" but its wire pattern has rank {len(pivots)}"
+                f" but its wire pattern has rank {len(kept)}"
             )
+        # kept row k has no bit below pivot k, so fixing pivot k leaves
+        # the lower pivots as they are
         row = 0
-        for w, bit in zip(reduced, stored):
-            if bit:
-                row ^= w
+        for low, bit in zip(sorted(kept), stored):
+            if bool(row & low) != bit:
+                row ^= kept[low]
         words.append(row)
     return Gf2Matrix(enc.n, enc.n, tuple(words))
 
@@ -301,17 +308,24 @@ def deserialize(data: bytes) -> OperatorEncoding:
     for name, rows, cols in (("B", rr, n), ("C", n, rr)):
         count = r.read(_FIELD, f"|{name}|")
         words = [0] * rows
-        prev = None
-        for _ in range(count):
-            at = r.pos
-            pos = (r.read(w, f"{name} row"), r.read(w, f"{name} col"))
-            if not (pos[0] < rows and pos[1] < cols):
-                raise EncodingFormatError(f"{name} position {pos} out of range", at)
+        # each pair is one 2w-bit key row * 2**w + col, so row-major
+        # order is key order
+        bits, step, mask, start, prev = r.bits, 2 * w, (1 << w) - 1, r.pos, -1
+        whole = min(count, (r.total - start) // step)
+        for at in range(start, start + whole * step, step):
+            key = int(bits[at : at + step], 2)
+            row, col = key >> w, key & mask
+            if row >= rows or col >= cols:
+                raise EncodingFormatError(f"{name} position {(row, col)} out of range", at)
             # the only guard against a repeated pair: |= below would absorb it
-            if prev is not None and pos <= prev:
+            if key <= prev:
                 raise EncodingFormatError(f"{name} positions out of order", at)
-            prev = pos
-            words[pos[0]] |= 1 << pos[1]
+            prev = key
+            words[row] |= 1 << col
+        r.pos = start + whole * step
+        if whole < count:  # a pair cut short: one of its fields is truncated
+            r.read(w, f"{name} row")
+            r.read(w, f"{name} col")
         levels.append(tuple(words))
     basis_bits = []
     for i, wires in enumerate(levels[1]):

@@ -5,10 +5,13 @@ Vectors and matrices store their 0/1 entries packed into Python ints
 matrix row word is column ``j``).  All values are immutable and all
 operations are pure functions.
 
-One elimination, ``row_echelon``, brings row words to reduced row
-echelon form with each pivot at its row's lowest set bit; the first
-basis of the columns (whose size is the rank), span solving and the
-certificate codec (``compress``) all read their answers off it.
+One elimination, ``echelon``, brings row words to echelon form with
+each pivot at its row's lowest set bit; its keys are the first basis of
+the columns (whose size is the rank), and the certificate decoder
+(``compress.decode_matrix``) reads each output's row off it.
+``row_echelon`` back-substitutes those rows into reduced row echelon
+form, which span solving and the certificate's proof (``compress``)
+read.
 """
 
 from __future__ import annotations
@@ -133,6 +136,28 @@ def matmul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(a.rows, b.cols, tuple(words))
 
 
+def echelon(rows) -> dict[int, int]:
+    """One forward elimination of row words.
+
+    Each row is reduced against the rows kept before it, lowest bit
+    first, until its lowest set bit is no kept row's; it is then kept
+    under that bit (as a one-bit word).  Returns ``{low bit: row}``: a
+    kept row has no bit below its key, the keys are the pivots of the
+    row space (the greedy first basis of the columns), and the rank is
+    the number of rows kept.
+    """
+    kept: dict[int, int] = {}
+    for v in rows:
+        while v:
+            low = v & -v
+            w = kept.get(low)
+            if w is None:
+                kept[low] = v
+                break
+            v ^= w
+    return kept
+
+
 def row_echelon(rows) -> tuple[list[int], list[int]]:
     """The reduced row echelon form of row words, each row's pivot its
     lowest set bit.
@@ -142,19 +167,20 @@ def row_echelon(rows) -> tuple[list[int], list[int]]:
     pivot, so the pivots are the greedy first basis of the columns
     (column j is a pivot iff it is not in the span of the columns before
     it), and bit j of ``reduced[k]`` is column j's coefficient on basis
-    element k.
+    element k.  The rows of ``echelon`` are back-substituted, highest
+    pivot first.
     """
+    kept = echelon(rows)
+    lows = sorted(kept)
     reduced: list[int] = []
-    for v in rows:
-        for w in reduced:
+    for low in reversed(lows):
+        v = kept[low]
+        for w in reduced:  # fully reduced, each with its pivot as lowest bit
             if v & w & -w:
                 v ^= w
-        if v:
-            low = v & -v  # no reduced row's pivot, so above the pivot of every row holding it
-            reduced = [w ^ v if w & low else w for w in reduced]
-            reduced.append(v)
-    reduced.sort(key=lambda w: w & -w)
-    return [(w & -w).bit_length() - 1 for w in reduced], reduced
+        reduced.append(v)
+    reduced.reverse()
+    return [low.bit_length() - 1 for low in lows], reduced
 
 
 def first_basis_columns(m: Gf2Matrix) -> list[int]:

@@ -297,14 +297,21 @@ def run_gf2_oracles(trials: int, dim_max: int, seed: int) -> CheckResult:
     result = _trials(
         {"gf2-oracles": "gf2-oracle"}, trials, seed, draw, check, lambda instance: repr(instance[0])
     )[0]
-    # exhaustive matvec sweep against naive_matvec, all dims <= 8
+    # exhaustive matvec sweep against list arithmetic, all dims <= 8, x
+    # ascending: from x - 1 to x the low t bits flip, t = 1 + the trailing
+    # zeros of x, so the product flips by pref[t], the XOR of columns < t
     for rows_n in range(1, 9):
         for cols_n in range(1, 9):
             m = random_matrix(rows_n, cols_n, 0.5, seed=_trial_seed(seed, rows_n * 16 + cols_n))
-            lists = [list(m.row(i).coords()) for i in range(rows_n)]
+            want = [0] * rows_n
+            pref = [want]
+            for col in zip(*(m.row(i).coords() for i in range(rows_n))):
+                pref.append([a ^ b for a, b in zip(pref[-1], col)])
             for xb in range(1 << cols_n):
+                if xb:
+                    want = [a ^ b for a, b in zip(want, pref[(xb & -xb).bit_length()])]
                 v = Gf2Vector(cols_n, xb)
-                if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
+                if list(matvec(m, v).coords()) != want:
                     result.failures += 1
                     if result.witness is None:
                         result.witness = _witness("matvec-exhaustive", repr(m), v, seed)

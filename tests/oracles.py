@@ -3,14 +3,24 @@
 Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 per-point certificate decoder runs its own Gauss-Jordan elimination on
-lists of 0/1 entries, so it shares no code with ``gf2.row_echelon``,
-which the compiled decoder uses.
+lists of 0/1 entries, so it shares no code with ``gf2.echelon``, which
+the compiled decoder uses.  ``deserialize_per_field`` and
+``row_echelon_gauss_jordan`` are the earlier forms of
+``compress.deserialize`` and ``gf2.row_echelon``, kept as the outcomes
+the faster forms must reproduce.
 """
 
 from __future__ import annotations
 
 from wirelab.circuit import TruthTable
-from wirelab.compress import CorruptEncodingError
+from wirelab.compress import (
+    _FIELD,
+    MAGIC,
+    CorruptEncodingError,
+    EncodingFormatError,
+    OperatorEncoding,
+    _BitReader,
+)
 from wirelab.gf2 import Gf2Vector
 
 
@@ -137,3 +147,61 @@ def ope1_stream(n, r, b_pairs, c_pairs, basis):
     text = "".join(format(v, f"0{width}b") for v, width in fields)
     text += "0" * (-len(text) % 8)
     return int(text, 2).to_bytes(len(text) // 8, "big")
+
+
+def deserialize_per_field(data: bytes) -> OperatorEncoding:
+    """``compress.deserialize`` reading every stream field on its own:
+    each position pair is two w-bit reads, ordered as (row, col) tuples."""
+    r = _BitReader(data)
+    for k, expected in enumerate(MAGIC):
+        if r.read(8, "magic") != expected:
+            raise EncodingFormatError("bad magic, expected OPE1", 8 * k)
+    n = r.read(_FIELD, "n")
+    if n < 1:
+        raise EncodingFormatError("n must be at least 1", r.pos - _FIELD)
+    rr = r.read(_FIELD, "r")
+    w = max(n, rr).bit_length()
+    levels = []
+    for name, rows, cols in (("B", rr, n), ("C", n, rr)):
+        count = r.read(_FIELD, f"|{name}|")
+        words = [0] * rows
+        prev = None
+        for _ in range(count):
+            at = r.pos
+            pos = (r.read(w, f"{name} row"), r.read(w, f"{name} col"))
+            if not (pos[0] < rows and pos[1] < cols):
+                raise EncodingFormatError(f"{name} position {pos} out of range", at)
+            if prev is not None and pos <= prev:
+                raise EncodingFormatError(f"{name} positions out of order", at)
+            prev = pos
+            words[pos[0]] |= 1 << pos[1]
+        levels.append(tuple(words))
+    basis_bits = []
+    for i, wires in enumerate(levels[1]):
+        at = r.pos
+        t = r.read(_FIELD, f"t_{i}")
+        if t > wires.bit_count():
+            raise EncodingFormatError(f"output {i} stores more basis bits than wires", at)
+        basis_bits.append(r.read_bits(t, f"basis bit of output {i}"))
+    at = r.pos
+    if r.total - r.pos >= 8:
+        raise EncodingFormatError("trailing data after encoding", at)
+    if r.read(r.total - r.pos, "padding"):
+        raise EncodingFormatError("nonzero padding bits", at)
+    return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
+
+
+def row_echelon_gauss_jordan(rows) -> tuple[list[int], list[int]]:
+    """``gf2.row_echelon`` by Gauss-Jordan: each new row is reduced
+    against the rows kept so far and then cleared out of all of them."""
+    reduced: list[int] = []
+    for v in rows:
+        for w in reduced:
+            if v & w & -w:
+                v ^= w
+        if v:
+            low = v & -v
+            reduced = [w ^ v if w & low else w for w in reduced]
+            reduced.append(v)
+    reduced.sort(key=lambda w: w & -w)
+    return [(w & -w).bit_length() - 1 for w in reduced], reduced

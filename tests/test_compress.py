@@ -326,6 +326,29 @@ def test_deserialize_rejects_repeated_or_unsorted_pairs(name, b_pairs, c_pairs, 
     assert err.value.bit_offset == at
 
 
+# n = r = 4 gives 3-bit row and column fields: five B pairs start at bit
+# 80 + 6k, and with no B pair, five C pairs start at bit 96 + 6k
+PAIRS = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "b_pairs, c_pairs, keep, what, at",
+    [
+        (PAIRS, [], 11, "B row", 86),  # 88 bits: pair 1's row field ends at 89
+        (PAIRS, [], 12, "B col", 95),  # 96 bits: pair 2's col field ends at 98
+        ([], PAIRS, 13, "C row", 102),
+        ([], PAIRS, 14, "C col", 111),
+    ],
+)
+def test_deserialize_reports_a_pair_cut_short_at_its_truncated_field(b_pairs, c_pairs, keep, what, at):
+    data = ope1_stream(4, 4, b_pairs, c_pairs, [()] * 4)
+    assert serialize(deserialize(data)) == data
+    with pytest.raises(EncodingFormatError) as err:
+        deserialize(data[:keep])
+    assert str(err.value) == f"stream truncated while reading {what} (at bit {at})"
+    assert err.value.bit_offset == at
+
+
 def test_deserialize_reports_an_overlong_basis_string_at_its_length_field():
     # output 1 reads one middle gate but stores two basis bits; its t_1
     # field starts at bit 129, after 128 bits of header, pairs and t_0

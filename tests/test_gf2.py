@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_lists
+from oracles import matrix_lists, row_echelon_gauss_jordan
+from wirelab.compress import OperatorEncoding, decode_matrix
 from wirelab.suite import naive_matvec, naive_rank
 from wirelab.generators import random_matrix
 from wirelab.gf2 import (
     Gf2Matrix,
     Gf2Vector,
     NotInSpanError,
+    echelon,
     first_basis_columns,
     from_text,
     matmul,
@@ -200,3 +202,27 @@ def test_property_reduce_columns_is_the_greedy_basis_with_coefficients(m):
             if (reduced[k] >> j) & 1:
                 acc ^= cols[basis_col]
         assert acc == col
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))), st.data())
+def test_property_echelon_rows_fix_up_to_the_selected_reduced_rows(n_rows, data):
+    # the one elimination: row_echelon back-substitutes it to the reduced
+    # form Gauss-Jordan gives, and the decoder's ascending fix-up over its
+    # rows equals the XOR of the reduced rows the stored bits select
+    n, rows = n_rows
+    pivots, reduced = row_echelon(rows)
+    assert (pivots, reduced) == row_echelon_gauss_jordan(rows)
+    kept = echelon(rows)
+    assert sorted(kept) == [1 << p for p in pivots]
+    assert all(w & -w == low for low, w in kept.items())
+    stored = tuple(data.draw(st.integers(0, 1)) for _ in pivots)
+    want = 0
+    for w, bit in zip(reduced, stored):
+        if bit:
+            want ^= w
+    # output 0 reads every row; the others read none
+    enc = OperatorEncoding(n, len(rows), tuple(rows), ((1 << len(rows)) - 1,) + (0,) * (n - 1),
+                           (stored,) + ((),) * (n - 1))
+    assert decode_matrix(enc).row_words == (want,) + (0,) * (n - 1)

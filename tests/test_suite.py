@@ -195,6 +195,24 @@ def test_gf2_oracles_catch_a_dropped_coefficient_bit(monkeypatch):
     assert r.witness.startswith(f"failed=gf2-oracle\nseed={bad[0]}\ncircuit:\nGf2Matrix(")
 
 
+def test_gf2_oracles_catch_a_matvec_fault_in_the_exhaustive_sweep(monkeypatch):
+    # one wrong product, at the sweep's 3-by-5 matrix and x = 0b10110,
+    # which the witness prints coordinate 0 first
+    seed = 46
+    planted = random_matrix(3, 5, 0.5, seed=suite._trial_seed(seed, 3 * 16 + 5))
+    real = suite.matvec
+
+    def matvec(m, v):
+        z = real(m, v)
+        return dataclasses.replace(z, bits=z.bits ^ 1) if (m, v.bits) == (planted, 0b10110) else z
+
+    monkeypatch.setattr(suite, "matvec", matvec)
+    r = suite.run_gf2_oracles(1, 2, seed)
+    assert (r.trials, r.failures, r.ok) == (1, 1, False)
+    assert r.witness == (f"failed=matvec-exhaustive\nseed={seed}\ninput=01101\n"
+                         f"circuit:\n{planted!r}")
+
+
 def test_linear_counting_fails_on_a_bound_outside_the_interval(monkeypatch):
     real = bounds.linear_circuit_lower_bound
     monkeypatch.setattr(bounds, "linear_circuit_lower_bound", lambda n: 0 if n == 256 else real(n))

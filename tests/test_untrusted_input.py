@@ -4,11 +4,14 @@ Circuit files, matrix files, truth-table hex and ``OPE1`` streams come
 from outside the program.  On any mutation of a valid input a parser
 either accepts it or raises a ``ValueError`` subclass (which the CLI
 turns into exit code 2); an accepted stream is canonical, and generated
-circuits, matrices and certificates round-trip.
+circuits, matrices and certificates round-trip.  On a mutated ``OPE1``
+stream, ``deserialize`` and the per-field reader of ``oracles`` return
+equal encodings or raise the same error at the same bit offset.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import deserialize_per_field
 
 from wirelab.circuit import (
     TruthTable,
@@ -170,3 +173,19 @@ def test_certificate_stream_round_trips_and_accepts_only_canonical_streams(enc, 
     got = _parse_or_none(deserialize, mutated)
     if got is not None:
         assert serialize(got) == mutated
+
+
+def _outcome(parse, data):
+    """``parse(data)``, or the type, message and bit offset of the
+    ValueError it raises."""
+    try:
+        return parse(data)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "bit_offset", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates, BYTE_EDITS)
+def test_deserialize_and_the_per_field_reader_agree_on_mutated_streams(enc, edits):
+    mutated = _edit_bytes(serialize(enc), edits)
+    assert _outcome(deserialize, mutated) == _outcome(deserialize_per_field, mutated)
