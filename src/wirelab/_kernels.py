@@ -6,29 +6,47 @@ Circuits are evaluated on all 2**n inputs at once by manipulating
 bit ``i`` of ``x``).  Gates combine value vectors with big-int bitwise
 ops, so the inner loop runs in C inside the int implementation.
 
-A sweep builds each gate in one of four forms, decided once per gate
-from its table and preds:
+A first pass gives every node an **affine form**, decided once per gate
+from its table and its arguments' forms.  The form is a row word over
+the inputs with a negation bit, and a mask over the sweep's *pieces*,
+the non-parity gates that repeat no earlier one; it is one int, with
+the negation bit at bit 0, input i at bit 1 + i and piece b at bit
+1 + n + b.  The node computes the XOR of the inputs and pieces in its
+form, complemented if bit 0 is set.
 
-* **row word.**  A parity gate whose arguments are all inputs or row
-  words is itself a row word over the inputs (the XOR of its argument
-  rows) plus a negation bit, and no value vector is built for it.  Its
-  vector is built only when a non-parity gate or an output reads it, as
-  the XOR of the input masks in its row.  A sweep uses row words only
-  when the masks of the rows it must build cost no more big-int XORs
-  than XORing every parity gate's argument vectors; otherwise each
-  parity gate XORs its argument vectors.
-* **fold.**  A repeated pred is folded into its first occurrence on the
-  table itself (swap the repeat to the top variable, keep the half where
-  it equals the first occurrence), a few ops on a 2**fanin-bit int.
-  The forms below then see distinct preds only.
-* **stretch.**  A non-parity gate whose preds are distinct inputs is its
-  table tiled up to 2**n bits (``x |= x << w``), with at most fanin
-  delta swaps against the input masks that move table variable k to
-  input ``ps[k]``.  The sweep stretches a gate only when a work estimate
-  from its fanin and its swaps (``_stretch_pays``) beats the mux tree's
+* **parity.**  A parity gate XORs its arguments' forms, so the rows
+  combine and a piece that appears twice cancels.
+* **merge.**  A non-parity gate is looked up by its arguments' forms and
+  its table.  A gate that repeats an earlier one is that piece, and a
+  gate whose table is the complement of an earlier one is that piece
+  plus the negation bit; any other gate is a new piece.
+* **fold.**  Arguments of equal forms (a repeated pred, or a gate and an
+  identity gate on it) are folded into the first on the table itself
+  (swap the repeat to the top variable, keep the half where it equals
+  the first occurrence), a few ops on a 2**fanin-bit int, so a piece
+  has distinct arguments; a table that folds to a parity is a parity
+  gate on the distinct arguments.
+
+The second pass builds a value vector only for an output, and for a
+piece that some needed form still holds after cancellation: an
+output's, or an argument's of a needed piece.  A sweep whose outputs
+all cancel to zero builds no vector at all, not even the input masks.
+A form's vector is the XOR of its inputs' masks and its pieces'
+vectors, built once per sweep; a form of one input or one piece is that
+vector itself.  A sweep uses the forms only when the vectors of the
+forms it must build cost no more big-int XORs than XORing every parity
+gate's argument vectors; otherwise it builds every gate in order, each
+parity gate from its arguments' vectors.  A piece is built one of two
+ways:
+
+* **stretch.**  A piece whose preds are all inputs is its table
+  tiled up to 2**n bits (``x |= x << w``), with at most fanin delta
+  swaps against the input masks that move table variable k to input
+  ``ps[k]``.  The sweep stretches a piece only when a work estimate from
+  its fanin and its swaps (``_stretch_pays``) beats the mux tree's
   cost; a gate wired to inputs ``0..n-1`` in order, as every gate
   ``cap_fanin`` rewires, is its table.
-* **mux tree** (``_mux_tree``) for every other gate: each table nibble
+* **mux tree** (``_mux_tree``) for every other piece: each table nibble
   is looked up as one of 16 functions of the first two arguments, so the
   tree does 2**(fanin-2) - 1 merges, the lowest 2**(fanin-3) of them
   with a looked-up ``lo ^ hi``.
@@ -38,6 +56,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+
+from .gf2 import bit_indices
 
 BACKEND = "python"
 EXHAUSTIVE_CAP = 20
@@ -67,8 +87,8 @@ def variable_mask(i: int, n: int) -> int:
 @lru_cache(maxsize=1)
 def input_vectors(n: int) -> tuple[tuple[int, ...], int]:
     """Value vectors of the n input coordinates and the all-ones vector,
-    built once per n; every sweep starts here, so the cap is checked
-    before the first 2**n-bit int is built."""
+    built once per n; a sweep fetches them before its first vector, and
+    the cap is checked before the first 2**n-bit int is built."""
     check_exhaustive(n)
     return tuple(variable_mask(i, n) for i in range(n)), (1 << (1 << n)) - 1
 
@@ -97,6 +117,9 @@ def parity_table(fanin: int, mask: int, neg: int) -> int:
 
 def parity_of(table: int, fanin: int) -> tuple[int, int] | None:
     """``parity_candidate`` of the table if the table is that parity, else None."""
+    ones = table.bit_count()
+    if ones and ones != 1 << fanin and ones << 1 != 1 << fanin:  # neither constant nor balanced
+        return None
     mask, neg = parity_candidate(table, fanin)
     return (mask, neg) if table == parity_table(fanin, mask, neg) else None
 
@@ -217,7 +240,8 @@ def _swap(x: int, i: int, j: int, mi: int, mj: int) -> int:
 
 
 def _fold(table: int, ps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The same gate with every repeated pred folded into its first occurrence."""
+    """The same gate with every repeated argument folded into its first
+    occurrence; ``ps`` names the arguments, by node or by affine form."""
     ps = list(ps)
     first: dict[int, int] = {}
     k = 0
@@ -292,84 +316,110 @@ def _stretch(table: int, ps, n: int, masks) -> int:
     return x
 
 
-_ROW, _PARITY, _TABLE = 0, 1, 2
-
-
 def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     """Value vectors of the nodes in ``outputs`` (every node by default):
     the n inputs, then each gate in order; gate arguments index the nodes
     before it.
 
-    A first pass reads each gate's form and the rows of the parity gates
-    that read only row words; the second builds the vectors a reader
-    needs.  Both public entry points call this directly and never each
-    other, so a wrapper installed on one of them sees each sweep exactly
-    once.
+    The first pass gives each node its affine form (see the module
+    docstring); the second builds the pieces that the needed forms hold,
+    then the forms themselves.  The cap is checked first, and the input
+    masks are fetched only when a vector is built.  Both public entry
+    points call this directly and never each other, so a wrapper
+    installed on one of them sees each sweep exactly once.
     """
-    masks, full = input_vectors(n)
-    # per node: its row word shifted up one, with its negation bit as bit 0,
-    # so that one XOR combines rows and negation bits; None for a vector node
-    words = [2 << i for i in range(n)]
+    check_exhaustive(n)
+    forms = [2 << i for i in range(n)]
+    # in node order, per parity gate: (its form, its argument nodes, None,
+    # its negation bit); per piece: (its form, its argument forms, its
+    # table, its preds)
     plan = []
-    needed = set()  # row-word gates that a vector gate or an output reads
-    arg_xors = 0  # XORs of argument vectors that the row-word gates replace
+    pieces = []  # the plan's pieces: non-parity gates that repeat no earlier one
+    first = {}  # (argument forms, table or its complement, bit 0 clear) -> first gate's form | its bit 0
+    arg_xors = 0  # XORs that building every parity gate from its arguments takes
     for ps, t in zip(preds, tables):
         d = len(ps)
-        if d > 1 and len(set(ps)) < d:
-            t, ps = _fold(t, ps)
-            d = len(ps)
         parity = parity_of(t, d)
-        if parity is not None:
+        if parity is None:
+            fs = tuple([forms[p] for p in ps])
+            if len(set(fs)) < d:
+                t, fs = _fold(t, fs)
+                d = len(fs)
+                parity = parity_of(t, d)
+                if parity is not None:  # the folded gate's arguments as nodes
+                    at = {forms[p]: p for p in ps}
+                    ps = [at[f] for f in fs]
+        if parity is not None:  # repeated arguments cancel in the XOR
             mask, neg = parity
-            args = ps if mask + 1 == 1 << d else [p for k, p in enumerate(ps) if (mask >> k) & 1]
-            word = neg
-            for p in args:
-                w = words[p]
-                if w is None:
-                    plan.append((_PARITY, args, neg))
-                    break
-                word ^= w
-            else:
-                words.append(word)
-                plan.append((_ROW, args, neg))
-                arg_xors += len(args)
-                continue
+            if mask + 1 != 1 << d:
+                ps = [p for k, p in enumerate(ps) if (mask >> k) & 1]
+            form = neg
+            for p in ps:
+                form ^= forms[p]
+            plan.append((form, ps, None, neg))
+            arg_xors += len(ps)
         else:
-            args = ps
-            plan.append((_TABLE, ps, t))
-        words.append(None)
-        for p in args:
-            if p >= n and words[p] is not None:
-                needed.add(p)
-    if outputs is None:
-        outputs = range(n + len(plan))
-    needed.update(o for o in outputs if o >= n and words[o] is not None)
-    use_rows = sum((words[g] >> 1).bit_count() for g in needed) <= arg_xors
+            low = t & 1
+            key = (fs, t ^ ((1 << (1 << d)) - 1) if low else t)
+            form = 2 << (n + len(pieces))
+            known = first.setdefault(key, form | low)
+            if known == form | low:
+                piece = (form, fs, t, ps)
+                pieces.append(piece)
+                plan.append(piece)
+            else:
+                form = known ^ low
+        forms.append(form)
+    outs = [forms[o] for o in (range(len(forms)) if outputs is None else outputs)]
+    if not any(outs):  # every output cancelled to the zero vector
+        return outs
 
-    vecs = list(masks)
-    for node, (form, args, x) in enumerate(plan, n):
-        if form == _ROW:
-            if not use_rows:
-                v = _xor([vecs[p] for p in args], x, full)
-            elif node in needed:
-                v = row_vector(n, words[node] >> 1, words[node] & 1)
+    need = 0  # bits of the pieces that some needed form holds
+    for f in outs:
+        need |= f
+    needed = set(outs)
+    for form, fs, _, _ in reversed(pieces):
+        if need & form:
+            needed.update(fs)
+            for f in fs:
+                need |= f
+    todo = pieces
+    if sum((f >> 1).bit_count() for f in needed if f & (f - 1)) > arg_xors:
+        todo, need = plan, -1  # build every gate, each parity gate from its arguments
+
+    masks, full = input_vectors(n)
+    vecs = list(masks) + [None] * len(pieces)  # the inputs, then the pieces
+    cache = dict(zip(forms, masks))
+    get = cache.get
+
+    def vector(f: int) -> int:
+        v = get(f)
+        if v is None:
+            v = cache[f] = _xor([vecs[i] for i in bit_indices(f >> 1)], f & 1, full)
+        return v
+
+    for form, args, t, x in todo:
+        if t is None:  # a parity gate on nodes args; x is its negation bit
+            if form not in cache:
+                cache[form] = _xor([vector(forms[p]) for p in args], x, full)
+        elif need & form:  # a piece on argument forms args
+            if max(x) < n:  # preds x are inputs, so its arguments are distinct inputs
+                ins = [f.bit_length() - 2 for f in args]
+                if _stretch_pays(ins, n):
+                    v = _stretch(t, ins, n, masks)
+                else:
+                    v = _mux_tree(t, [masks[i] for i in ins], full)
             else:
-                v = None
-        elif form == _PARITY:
-            v = _xor([vecs[p] for p in args], x, full)
-        elif max(args) < n and _stretch_pays(args, n):
-            v = _stretch(x, args, n, masks)
-        else:
-            v = _mux_tree(x, [vecs[p] for p in args], full)
-        vecs.append(v)
-    return [vecs[o] for o in outputs]
+                v = _mux_tree(t, [get(f) or vector(f) for f in args], full)
+            vecs[form.bit_length() - 2] = cache[form] = v
+    return [get(f) or vector(f) for f in outs]
 
 
 def node_vectors_general(
     n: int, preds: list[tuple[int, ...]], tables: list[int], *, outputs=None
 ) -> list[int]:
     """Value vectors of the nodes in ``outputs``, or of every node (inputs
-    first, then gates in order); a row-word gate no output reads is not built."""
+    first, then gates in order); a gate no needed form holds is not built."""
     return _sweep(n, preds, tables, outputs)
 
 

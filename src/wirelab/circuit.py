@@ -4,9 +4,10 @@ text serialization.
 
 A general or depth-2 circuit has one node view, ``_nodes``: the preds
 and table bits of each gate, in node order after the n inputs, and the
-output nodes.  The kernel (``collapse``, ``transforms.cap_fanin``) sweeps
-it, and ``_interpret``, the per-point interpreter behind both ``eval``
-methods, reads it one input at a time with no kernel code.
+output nodes.  The kernel (``collapse``, ``first_difference``'s miter,
+``transforms.cap_fanin``) sweeps it, and ``_interpret``, the per-point
+interpreter behind both ``eval`` methods, reads it one input at a time
+with no kernel code.
 
 Conventions used throughout:
 
@@ -300,13 +301,10 @@ class OperatorTable:
 def collapse(c: Circuit) -> OperatorTable:
     """Evaluate ``c`` on all 2**n inputs; n above the exhaustive cap raises
     ``ExhaustiveCapError`` before any value vector is built."""
-    if isinstance(c, (GeneralCircuit, Depth2Circuit)):
-        preds, tables, outputs = c._nodes
-        cols = _kernels.node_vectors_general(c.n, preds, tables, outputs=outputs)
-        return OperatorTable(c.n, tuple(cols))
     if isinstance(c, LinearDepth2Circuit):
         return operator_table_of_matrix(c.operator_matrix())
-    raise TypeError(f"not a circuit: {type(c).__name__}")
+    preds, tables, outputs = _node_view(c)
+    return OperatorTable(c.n, tuple(_kernels.node_vectors_general(c.n, preds, tables, outputs=outputs)))
 
 
 def operator_table_of_matrix(a: Gf2Matrix) -> OperatorTable:
@@ -317,11 +315,49 @@ def operator_table_of_matrix(a: Gf2Matrix) -> OperatorTable:
     return OperatorTable(n, tuple(_kernels.row_vector(n, w, 0) for w in a.row_words))
 
 
-def equivalent(c1: Circuit, c2: Circuit) -> bool:
-    """Exhaustive equivalence of two circuits on all 2**n inputs."""
+def first_difference(c1: Circuit, c2: Circuit) -> int | None:
+    """Lowest input on which two circuits differ, or None; exact over all
+    2**n inputs, with n capped like ``collapse``.
+
+    One kernel sweep of a miter: c1's gates, then c2's renumbered, then
+    one XOR per output pair.  Each output's XOR is an affine form in the
+    sweep, so where the two circuits share their parity structure and
+    their repeated non-parity gates, the forms cancel and no value
+    vector is built; every other output's XOR is built and swept in full.
+    """
     if c1.n != c2.n:
         raise ValueError("circuits have different input counts")
-    return collapse(c1) == collapse(c2)
+    n = c1.n
+    preds1, tables1, outputs1 = _node_view(c1)
+    preds2, tables2, outputs2 = _node_view(c2)
+    shift = len(preds1)  # c2's node n + k becomes n + shift + k
+
+    def moved(p: int) -> int:
+        return p + shift if p >= n else p
+
+    preds = list(preds1) + [[moved(p) for p in ps] for ps in preds2]
+    preds += [(a, moved(b)) for a, b in zip(outputs1, outputs2)]  # the n output pairs
+    top = n + len(preds)
+    tables = list(tables1) + list(tables2) + [0b0110] * n  # XOR
+    diff = 0
+    for v in _kernels.node_vectors_general(n, preds, tables, outputs=range(top - n, top)):
+        diff |= v
+    return (diff & -diff).bit_length() - 1 if diff else None
+
+
+def _node_view(c: Circuit):
+    """The node view of a circuit, an all-parity one's through its depth-2 form."""
+    if isinstance(c, (GeneralCircuit, Depth2Circuit)):
+        return c._nodes
+    if isinstance(c, LinearDepth2Circuit):
+        return c.to_depth2()._nodes
+    raise TypeError(f"not a circuit: {type(c).__name__}")
+
+
+def equivalent(c1: Circuit, c2: Circuit) -> bool:
+    """Exhaustive equivalence of two circuits on all 2**n inputs: whether
+    ``first_difference`` finds none."""
+    return first_difference(c1, c2) is None
 
 
 def is_linear_gate(t: TruthTable) -> tuple[tuple[int, ...], bool] | None:

@@ -11,10 +11,13 @@ not parities or a ``linearize`` circuit whose output gates are not (the
 message names the file too).
 Failed verifications return 1 themselves; every error raised out of a
 command is a usage error.  A command writes its ``--out`` file before it
-prints its report, so a refused write prints no report.  Commands that sweep all 2**n inputs accept n
-up to the fixed cap ``_kernels.EXHAUSTIVE_CAP`` (20); a larger circuit, a
-``suite --n-max`` outside 3 to 20, or a ``suite --trials`` below 1, is a
-usage error too.
+prints its report, so a refused write prints no report.  The commands
+that can sweep all 2**n inputs (``verify-equiv``, ``linearize``, ``encode``,
+``cap-fanin``, ``suite``) accept n up to the fixed cap
+``_kernels.EXHAUSTIVE_CAP`` (20), even where a sweep builds no value
+vector (``verify-equiv`` of two circuits whose output forms cancel); a
+larger circuit, a ``suite --n-max`` outside 3 to 20, or a ``suite
+--trials`` below 1, is a usage error too.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .circuit import (
     Depth2Circuit,
     GeneralCircuit,
     NotLinearError,
-    collapse,
     depth2_from_text,
     depth2_to_text,
+    first_difference,
     general_from_text,
     general_to_text,
     weak_counterexample,
@@ -160,7 +163,7 @@ def cmd_verify_equiv(args) -> int:
     c2 = load_circuit(args.second)
     if c1.n != c2.n:
         raise UsageError("circuits have different input counts")
-    x = collapse(c1).first_difference(collapse(c2))
+    x = first_difference(c1, c2)
     return _verdict("equivalent", None if x is None else Gf2Vector(c1.n, x))
 
 

@@ -194,9 +194,15 @@ def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:
     pivots upward, XOR in echelon row k when bit p_k disagrees.
     """
     words = []
+    b_rows = enc.b_rows
     for i, seen in enumerate(enc.c_rows):
         stored = enc.basis_bits[i]
-        kept = echelon(enc.b_rows[j] for j in bit_indices(seen))
+        rows = []
+        while seen:  # B_i: the rows of the middle gates output i reads
+            low = seen & -seen
+            rows.append(b_rows[low.bit_length() - 1])
+            seen ^= low
+        kept = echelon(rows)
         if len(kept) != len(stored):
             raise CorruptEncodingError(
                 f"output {i} stores {len(stored)} basis values,"
@@ -263,20 +269,22 @@ class _BitReader:
         self.bits = format(int.from_bytes(data, "big"), f"0{self.total}b") if data else ""
         self.pos = 0
 
-    def read(self, width: int, what: str) -> int:
+    def read(self, width: int, what: str, *index: int) -> int:
+        """A ``width``-bit field; ``what`` names it, formatted with
+        ``index`` only when the field is truncated."""
         end = self.pos + width
         if end > self.total:
-            raise EncodingFormatError(f"stream truncated while reading {what}", self.pos)
+            raise EncodingFormatError(f"stream truncated while reading {what.format(*index)}", self.pos)
         value = int(self.bits[self.pos : end] or "0", 2)
         self.pos = end
         return value
 
-    def read_bits(self, count: int, what: str) -> tuple[int, ...]:
-        """``count`` one-bit fields; truncation is reported at the first
-        bit past the end of the stream."""
+    def read_bits(self, count: int, what: str, *index: int) -> tuple[int, ...]:
+        """``count`` one-bit fields, named like ``read``'s; truncation is
+        reported at the first bit past the end of the stream."""
         end = self.pos + count
         if end > self.total:
-            raise EncodingFormatError(f"stream truncated while reading {what}", self.total)
+            raise EncodingFormatError(f"stream truncated while reading {what.format(*index)}", self.total)
         bits = tuple(map(int, self.bits[self.pos : end]))
         self.pos = end
         return bits
@@ -330,10 +338,10 @@ def deserialize(data: bytes) -> OperatorEncoding:
     basis_bits = []
     for i, wires in enumerate(levels[1]):
         at = r.pos
-        t = r.read(_FIELD, f"t_{i}")
+        t = r.read(_FIELD, "t_{}", i)
         if t > wires.bit_count():
             raise EncodingFormatError(f"output {i} stores more basis bits than wires", at)
-        basis_bits.append(r.read_bits(t, f"basis bit of output {i}"))
+        basis_bits.append(r.read_bits(t, "basis bit of output {}", i))
     at = r.pos
     if r.total - r.pos >= 8:
         raise EncodingFormatError("trailing data after encoding", at)

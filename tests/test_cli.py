@@ -17,8 +17,9 @@ from wirelab.circuit import (
     general_to_text,
 )
 from wirelab.compress import deserialize
-from wirelab.generators import random_matrix
-from wirelab.gf2 import Gf2Matrix, from_text, to_text
+from wirelab.generators import linear_output_instance, random_matrix
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, from_text, to_text
+from wirelab.transforms import linearize
 
 
 def run(capsys, *argv):
@@ -486,6 +487,40 @@ def test_verify_equiv_lowest_counterexample_at_n16(tmp_path, capsys):
     code, out = run(capsys, "verify-equiv", str(ident), str(other))
     assert code == 1
     assert out == "equivalent=false\ncounterexample=0000000000000001\n"
+
+
+def test_verify_equiv_of_a_linearized_circuit_at_the_cap_builds_no_vector(tmp_path, capsys, monkeypatch):
+    # the salted pairs cancel in the miter's forms, so no gate is built and
+    # the input masks are never fetched; linearize has just swept a subcube
+    n = 20
+    c, _ = linear_output_instance(n, 10, 0.5, seed=3)
+    lin, _ = linearize(c)
+    src, out = tmp_path / "c.ckt", tmp_path / "lin.ckt"
+    src.write_text(depth2_to_text(c))
+    out.write_text(depth2_to_text(lin.to_depth2()))
+    calls = []
+    for name in ("_mux_tree", "_stretch", "row_vector"):
+        monkeypatch.setattr(_kernels, name, lambda *args, name=name: calls.append(name))
+    before = _kernels.input_vectors.cache_info()
+    assert run(capsys, "verify-equiv", str(src), str(out)) == (0, "equivalent=true\n")
+    assert calls == []
+    assert _kernels.input_vectors.cache_info() == before
+    monkeypatch.undo()
+
+    # one table bit flipped in the second gate of a duplicated pair
+    m = c.middle
+    j = next(j for j in range(1, c.r) if m[j].inputs == m[j - 1].inputs and m[j].table.fanin > 1
+             and m[j].table.bits in (m[j - 1].table.bits, m[j - 1].table.complement().bits)
+             and any(j in o.mids for o in c.outputs))
+    entry = 1 << (m[j].table.fanin - 1)  # the table bit of one argument assignment
+    flipped_gate = dataclasses.replace(m[j], table=TruthTable(m[j].table.fanin, m[j].table.bits ^ entry))
+    flipped = dataclasses.replace(c, middle=m[:j] + (flipped_gate,) + m[j + 1:])
+    bad = tmp_path / "flipped.ckt"
+    bad.write_text(depth2_to_text(flipped))
+    x = circuit.collapse(flipped).first_difference(circuit.collapse(lin.to_depth2()))
+    assert x is not None
+    code, text = run(capsys, "verify-equiv", str(bad), str(out))
+    assert (code, text) == (1, f"equivalent=false\ncounterexample={Gf2Vector(n, x)}\n")
 
 
 def test_inputs_over_the_exhaustive_cap_are_usage_errors(tmp_path, capsys):

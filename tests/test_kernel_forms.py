@@ -1,8 +1,10 @@
-"""The four forms of a kernel sweep (row word, fold, stretch, mux tree):
-``collapse`` against the per-point interpreters on circuits that hit
-each form, each form against the mux tree on its own, the mux tree
-against a per-point table lookup, and pins on the work and memory the
-forms save."""
+"""The parts of a kernel sweep (affine forms of parity gates, the merge
+of repeated and complemented gates, fold, stretch, mux tree):
+``collapse`` and every-node sweeps against the per-point interpreters on
+circuits that hit each part, ``first_difference``'s one-miter sweep
+against two collapses, each part against the mux tree on its own, the
+mux tree against a per-point table lookup, and pins on the work and
+memory the parts save."""
 
 import random
 import sys
@@ -18,13 +20,18 @@ from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
+    LinearDepth2Circuit,
     MiddleGate,
     OutputGate,
     TruthTable,
+    _interpret,
     collapse,
+    equivalent,
+    first_difference,
     is_linear_gate,
 )
 from wirelab.generators import random_general, random_linear_circuit
+from wirelab.gf2 import Gf2Matrix, Gf2Vector
 from wirelab.transforms import cap_fanin
 
 
@@ -132,6 +139,51 @@ def mixed_depth2(draw):
     return Depth2Circuit(n, tuple(middle), tuple(outputs))
 
 
+@st.composite
+def merged_dags(draw, n=None):
+    """Gates that repeat or complement an earlier gate, identity gates
+    (whose form is their argument's), parities that XOR an argument twice,
+    and gates that read a node beside its identity copy."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    gates = []
+    for _ in range(draw(st.integers(1, 10))):
+        pick = st.integers(0, n + len(gates) - 1)
+        kind = draw(st.sampled_from(["new", "repeat", "complement", "identity", "beside", "xor-twice"]))
+        wide = [g for g in gates if len(g.preds) > 1]
+        if kind in ("repeat", "complement") and wide:
+            g = draw(st.sampled_from(wide))
+            gates.append(g if kind == "repeat" else GeneralGate(g.preds, g.table.complement()))
+        elif kind == "identity":
+            gates.append(GeneralGate((draw(pick),), TruthTable.identity()))
+        elif kind == "beside":
+            p = draw(pick)
+            gates.append(GeneralGate((p,), TruthTable.identity()))
+            preds = (p, n + len(gates) - 1, draw(pick))
+            gates.append(GeneralGate(preds, draw(tables(3))))
+        elif kind == "xor-twice":
+            a, b = draw(pick), draw(pick)
+            gates.append(GeneralGate((a, b, b), TruthTable.parity(3)))
+        else:
+            preds = tuple(draw(st.lists(pick, min_size=2, max_size=4)))
+            gates.append(GeneralGate(preds, draw(tables(len(preds)))))
+    return GeneralCircuit(n, tuple(gates), draw(outputs_of(n, n + len(gates))))
+
+
+def _every_node(c, x: int) -> list[int]:
+    """Every node's value on input ``x``, one table lookup per gate."""
+    vals = [(x >> i) & 1 for i in range(c.n)]
+    for g in c.gates:
+        vals.append((g.table.bits >> sum(vals[p] << k for k, p in enumerate(g.preds))) & 1)
+    return vals
+
+
+def assert_every_node_matches(c):
+    preds, bits, _ = c._nodes
+    vecs = _kernels.node_vectors_general(c.n, preds, bits)
+    for x in range(1 << c.n):
+        assert [(v >> x) & 1 for v in vecs] == _every_node(c, x), x
+
+
 @settings(max_examples=100, deadline=None)
 @given(parity_chains())
 def test_parity_chains_with_negations(c):
@@ -162,10 +214,119 @@ def test_mixed_general_dags(c):
     assert_collapse_matches(c, eval_general)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mixed_dags())
+def test_every_node_of_mixed_dags(c):
+    # with every node an output, a sweep often builds each parity gate
+    # from its arguments instead of from its form
+    assert_every_node_matches(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(merged_dags())
+def test_repeated_and_complemented_gates_and_arguments_of_equal_form(c):
+    assert_collapse_matches(c, eval_general)
+    assert_every_node_matches(c)
+
+
 @settings(max_examples=80, deadline=None)
 @given(mixed_depth2())
 def test_mixed_depth2_circuits(c):
     assert_collapse_matches(c, eval_depth2)
+
+
+@st.composite
+def paired_depth2(draw, n: int):
+    """Depth-2 circuits whose middle layer holds duplicated and
+    complemented pairs and identity gates, with outputs that read an
+    identity gate's input directly too."""
+    middle = []
+    for _ in range(draw(st.integers(0, 5))):
+        ins = tuple(draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 4)))])
+        middle.append(MiddleGate(ins, draw(parity_tables(len(ins)) | tables(len(ins)))))
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(["repeat", "complement", "identity"]))
+            if kind == "identity":
+                middle.append(MiddleGate((draw(st.integers(0, n - 1)),), TruthTable.identity()))
+            else:
+                m = middle[-1]
+                middle.append(m if kind == "repeat" else MiddleGate(m.inputs, m.table.complement()))
+    r = len(middle)
+    outputs = []
+    for _ in range(n):
+        mids = tuple(draw(st.permutations(range(r)))[:draw(st.integers(0, min(r, 4)))])
+        directs = tuple(draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 2)))])
+        fanin = len(mids) + len(directs)
+        outputs.append(OutputGate(mids, directs, draw(parity_tables(fanin) | tables(fanin))))
+    return Depth2Circuit(n, tuple(middle), tuple(outputs))
+
+
+def _as_general(c) -> GeneralCircuit:
+    preds, bits, outputs = c._nodes
+    gates = tuple(GeneralGate(tuple(ps), TruthTable(len(ps), t)) for ps, t in zip(preds, bits))
+    return GeneralCircuit(c.n, gates, tuple(outputs))
+
+
+def _flip_one_bit(draw, c: GeneralCircuit) -> tuple[int, GeneralCircuit]:
+    """A gate k of ``c`` and ``c`` with one table bit of gate k flipped;
+    k is the second gate of a duplicated or complemented pair when ``c``
+    has one."""
+    pairs = [k for k, g in enumerate(c.gates) for h in c.gates[:k]
+             if len(g.preds) > 1 and g.preds == h.preds and g.table.bits in (h.table.bits, h.table.complement().bits)]
+    k = draw(st.sampled_from(pairs)) if pairs else draw(st.integers(0, len(c.gates) - 1))
+    g = c.gates[k]
+    table = TruthTable(g.table.fanin, g.table.bits ^ (1 << draw(st.integers(0, (1 << g.table.fanin) - 1))))
+    return k, GeneralCircuit(c.n, c.gates[:k] + (GeneralGate(g.preds, table),) + c.gates[k + 1:], c.outputs)
+
+
+@st.composite
+def circuit_pairs(draw):
+    """Two circuits on the same inputs: the general circuit of a depth-2
+    circuit's node view, possibly with one table bit flipped, against the
+    depth-2 circuit; a general DAG against a copy with one table bit
+    flipped; a general DAG against an unrelated depth-2 circuit; or an
+    all-parity circuit against the general circuit of its depth-2 form,
+    possibly flipped."""
+    kind = draw(st.sampled_from(["general-depth2", "flip", "unrelated", "linear"]))
+    if kind == "flip":  # one output reads the flipped gate
+        c = draw(merged_dags())
+        k, flipped = _flip_one_bit(draw, c)
+        i = draw(st.integers(0, c.n - 1))
+        outputs = c.outputs[:i] + (c.n + k,) + c.outputs[i + 1:]
+        return GeneralCircuit(c.n, c.gates, outputs), GeneralCircuit(c.n, flipped.gates, outputs)
+    n = draw(st.integers(1, 8))
+    d2 = draw(paired_depth2(n))
+    if kind == "general-depth2":
+        g = _as_general(d2)
+        return (_flip_one_bit(draw, g)[1] if draw(st.booleans()) else g), d2
+    if kind == "unrelated":
+        return draw(merged_dags(n)), d2
+    r = draw(st.integers(0, 6))
+    first = Gf2Matrix(r, n, tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=r, max_size=r))))
+    second = Gf2Matrix(n, r, tuple(draw(st.lists(st.integers(0, (1 << r) - 1), min_size=n, max_size=n))))
+    lin = LinearDepth2Circuit(first, second)
+    other = _as_general(lin.to_depth2())
+    return lin, (_flip_one_bit(draw, other)[1] if draw(st.booleans()) else other)
+
+
+def _at(c, x: int) -> list[int]:
+    """Outputs of ``c`` on input ``x`` from the per-point interpreter."""
+    view = c.to_depth2()._nodes if isinstance(c, LinearDepth2Circuit) else c._nodes
+    return list(_interpret(c.n, view, Gf2Vector(c.n, x)).coords())
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit_pairs())
+def test_first_difference_sweeps_one_miter_exactly(pair):
+    c1, c2 = pair
+    want = collapse(c1).first_difference(collapse(c2))
+    assert first_difference(c1, c2) == want
+    assert first_difference(c2, c1) == want
+    assert equivalent(c1, c2) == (want is None)
+    if want is not None:
+        assert _at(c1, want) != _at(c2, want)
+        for x in range(want):
+            assert _at(c1, x) == _at(c2, x), x
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,23 +487,27 @@ def test_stretch_and_fold_of_a_fanin_16_gate_keep_the_mux_bound(monkeypatch):
     assert len(stretches) == 2
 
 
-def _xor_count(monkeypatch, c) -> tuple[int, int]:
-    """Big-int XORs of one sweep of ``c``, and the XORs of argument
-    vectors that its parity gates would make."""
-    spent = 0
+def _counted_xor(spent: list[int]):
+    """``_kernels._xor`` that adds the big-int XORs it makes to ``spent[0]``."""
     real = _kernels._xor
 
     def counted(vecs, neg, full):
-        nonlocal spent
         vecs = list(vecs)
-        spent += max(len(vecs) - 1, 0) + neg
+        spent[0] += max(len(vecs) - 1, 0) + neg
         return real(vecs, neg, full)
 
-    monkeypatch.setattr(_kernels, "_xor", counted)
+    return counted
+
+
+def _xor_count(monkeypatch, c) -> tuple[int, int]:
+    """Big-int XORs of one sweep of ``c``, and the XORs of argument
+    vectors that its parity gates would make."""
+    spent = [0]
+    monkeypatch.setattr(_kernels, "_xor", _counted_xor(spent))
     collapse(c)
     gates = list(c.middle) + list(c.outputs)
     by_args = sum(len(is_linear_gate(g.table)[0]) for g in gates)
-    return spent, by_args
+    return spent[0], by_args
 
 
 def test_row_words_never_cost_more_xors_than_argument_vectors(monkeypatch):
@@ -362,6 +527,76 @@ def test_row_words_never_cost_more_xors_than_argument_vectors(monkeypatch):
     spent, by_args = _xor_count(monkeypatch, sparse)
     assert spent <= by_args
     assert_collapse_matches(sparse, eval_depth2)
+
+
+def test_parity_gates_built_from_their_arguments_cost_no_more_xors(monkeypatch):
+    # gate k XORs gate k - 1 with input k + 1, so the chain's forms hold
+    # 2, 3, ..., n inputs: about n**2 / 2 XORs from the masks, where each
+    # gate from its two arguments takes one.  Past the chain, one parity
+    # gate XORs an AND gate in and the next XORs it out again: the AND gate
+    # cancels in the forms, but building those gates from their arguments
+    # reads it.  The last gate is a non-parity gate on the chain.
+    n = 12
+    gates = [GeneralGate((0, 1), TruthTable.parity(2))]
+    gates += [GeneralGate((n + k - 1, k + 1), TruthTable.parity(2)) for k in range(1, n - 1)]
+    end = n + len(gates) - 1
+    gates.append(GeneralGate((0, 1), TruthTable(2, 0b1000)))
+    gates.append(GeneralGate((end, end + 1), TruthTable.parity(2)))
+    gates.append(GeneralGate((end + 2, end + 1), TruthTable.parity(2, negated=True)))
+    gates.append(GeneralGate((n + 5, n + 9, 3), TruthTable(3, 0b10010110 ^ 0b1000)))
+    c = GeneralCircuit(n, tuple(gates), tuple(range(n + 1, end + 1)) + (end + 3, end + 4))
+    by_args = sum(len(g.preds) for g in gates)
+    spent = [0]
+    monkeypatch.setattr(_kernels, "_xor", _counted_xor(spent))
+    table = collapse(c)
+    assert spent[0] <= by_args
+    spent[0] = 0
+    preds, bits, _ = c._nodes
+    vecs = _kernels.node_vectors_general(n, preds, bits)
+    assert spent[0] <= by_args
+    rng = random.Random(12)
+    for x in [0] + rng.sample(range(1 << n), 64):
+        assert list(table.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)]), x
+        assert [(v >> x) & 1 for v in vecs] == _every_node(c, x), x
+
+
+def test_a_form_of_one_input_or_one_piece_is_that_vector():
+    # an identity gate is its input's mask, and a repeated gate, or an
+    # identity gate on it, is the first gate's vector: no copy is built
+    n = 10
+    and01 = GeneralGate((0, 1), TruthTable(2, 0b1000))
+    gates = (GeneralGate((4,), TruthTable.identity()), and01, and01, GeneralGate((n + 2,), TruthTable.identity()))
+    c = GeneralCircuit(n, gates, (n,) * n)
+    preds, bits, _ = c._nodes
+    vecs = _kernels.node_vectors_general(n, preds, bits)
+    masks, _ = _kernels.input_vectors(n)
+    assert vecs[n] is masks[4]
+    assert vecs[n + 2] is vecs[n + 1] and vecs[n + 3] is vecs[n + 1]
+    assert vecs[n + 1] == masks[0] & masks[1]
+
+
+def test_a_gate_that_folds_to_a_parity_reads_its_distinct_arguments():
+    # a 4-input table that is no parity, but is the parity of arguments
+    # 0..2 wherever arguments 1 and 3 agree; it reads input 2 both through
+    # an identity gate and directly, so it folds to that parity.  With
+    # every node an output, the parity chain before it has long forms and
+    # the sweep builds each parity gate, the folded one too, from its
+    # arguments' vectors; collapse builds the last gate from its form
+    n = 8
+    rng = random.Random(5)
+    bits = 0
+    for a in range(16):
+        b = [(a >> k) & 1 for k in range(4)]
+        bits |= (b[0] ^ b[1] ^ b[2] if b[1] == b[3] else rng.getrandbits(1)) << a
+    assert is_linear_gate(TruthTable(4, bits)) is None
+    gates = [GeneralGate((2,), TruthTable.identity()), GeneralGate((0, 1), TruthTable.parity(2))]
+    gates += [GeneralGate((n + k, k + 1), TruthTable.parity(2)) for k in range(1, n - 1)]
+    chain = n + len(gates) - 1
+    gates.append(GeneralGate((chain, n, 5, 2), TruthTable(4, bits)))
+    gates.append(GeneralGate((chain + 1, 0), TruthTable.parity(2, negated=True)))
+    c = GeneralCircuit(n, tuple(gates), (chain + 2,) * n)
+    assert_collapse_matches(c, eval_general)
+    assert_every_node_matches(c)
 
 
 def test_general_collapse_builds_only_what_its_outputs_read(monkeypatch):

@@ -18,6 +18,7 @@ from wirelab.circuit import (
     OutputGate,
     TruthTable,
     collapse,
+    first_difference,
 )
 from wirelab.compress import encode
 from wirelab.generators import random_depth2, random_general
@@ -137,6 +138,7 @@ def _over_cap_calls():
         "cap_fanin": (cap_fanin, GeneralCircuit(n, (wide,), tuple(range(n)))),
         "linearize": (linearize, linear.to_depth2()),
         "encode": (encode, linear.to_depth2()),
+        "first_difference": (lambda c: first_difference(c, linear), linear.to_depth2()),
     }
 
 
