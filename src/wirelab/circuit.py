@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, matmul, matvec, parse_decimal
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, echelon, matmul, matvec, parse_decimal
 
 MAX_FANIN = 24
 
@@ -235,13 +235,6 @@ class LinearDepth2Circuit:
     def n(self) -> int:
         return self.second_level.rows
 
-    @staticmethod
-    def from_matrix(a: Gf2Matrix) -> "LinearDepth2Circuit":
-        """Canonical two-level circuit for x -> a*x (middle layer = a's rows)."""
-        if a.rows != a.cols:
-            raise ValueError("operator matrix must be square")
-        return LinearDepth2Circuit(a, Gf2Matrix.identity(a.rows))
-
     def eval(self, x: Gf2Vector) -> Gf2Vector:
         return matvec(self.second_level, matvec(self.first_level, x))
 
@@ -401,6 +394,30 @@ def check_operator(table: OperatorTable, a: Gf2Matrix) -> None:
     x = table.first_difference(operator_table_of_matrix(a))
     if x is not None:
         raise NotLinearError(x, table.n)
+
+
+def agrees_on_pivots(row: int, kept: dict[int, int], got: int, neg: int, masks) -> bool:
+    """Whether h, which reads x only through P*x, is x -> row*x ^ neg on
+    all 2**n inputs: the subcube lemma both paper cases prove with.
+
+    ``kept`` holds P's rows as ``gf2.echelon`` keeps them, ``{lowest bit:
+    row}``, with pivots p_0 < ... < p_{rho-1}; ``got`` is h on the 2**rho
+    inputs supported on them (subcube input k is x_{p_k}), and ``masks``
+    holds at least rho input value vectors of at least 2**rho bits.  h is
+    that map iff (a) ``row`` lies in P's row space and (b) h agrees with
+    it on the subcube.  There P is unit upper-triangular, so one-to-one
+    onto P's image: each x shares P*x, hence h(x), with some x' of the
+    subcube, and (a) gives row*x = row*x'.  Conversely, row*x then reads x
+    only through P*x, which is (a).  Reduced rows are not needed.
+    """
+    if len(echelon([*kept.values(), row])) > len(kept):
+        return False
+    full = (1 << (1 << len(kept))) - 1
+    want = full if neg else 0
+    for mask, low in zip(masks, sorted(kept)):
+        if row & low:
+            want ^= mask & full
+    return got == want
 
 
 def weak_counterexample(c: Circuit, a: Gf2Matrix) -> Gf2Vector | None:

@@ -124,6 +124,8 @@ def _verdict(key: str, counterexample: Gf2Vector | None) -> int:
 
 def cmd_gen_matrix(args) -> int:
     cols = args.r if args.r is not None else args.n
+    if min(args.n, cols) < 1:  # an empty side writes a file no command reads
+        raise UsageError("--n and --r must be at least 1")
     m = random_matrix(args.n, cols, args.density, args.seed)
     _write_or_print(gf2.to_text(m), args.out)
     return 0

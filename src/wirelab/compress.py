@@ -11,13 +11,12 @@ vector in B_i's row space that takes the stored values at B_i's pivots
 (its first basis columns).  ``decode_matrix`` reads each a_i off one
 forward elimination of B_i (``gf2.echelon``), once per certificate;
 ``decode`` is one matrix-vector product with the result.  ``encode``
-reads each basis value straight off the output's table and proves the
-certificate through ``decode_matrix``, on a subcube: output i computes
-row i of the decoded matrix if it does so on the 2**rho_i inputs
-supported on B_i's first basis and the row lies in B_i's row space
-(``_subcube_proof``).  Only when that proof fails does one sweep of the
-circuit on all 2**n inputs name the lowest input where the decoded
-matrix disagrees with it.
+runs the same elimination, builds each output on the 2**rho_i inputs
+supported on B_i's pivots, reads its basis values off that vector and
+proves the certificate through ``decode_matrix`` by the subcube lemma
+(``circuit.agrees_on_pivots``) with P = B_i (``_subcube_proof``).  Only
+when that proof fails does one sweep of the circuit on all 2**n inputs
+name the lowest input where the decoded matrix disagrees with it.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
@@ -39,11 +38,13 @@ statement of this layout: ``serialize`` writes its fields and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from . import _kernels
 from ._kernels import check_exhaustive
-from .circuit import Depth2Circuit, check_operator, collapse, is_linear_gate
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, echelon, matvec, row_echelon
+from .circuit import Depth2Circuit, agrees_on_pivots, check_operator, collapse, is_linear_gate
+from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, echelon, matvec
 
 MAGIC = b"OPE1"
 _FIELD = 16  # width of the count fields (n, r, |B|, |C|, t_i)
@@ -130,57 +131,31 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     b_rows = tuple(rows[j] for j in used)
     c_rows = tuple(sum(1 << remap[j] for j in o.mids) for o in c.outputs)
 
-    # per output: B_i's pivots and reduced rows, and its table's index at
-    # each pivot's unit vector, whose entry there is the basis value
+    # per output: B_i's rows from decode_matrix's elimination, and the output
+    # on the subcube of their pivots, whose bit 2**k is its value at e_{p_k}
+    kepts = [echelon(rows[j] for j in o.mids) for o in c.outputs]
+    masks, _ = _kernels.input_vectors(max(map(len, kepts), default=0))
     proofs = []
     basis_bits = []
-    for o in c.outputs:
-        pivots, reduced = row_echelon(rows[j] for j in o.mids)
-        units = [sum(((rows[j] >> p) & 1) << t for t, j in enumerate(o.mids)) for p in pivots]
-        proofs.append((pivots, reduced, units))
-        basis_bits.append(tuple((o.table.bits >> u) & 1 for u in units))
+    for o, kept in zip(c.outputs, kepts):
+        full = (1 << (1 << len(kept))) - 1
+        cut = [(mask & full, low) for mask, low in zip(masks, sorted(kept))]
+        args = [reduce(xor, (mask for mask, low in cut if rows[j] & low), 0) for j in o.mids]
+        got = _kernels.apply_table(o.table.bits, args, full)
+        proofs.append((kept, got))
+        basis_bits.append(tuple((got >> (1 << k)) & 1 for k in range(len(kept))))
     enc = OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
     a = decode_matrix(enc)
-    if not _subcube_proof(c, proofs, a):
+    if not _subcube_proof(proofs, a, masks):
         check_operator(collapse(c), a)
     return enc
 
 
-def _subcube_proof(c: Depth2Circuit, proofs, a: Gf2Matrix) -> bool:
-    """Whether every output i of ``c`` provably computes x -> a_i * x.
-
-    Output i reads y = B_i * x through its table; ``proofs[i]`` holds
-    B_i's pivots, its reduced rows and the table's index at each pivot's
-    unit vector.  The proof has two parts: (a) on the 2**rho_i inputs
-    supported on the pivots, the kernel's value of the output equals
-    a_i * x; (b) a_i reduces to zero against the reduced rows, so it lies
-    in B_i's row space.  Any x shares its image B_i * x with some x' of
-    that subcube, (a) gives the output a_i * x' there, and (b) gives
-    a_i * x = a_i * x'.  So (a) and (b) cover all 2**n inputs, whatever
-    produced ``a``.
-    """
-    masks, _ = _kernels.input_vectors(max((len(p) for p, _, _ in proofs), default=0))
-    for o, (pivots, reduced, units), row in zip(c.outputs, proofs, a.row_words):
-        rest = row
-        for w in reduced:
-            if rest & w & -w:
-                rest ^= w
-        if rest:
-            return False
-        # subcube input k is pivot k: it sets bit t of the table index when
-        # it sets the output's argument t, and adds bit p of row to a_i * x
-        full = (1 << (1 << len(pivots))) - 1
-        args = [0] * len(o.mids)
-        want = 0
-        for k, (p, u) in enumerate(zip(pivots, units)):
-            mask = masks[k] & full
-            for t in bit_indices(u):
-                args[t] ^= mask
-            if (row >> p) & 1:
-                want ^= mask
-        if _kernels.apply_table(o.table.bits, args, full) != want:
-            return False
-    return True
+def _subcube_proof(proofs, a: Gf2Matrix, masks) -> bool:
+    """Whether every output i provably computes x -> a_i * x, by
+    ``agrees_on_pivots`` with P = B_i: ``proofs[i]`` holds B_i's rows as
+    ``echelon`` keeps them and the output on the subcube of their pivots."""
+    return all(agrees_on_pivots(row, kept, got, 0, masks) for (kept, got), row in zip(proofs, a.row_words))
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:

@@ -7,11 +7,12 @@ operations are pure functions.
 
 One elimination, ``echelon``, brings row words to echelon form with
 each pivot at its row's lowest set bit; its keys are the first basis of
-the columns (whose size is the rank), and the certificate decoder
-(``compress.decode_matrix``) reads each output's row off it.
-``row_echelon`` back-substitutes those rows into reduced row echelon
-form, which span solving and the certificate's proof (``compress``)
-read.
+the columns (whose size is the rank).  The certificate decoder
+(``compress.decode_matrix``) reads each output's row off it, and the
+subcube lemma (``circuit.agrees_on_pivots``) both paper cases prove
+with reads its rows as they are.  ``row_echelon`` back-substitutes
+those rows into reduced row echelon form, which the first basis and
+span solving read.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def row_echelon(rows) -> tuple[list[int], list[int]]:
     """The reduced row echelon form of row words, each row's pivot its
     lowest set bit.
 
-    Returns ``(pivots, reduced)``: the nonzero reduced rows in pivot
-    order, and their pivot columns.  No other reduced row has a bit at a
+    Returns ``(pivots, reduced)``: the pivot columns, and the nonzero
+    reduced rows in pivot order.  No other reduced row has a bit at a
     pivot, so the pivots are the greedy first basis of the columns
     (column j is a pivot iff it is not in the span of the columns before
     it), and bit j of ``reduced[k]`` is column j's coefficient on basis

@@ -14,11 +14,13 @@ gates that computes a matrix-vector product into an all-parity circuit:
    g_j(e_i) != g_j(0), which are the arguments in the mask of
    ``_kernels.parity_candidate`` of its table, and the second-level
    wiring is kept as is;
-4. the proof, on a subcube: let U be the union of the inputs of the
-   read non-parity middle gates.  One sweep builds those gates on the
-   2**|U| inputs supported on U, and output i of step 2 computes row i
-   of the result's matrix iff the row, XORed with the rows of its parity
-   gates, has no bit outside U and agrees there (``_subcube_proof``).
+4. the proof, by the subcube lemma (``circuit.agrees_on_pivots``) with
+   P = I_U: let U be the union of the inputs of the read non-parity
+   middle gates.  One sweep builds those gates on the 2**|U| inputs
+   supported on U, and output i of step 2 computes row i of the
+   result's matrix iff the row, XORed with the rows of its parity gates,
+   has no bit outside U (lies in I_U's row space) and agrees there
+   (``_subcube_proof``).
    When it does not, ``check_operator`` compares one sweep of the input
    with x -> a*x on all 2**n inputs and raises NotLinearError at the
    first difference.
@@ -52,6 +54,7 @@ from .circuit import (
     MiddleGate,
     OutputGate,
     TruthTable,
+    agrees_on_pivots,
     check_operator,
     collapse,
     is_linear_gate,
@@ -241,15 +244,10 @@ def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> boo
 
     ``rows[j]`` is middle gate j's read-off row, its input row when the
     gate is a parity.  Let U be the union of the inputs of the read
-    non-parity gates, and w_i row i of ``matrix`` XORed with the rows of
-    output i's parity gates.  Then output i XOR matrix_i * x is the XOR of
-    w_i * x, of its parity gates' negation bits and of its non-parity
-    gates, which read only x_U.  So output i computes row i iff w_i has no
-    bit outside U and, on the 2**|U| inputs supported on U, its non-parity
-    gates XOR to w_i * z XORed with those negation bits.  One sweep builds
-    the non-parity gates there, with U renumbered 0..|U|-1; it never
-    covers more than 2**n points, and the proof holds whatever produced
-    ``matrix``.
+    non-parity gates.  Output i XORed with its parity gates (rows and
+    negation bits) is the XOR of its non-parity gates, a function of x_U,
+    so ``agrees_on_pivots`` with P = I_U decides it.  One sweep builds
+    those gates on the 2**|U| inputs supported on U, renumbered 0..|U|-1.
     """
     read = sorted({j for o in s2.outputs for j in o.mids})
     # per read gate: its (mask, negation bit) as a parity, or None
@@ -258,13 +256,14 @@ def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> boo
     span = sorted({i for j in tables for i in s2.middle[j].inputs})
     at = {i: k for k, i in enumerate(span)}
     k = len(span)
-    vecs = {}
+    kept = {1 << i: 1 << i for i in span}
+    vecs, masks = {}, ()
     if tables:  # an all-parity circuit needs no sweep
         preds = [tuple(at[i] for i in s2.middle[j].inputs) for j in tables]
         bits = [s2.middle[j].table.bits for j in tables]
         outputs = range(k, k + len(tables))
         vecs = dict(zip(tables, _kernels.node_vectors_general(k, preds, bits, outputs=outputs)))
-    outside = ~sum(1 << i for i in span)
+        masks, _ = _kernels.input_vectors(k)
     for o, w in zip(s2.outputs, matrix.row_words):
         got = neg = 0
         for j in o.mids:
@@ -273,9 +272,6 @@ def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> boo
             else:
                 w ^= rows[j]
                 neg ^= forms[j][1]
-        if w & outside:
-            return False
-        z = sum(1 << at[i] for i in bit_indices(w))
-        if got != (_kernels.row_vector(k, z, neg) if tables else neg):
+        if not agrees_on_pivots(w, kept, got, neg, masks):
             return False
     return True

@@ -12,7 +12,7 @@ the faster forms must reproduce.
 
 from __future__ import annotations
 
-from wirelab.circuit import TruthTable
+from wirelab.circuit import LinearDepth2Circuit, TruthTable
 from wirelab.compress import (
     _FIELD,
     MAGIC,
@@ -21,7 +21,7 @@ from wirelab.compress import (
     OperatorEncoding,
     _BitReader,
 )
-from wirelab.gf2 import Gf2Vector
+from wirelab.gf2 import Gf2Matrix, Gf2Vector
 
 
 def table_lookup(bits: int, args: list[int]) -> int:
@@ -73,6 +73,11 @@ def eval_general(c, x: list[int]) -> list[int]:
     for k, g in enumerate(c.gates):
         val[c.n + k] = table_lookup(g.table.bits, [val[p] for p in g.preds])
     return [val[o] for o in c.outputs]
+
+
+def linear_circuit(a) -> LinearDepth2Circuit:
+    """The all-parity circuit x -> a*x whose middle gates are a's rows."""
+    return LinearDepth2Circuit(a, Gf2Matrix.identity(a.rows))
 
 
 def matrix_lists(m) -> list[list[int]]:

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     eval_depth2,
     eval_general,
+    linear_circuit,
     table_from_hex_per_nibble,
     table_to_hex_per_nibble,
 )
@@ -11,10 +14,10 @@ from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
-    LinearDepth2Circuit,
     MiddleGate,
     OutputGate,
     TruthTable,
+    agrees_on_pivots,
     collapse,
     depth2_from_text,
     depth2_to_text,
@@ -35,7 +38,7 @@ from wirelab.generators import (
     random_general,
     random_matrix,
 )
-from wirelab.gf2 import Gf2Matrix, Gf2Vector
+from wirelab.gf2 import Gf2Matrix, Gf2Vector, echelon
 from wirelab.transforms import linearize
 
 
@@ -46,7 +49,7 @@ def bits(s: str) -> Gf2Vector:
 # --- evaluation ------------------------------------------------------------
 
 def test_eval_linear_identity_circuit():
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(4))
+    c = linear_circuit(Gf2Matrix.identity(4))
     for xb in range(16):
         x = Gf2Vector(4, xb)
         assert c.eval(x) == x
@@ -75,7 +78,7 @@ def test_eval_general_against_interpreter_oracle():
 
 
 def test_eval_length_mismatch():
-    lin = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
+    lin = linear_circuit(Gf2Matrix.identity(3))
     general = GeneralCircuit(3, (), (0, 1, 2))
     for c in (lin, lin.to_depth2(), general):
         with pytest.raises(ValueError):
@@ -86,7 +89,7 @@ def test_eval_length_mismatch():
 
 def test_wires_depth_identity_linear():
     n = 5
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n))
+    c = linear_circuit(Gf2Matrix.identity(n))
     assert c.wire_count() == 2 * n
 
 
@@ -105,7 +108,7 @@ def test_wires_general_matches_recount():
 # --- collapse / equivalence ------------------------------------------------
 
 def test_collapse_identity_circuit():
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
+    c = linear_circuit(Gf2Matrix.identity(3))
     t = collapse(c)
     for xb in range(8):
         assert t.value_at(xb) == Gf2Vector(3, xb)
@@ -127,17 +130,17 @@ def test_collapse_spot_entries_match_eval():
 def test_collapse_cap_enforced():
     # the cap is fixed at 20: both sweep paths take n = 20 and refuse n = 21
     assert EXHAUSTIVE_CAP == 20
-    lin = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(20))
+    lin = linear_circuit(Gf2Matrix.identity(20))
     assert collapse(lin).value_at(5) == Gf2Vector(20, 5)
-    big = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(21))
+    big = linear_circuit(Gf2Matrix.identity(21))
     for c in (big, big.to_depth2()):
         with pytest.raises(ExhaustiveCapError, match="capped at n=20, got n=21"):
             collapse(c)
 
 
 def test_equivalent_reflexive_and_zero_vs_identity():
-    ident = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
-    zero = LinearDepth2Circuit.from_matrix(Gf2Matrix(3, 3, (0,) * 3))
+    ident = linear_circuit(Gf2Matrix.identity(3))
+    zero = linear_circuit(Gf2Matrix(3, 3, (0,) * 3))
     assert equivalent(ident, ident)
     assert not equivalent(ident, zero)
 
@@ -145,8 +148,8 @@ def test_equivalent_reflexive_and_zero_vs_identity():
 def test_equivalent_mismatched_inputs():
     with pytest.raises(ValueError):
         equivalent(
-            LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3)),
-            LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(4)),
+            linear_circuit(Gf2Matrix.identity(3)),
+            linear_circuit(Gf2Matrix.identity(4)),
         )
 
 
@@ -189,9 +192,9 @@ def test_linear_output_instance_computes_its_planted_matrix():
 
 def test_weakly_computes_exact_circuit_and_zero():
     a = random_matrix(4, 4, 0.5, seed=12)
-    c = LinearDepth2Circuit.from_matrix(a)
+    c = linear_circuit(a)
     assert weak_counterexample(c, a) is None
-    zero = LinearDepth2Circuit.from_matrix(Gf2Matrix(4, 4, (0,) * 4))
+    zero = linear_circuit(Gf2Matrix(4, 4, (0,) * 4))
     assert weak_counterexample(zero, Gf2Matrix.identity(4)) == Gf2Vector.unit(4, 0)
     # the first unit vector that fails: column 2 flipped fails only there
     flipped = Gf2Matrix(4, 4, tuple(w ^ 0b0100 for w in a.row_words))
@@ -205,14 +208,78 @@ def test_weak_equals_full_for_parity_circuits():
         c = random_linear_circuit(4, 5, 0.5, seed=seed)
         a = random_matrix(4, 4, 0.5, seed=seed + 100)
         weak = weak_counterexample(c, a) is None
-        full = equivalent(c, LinearDepth2Circuit.from_matrix(a))
+        full = equivalent(c, linear_circuit(a))
         assert weak == full
         assert weak_counterexample(c, c.operator_matrix()) is None
 
 
 def test_operator_table_of_matrix_matches_collapse():
     a = random_matrix(5, 5, 0.5, seed=13)
-    assert operator_table_of_matrix(a) == collapse(LinearDepth2Circuit.from_matrix(a))
+    assert operator_table_of_matrix(a) == collapse(linear_circuit(a))
+
+
+def _dot(u: int, x: int) -> int:
+    return (u & x).bit_count() & 1
+
+
+def test_agrees_on_pivots_gives_the_verdict_of_every_input():
+    # h = g(P*x) with g affine, or affine but for one point of P's image;
+    # told h on the subcube of P's pivots only, the lemma must say whether
+    # h is x -> a*x ^ neg exactly when a check of all 2**n inputs does
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8), label="n")
+        words = st.integers(0, (1 << n) - 1)
+        p_rows = data.draw(st.lists(words, max_size=n + 1), label="P")
+        kept = echelon(p_rows)
+        pivots = sorted(kept)  # one-bit words
+        coef = data.draw(st.integers(0, (1 << len(p_rows)) - 1), label="g's coefficients")
+        c0 = data.draw(st.integers(0, 1), label="g's constant")
+        flip = data.draw(st.none() | words, label="g flipped at the image of")
+
+        def image(x):
+            return sum(_dot(row, x) << k for k, row in enumerate(p_rows))
+
+        def h(x):
+            y = image(x)
+            return _dot(coef, y) ^ c0 ^ (flip is not None and y == image(flip))
+
+        def combination(pick):
+            a = 0
+            for k, row in enumerate(p_rows):
+                if (pick >> k) & 1:
+                    a ^= row
+            return a
+
+        kinds = ["h's own", "h's own off the pivots", "in the row space", "any"]
+        kind = data.draw(st.sampled_from(kinds), label="a")
+        if kind == "h's own":
+            a = combination(coef)
+        elif kind == "h's own off the pivots":  # outside the row space when nonzero
+            a = combination(coef) ^ (data.draw(words) & ~sum(pivots))
+        elif kind == "in the row space":
+            a = combination(data.draw(st.integers(0, (1 << len(p_rows)) - 1)))
+        else:
+            a = data.draw(words)
+        neg = data.draw(st.integers(0, 1), label="neg")
+
+        # subcube input k is pivot k, lowest first; masks of any width will do
+        rho = len(pivots)
+        got = 0
+        for z in range(1 << rho):
+            got |= h(sum(low for k, low in enumerate(pivots) if (z >> k) & 1)) << z
+        width = data.draw(st.integers(rho, 8), label="mask width")
+        masks = [sum(1 << z for z in range(1 << width) if (z >> k) & 1) for k in range(width)]
+
+        verdict = all(h(x) == _dot(a, x) ^ neg for x in range(1 << n))
+        assert agrees_on_pivots(a, kept, got, neg, masks) == verdict
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {False, True}
 
 
 # --- truth table hex and circuit text formats -------------------------------

@@ -3,13 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import eval_depth2, ope1_stream
+from oracles import eval_depth2, linear_circuit, ope1_stream
 from wirelab import _kernels, circuit, cli, suite
 from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
-    LinearDepth2Circuit,
     TruthTable,
     depth2_from_text,
     depth2_to_text,
@@ -188,6 +187,9 @@ def test_a_refused_out_write_prints_no_report(tmp_path, capsys, family, command)
 def test_bad_generator_arguments_are_usage_errors(capsys):
     for argv, message in (
         (["gen-matrix", "--n", "3", "--density", "2"], "density must lie in [0, 1]"),
+        (["gen-matrix", "--n", "3", "--r", "0"], "--n and --r must be at least 1"),
+        (["gen-matrix", "--n", "0"], "--n and --r must be at least 1"),
+        (["gen-matrix", "--n", "0", "--r", "3"], "--n and --r must be at least 1"),
         (["gen-circuit", "--n", "0"], "need at least one input"),
         (["gen-circuit", "--family", "general", "--n", "3", "--r", "0"], "need at least one gate"),
         (["gen-circuit", "--family", "random", "--n", "3", "--r", "-2"], "middle gate count must be non-negative"),
@@ -479,11 +481,11 @@ def test_verify_equiv_lowest_counterexample_at_n16(tmp_path, capsys):
     n = 16
     ident = tmp_path / "ident.ckt"
     other = tmp_path / "other.ckt"
-    ident.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()))
+    ident.write_text(depth2_to_text(linear_circuit(Gf2Matrix.identity(n)).to_depth2()))
     rows = [1 << i for i in range(n)]
     rows[0] |= 1 << 15
     a = Gf2Matrix(n, n, tuple(rows))
-    other.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(a).to_depth2()))
+    other.write_text(depth2_to_text(linear_circuit(a).to_depth2()))
     code, out = run(capsys, "verify-equiv", str(ident), str(other))
     assert code == 1
     assert out == "equivalent=false\ncounterexample=0000000000000001\n"
@@ -526,7 +528,7 @@ def test_verify_equiv_of_a_linearized_circuit_at_the_cap_builds_no_vector(tmp_pa
 def test_inputs_over_the_exhaustive_cap_are_usage_errors(tmp_path, capsys):
     n = 21
     depth2 = tmp_path / "d21.ckt"
-    depth2.write_text(depth2_to_text(LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()))
+    depth2.write_text(depth2_to_text(linear_circuit(Gf2Matrix.identity(n)).to_depth2()))
     general = tmp_path / "g21.ckt"
     wide = GeneralGate(tuple(range(n)) + (0,), TruthTable(n + 1, 0))
     general.write_text(general_to_text(GeneralCircuit(n, (wide,), tuple(range(n)))))

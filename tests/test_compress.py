@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from oracles import decode_per_point, ope1_stream
+from oracles import decode_per_point, linear_circuit, ope1_stream
 
 from wirelab import compress
 from wirelab.circuit import (
@@ -32,7 +32,7 @@ from wirelab.gf2 import Gf2Matrix, Gf2Vector, matmul, matvec, row_echelon
 
 
 def identity_depth2(n: int) -> Depth2Circuit:
-    return LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()
+    return linear_circuit(Gf2Matrix.identity(n)).to_depth2()
 
 
 # --- encode ------------------------------------------------------------------

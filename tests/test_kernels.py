@@ -7,13 +7,12 @@ import tracemalloc
 
 import pytest
 
-from oracles import eval_depth2, eval_general
+from oracles import eval_depth2, eval_general, linear_circuit
 from wirelab import _kernels
 from wirelab.circuit import (
     Depth2Circuit,
     GeneralCircuit,
     GeneralGate,
-    LinearDepth2Circuit,
     MiddleGate,
     OutputGate,
     TruthTable,
@@ -130,7 +129,7 @@ def _over_cap_calls():
     """Every library entry point that sweeps, on a hand-built 21-input
     circuit (``random_general`` would draw tables of fanin 25)."""
     n = 21
-    linear = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n))
+    linear = linear_circuit(Gf2Matrix.identity(n))
     wide = GeneralGate(tuple(range(n)) + (0,), TruthTable(n + 1, 0))
     return {
         "collapse-kernel": (collapse, linear.to_depth2()),

@@ -78,15 +78,26 @@ def test_benchmark_tiny_pools_pass_their_oracles_under_the_tracer(tmp_path, monk
 
 def test_every_library_function_is_referenced_outside_the_tests():
     # a helper goes with its last caller: some code in the package or the
-    # benchmark names each module-level function (as a name, an attribute,
-    # an import or an identifier string such as the tracer's TARGETS);
-    # cmd_* are exempt, cli.main looks them up by name
+    # benchmark names each module-level function and class, and each
+    # function in a class body (method, property, static method), as a
+    # name, an attribute, an import or an identifier string such as the
+    # tracer's TARGETS.  __init__.py's re-exports and __all__ are no use.
+    # Names match by spelling alone: a method counts as used wherever any
+    # attribute of its name is read.  Dunders are exempt, and so are
+    # cmd_*, which cli.main looks up by name.
     package = Path(wirelab.__file__).parent
     paths = [*package.glob("*.py"), *PERFBENCH.glob("*.py"), *BENCHMARKS.glob("*.py")]
     trees = {path: ast.parse(path.read_text()) for path in paths}
     referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for path, tree in trees.items():
+        body = tree.body
+        if path == package / "__init__.py":
+            body = [
+                stmt for stmt in body
+                if not isinstance(stmt, ast.ImportFrom)
+                and not (isinstance(stmt, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in stmt.targets))
+            ]
+        for node in (node for stmt in body for node in ast.walk(stmt)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -95,11 +106,20 @@ def test_every_library_function_is_referenced_outside_the_tests():
                 referenced.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
                 referenced.add(node.value)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, *functions)):
+                defined.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, f"{node.name}.{m.name}", m.name) for m in node.body if isinstance(m, functions)
+                ]
     unreferenced = [
-        f"{path.name}: {node.name}"
-        for path, tree in trees.items() if path.parent == package
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("cmd_") and node.name not in referenced
+        f"{module}: {qualname}" for module, qualname, name in defined
+        if not (name.startswith("cmd_") or name.startswith("__")) and name not in referenced
     ]
     assert unreferenced == []

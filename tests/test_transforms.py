@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import parity_rows
+from oracles import linear_circuit, parity_rows
 from wirelab import _kernels, gf2, transforms
 from wirelab._kernels import ExhaustiveCapError
 from wirelab.circuit import (
@@ -18,6 +18,7 @@ from wirelab.circuit import (
     TruthTable,
     collapse,
     equivalent,
+    is_linear_gate,
     operator_table_of_matrix,
 )
 from wirelab.generators import linear_output_instance, random_general, random_matrix
@@ -138,7 +139,7 @@ def test_remove_direct_wires_shares_gate_per_input():
 # --- normalize_output_xor ----------------------------------------------------
 
 def test_normalize_noop_on_pure_xor():
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3)).to_depth2()
+    c = linear_circuit(Gf2Matrix.identity(3)).to_depth2()
     assert normalize_output_xor(c) is c
 
 
@@ -184,11 +185,11 @@ def test_normalize_requires_no_direct_wires():
 # --- linearize ---------------------------------------------------------------
 
 def test_linearize_clean_identity():
-    c = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3)).to_depth2()
+    c = linear_circuit(Gf2Matrix.identity(3)).to_depth2()
     lin, report = linearize(c)
     assert equivalent(c, lin)
     assert report.within_budget and report.added == 0
-    assert lin == LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(3))
+    assert lin == linear_circuit(Gf2Matrix.identity(3))
 
 
 def test_linearize_nand_at_zero_pair():
@@ -366,11 +367,33 @@ def test_linearize_proves_n20_without_a_2n_bit_vector():
     assert rep.matrix == a
 
 
+def test_a_matrix_fault_off_the_swept_inputs_fails_part_b():
+    # flip bit j of row i for an input j that no read non-parity gate
+    # reads: the sweep over U never sets x_j, so only the row-space test
+    # (w_i has no bit outside U) sees the fault
+    c, _ = linear_output_instance(6, 8, 0.5, seed=1)
+    lin, rep = linearize(c)
+    s2, rows = rep.stages[1], lin.first_level.row_words
+    read = {j for o in s2.outputs for j in o.mids}
+    tables = [s2.middle[j] for j in read if is_linear_gate(s2.middle[j].table) is None]
+    span = {i for m in tables for i in m.inputs}
+    assert span == {1, 3, 4}
+    assert transforms._subcube_proof(s2, rows, rep.matrix)
+    table = collapse(c)
+    for i in range(c.n):
+        for j in set(range(c.n)) - span:
+            words = list(rep.matrix.row_words)
+            words[i] ^= 1 << j
+            flipped = Gf2Matrix(c.n, c.n, tuple(words))
+            assert table.first_difference(operator_table_of_matrix(flipped)) == 1 << j
+            assert not transforms._subcube_proof(s2, rows, flipped)
+
+
 def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
     # output 0 reads identity gate 0 and a pair of equal fanin-n tables,
     # which cancel: the circuit computes the identity
     n = 6
-    base = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()
+    base = linear_circuit(Gf2Matrix.identity(n)).to_depth2()
     wide = MiddleGate(tuple(range(n)), TruthTable(n, 0x1234_5678_9ABC_DEF0))
     assert _kernels.parity_of(wide.table.bits, n) is None
     out0 = parity_out((0, n, n + 1))
@@ -404,7 +427,7 @@ def test_wide_equal_tables_are_swept_over_the_inputs_they_read(monkeypatch):
     # at n = 16, output 0 reads identity gate 0 and two equal fanin-12
     # tables on inputs 2..15 but 5 and 9, which cancel
     n = 16
-    base = LinearDepth2Circuit.from_matrix(Gf2Matrix.identity(n)).to_depth2()
+    base = linear_circuit(Gf2Matrix.identity(n)).to_depth2()
     ins = tuple(i for i in range(2, n) if i not in (5, 9))
     wide = MiddleGate(ins, TruthTable(12, random.Random(12).getrandbits(1 << 12)))
     assert _kernels.parity_of(wide.table.bits, 12) is None
