@@ -31,13 +31,16 @@ The second pass builds a value vector only for an output, and for a
 piece that some needed form still holds after cancellation: an
 output's, or an argument's of a needed piece.  A sweep whose outputs
 all cancel to zero builds no vector at all, not even the input masks.
-A form's vector is the XOR of its inputs' masks and its pieces'
-vectors, built once per sweep; a form of one input or one piece is that
-vector itself.  A sweep uses the forms only when the vectors of the
-forms it must build cost no more big-int XORs than XORing every parity
-gate's argument vectors; otherwise it builds every gate in order, each
-parity gate from its arguments' vectors.  A piece is built one of two
-ways:
+A form's vector is built once per sweep, as the XOR of the vector of
+the nearest form already built (``_nearest_first``: the fewest inputs,
+pieces and negation bit apart) with the masks and piece vectors in
+which the two differ, or from scratch, its inputs' masks and its
+pieces' vectors, when that takes fewer XORs; a form of one input or one
+piece is that vector itself.  A sweep uses the forms only when the
+vectors of the forms it must build, each from scratch (an upper bound),
+cost no more big-int XORs than XORing every parity gate's argument
+vectors; otherwise it builds every gate in order, each parity gate from
+its arguments' vectors.  A piece is built one of two ways:
 
 * **stretch.**  A piece whose preds are all inputs is its table
   tiled up to 2**n bits (``x |= x << w``), with at most fanin delta
@@ -50,6 +53,14 @@ ways:
   is looked up as one of 16 functions of the first two arguments, so the
   tree does 2**(fanin-2) - 1 merges, the lowest 2**(fanin-3) of them
   with a looked-up ``lo ^ hi``.
+
+Whether a gate is a parity is decided once per distinct (table, fanin)
+in a sweep, and never remembered across sweeps: ``read_parity`` copies
+the table to bytes once, reads the candidate off bits 2**k and compares
+the bytes with the candidate's, which it builds by copying bytes.  The
+input masks of the largest n built so far are kept (``input_vectors``):
+a smaller n gets them ANDed with its all-ones vector, so a run that
+moves between n = 18, 19 and 20 builds each mask once.
 """
 
 from __future__ import annotations
@@ -84,44 +95,83 @@ def variable_mask(i: int, n: int) -> int:
     return m
 
 
+_widest: tuple[tuple[int, ...], int] = ((), 1)  # input_vectors of the largest n built so far
+
+
 @lru_cache(maxsize=1)
 def input_vectors(n: int) -> tuple[tuple[int, ...], int]:
-    """Value vectors of the n input coordinates and the all-ones vector,
-    built once per n; a sweep fetches them before its first vector, and
-    the cap is checked before the first 2**n-bit int is built."""
+    """Value vectors of the n input coordinates and the all-ones vector.
+
+    The masks of the largest n built so far are kept: a smaller n gets
+    them ANDed with its all-ones vector, and that n gets the kept tuple
+    itself, so a run that moves between n = 18, 19 and 20 builds each
+    mask once.  A sweep fetches them before its first vector, and the
+    cap is checked before the first 2**n-bit int is built."""
+    global _widest
     check_exhaustive(n)
-    return tuple(variable_mask(i, n) for i in range(n)), (1 << (1 << n)) - 1
+    if len(_widest[0]) < n:
+        _widest = tuple(variable_mask(i, n) for i in range(n)), (1 << (1 << n)) - 1
+    masks, full = _widest
+    if len(masks) == n:
+        return _widest
+    full = (1 << (1 << n)) - 1
+    return tuple([m & full for m in masks[:n]]), full
 
 
-def parity_candidate(table: int, fanin: int) -> tuple[int, int]:
-    """Mask of arguments and negation bit of the parity that agrees with
-    ``table`` on the all-zero and all unit assignments."""
-    neg = table & 1
-    mask = 0
-    for k in range(fanin):
-        if ((table >> (1 << k)) & 1) ^ neg:
-            mask |= 1 << k
-    return mask, neg
+# Byte m is the table of XOR over the variables in mask m of variables
+# 0..2: bit x of the byte is the parity of x & m.
+_LOW_PARITY = (0x00, 0xAA, 0xCC, 0x66, 0xF0, 0x5A, 0x3C, 0x96)
+_NOT = bytes(range(255, -1, -1))  # bytes.translate table of the complement
+
+
+def _parity_bytes(fanin: int, mask: int, neg: int) -> bytes:
+    """``parity_table`` of fanin >= 3 as 2**(fanin-3) little-endian bytes:
+    byte 0 is the parity of variables 0..2, and each further variable k
+    doubles the table, with the new half complemented if k is in ``mask``;
+    the doublings copy bytes and touch no big int."""
+    seq = bytes((_LOW_PARITY[mask & 7] ^ (255 if neg else 0),))
+    for k in range(3, fanin):
+        seq += seq.translate(_NOT) if (mask >> k) & 1 else seq
+    return seq
 
 
 def parity_table(fanin: int, mask: int, neg: int) -> int:
     """Truth table of XOR over the arguments in ``mask``, complemented if ``neg``."""
-    t = neg
-    width = 1
-    for k in range(fanin):
-        half = ~t & ((1 << width) - 1) if (mask >> k) & 1 else t
-        t |= half << width
-        width <<= 1
-    return t
+    if fanin < 3:
+        return (_LOW_PARITY[mask] ^ (255 if neg else 0)) & ((1 << (1 << fanin)) - 1)
+    return int.from_bytes(_parity_bytes(fanin, mask, neg), "little")
+
+
+def read_parity(table: int, fanin: int) -> tuple[int, int, bool]:
+    """Mask of arguments and negation bit of the parity that agrees with
+    ``table`` on the all-zero and all unit assignments, and whether the
+    table is that parity.
+
+    The table is read once, as bytes: bit 2**k is bit 0 of byte
+    2**(k-3) for k >= 3, and bits 1, 2 and 4 of byte 0 below that; the
+    verdict compares those bytes with the parity's (``_parity_bytes``).
+    """
+    neg = table & 1
+    flip = (1 << fanin) - 1 if neg else 0
+    if fanin < 3:
+        mask = ((table >> 1) & 3 | (table >> 2) & 4) ^ flip
+        return mask, neg, table == parity_table(fanin, mask, neg)
+    data = table.to_bytes(1 << (fanin - 3), "little")
+    mask = 0
+    for k in range(fanin - 1, 2, -1):
+        mask = mask << 1 | data[1 << (k - 3)] & 1
+    low = data[0]
+    mask = (mask << 3 | (low >> 1) & 3 | (low >> 2) & 4) ^ flip
+    return mask, neg, data == _parity_bytes(fanin, mask, neg)
 
 
 def parity_of(table: int, fanin: int) -> tuple[int, int] | None:
-    """``parity_candidate`` of the table if the table is that parity, else None."""
+    """``read_parity``'s mask and negation bit if the table is that parity, else None."""
     ones = table.bit_count()
     if ones and ones != 1 << fanin and ones << 1 != 1 << fanin:  # neither constant nor balanced
         return None
-    mask, neg = parity_candidate(table, fanin)
-    return (mask, neg) if table == parity_table(fanin, mask, neg) else None
+    mask, neg, exact = read_parity(table, fanin)
+    return (mask, neg) if exact else None
 
 
 def _xor(vecs, neg: int, full: int) -> int:
@@ -316,6 +366,33 @@ def _stretch(table: int, ps, n: int, masks) -> int:
     return x
 
 
+def _nearest_first(todo: list[int], built: list[int]) -> list[tuple[int, int]]:
+    """An order in which to build the affine forms ``todo``, each from a
+    form already built: pairs ``(f, g)``, f to be built as g's vector
+    XORed with the vectors of the inputs and pieces in ``f ^ g``, or from
+    scratch when g is 0.
+
+    Building f from g takes ``(f ^ g).bit_count()`` big-int XORs, the
+    negation bit counted; from scratch it takes one fewer than f's bits.
+    Each step builds the form that is cheapest to reach from ``built`` or
+    from the forms built before it (Prim's order over the distances), so
+    rows that share most of their inputs are built one from another.
+    """
+    best = {f: (f.bit_count() - 1, 0) for f in todo}  # f -> (its cost, its source)
+    order = []
+    reached = built
+    while best:
+        for g in reached:
+            for f, (cost, _) in best.items():
+                c = (f ^ g).bit_count()
+                if c < cost:
+                    best[f] = c, g
+        f = min(best, key=best.get)
+        order.append((f, best.pop(f)[1]))
+        reached = (f,)
+    return order
+
+
 def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     """Value vectors of the nodes in ``outputs`` (every node by default):
     the n inputs, then each gate in order; gate arguments index the nodes
@@ -337,9 +414,13 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     pieces = []  # the plan's pieces: non-parity gates that repeat no earlier one
     first = {}  # (argument forms, table or its complement, bit 0 clear) -> first gate's form | its bit 0
     arg_xors = 0  # XORs that building every parity gate from its arguments takes
+    decided = {}  # (table, fanin) -> parity_of: gates of one sweep often share a table
     for ps, t in zip(preds, tables):
         d = len(ps)
-        parity = parity_of(t, d)
+        key = t, d
+        parity = decided.get(key, False)
+        if parity is False:
+            parity = decided[key] = parity_of(t, d)
         if parity is None:
             fs = tuple([forms[p] for p in ps])
             if len(set(fs)) < d:
@@ -391,17 +472,28 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     vecs = list(masks) + [None] * len(pieces)  # the inputs, then the pieces
     cache = dict(zip(forms, masks))
     get = cache.get
+    built = []  # the forms of more than one bit in cache
 
-    def vector(f: int) -> int:
-        v = get(f)
-        if v is None:
-            v = cache[f] = _xor([vecs[i] for i in bit_indices(f >> 1)], f & 1, full)
-        return v
+    def vectors(fs) -> list[int]:
+        """The vectors of forms ``fs``, each missing one built nearest first
+        (see ``_nearest_first``)."""
+        vs = [get(f) for f in fs]
+        if None not in vs:
+            return vs
+        for f, g in _nearest_first([f for f in dict.fromkeys(fs) if f not in cache], built):
+            d = f ^ g
+            apart = [vecs[i] for i in bit_indices(d >> 1)]
+            cache[f] = _xor([cache[g]] + apart if g else apart, d & 1, full)
+            if f & (f - 1):
+                built.append(f)
+        return [cache[f] for f in fs]
 
     for form, args, t, x in todo:
         if t is None:  # a parity gate on nodes args; x is its negation bit
             if form not in cache:
-                cache[form] = _xor([vector(forms[p]) for p in args], x, full)
+                cache[form] = _xor(vectors([forms[p] for p in args]), x, full)
+                if form & (form - 1):
+                    built.append(form)
         elif need & form:  # a piece on argument forms args
             if max(x) < n:  # preds x are inputs, so its arguments are distinct inputs
                 ins = [f.bit_length() - 2 for f in args]
@@ -410,9 +502,9 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
                 else:
                     v = _mux_tree(t, [masks[i] for i in ins], full)
             else:
-                v = _mux_tree(t, [get(f) or vector(f) for f in args], full)
+                v = _mux_tree(t, vectors(args), full)
             vecs[form.bit_length() - 2] = cache[form] = v
-    return [get(f) or vector(f) for f in outs]
+    return vectors(outs)
 
 
 def node_vectors_general(

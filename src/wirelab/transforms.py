@@ -12,8 +12,9 @@ gates that computes a matrix-vector product into an all-parity circuit:
    stops the run here, before any sweep;
 3. the read-off: middle gate j becomes the parity of its inputs i with
    g_j(e_i) != g_j(0), which are the arguments in the mask of
-   ``_kernels.parity_candidate`` of its table, and the second-level
-   wiring is kept as is;
+   ``_kernels.read_parity`` of its table, and the second-level
+   wiring is kept as is; the same call tells whether the gate is that
+   parity, which the proof reads;
 4. the proof, by the subcube lemma (``circuit.agrees_on_pivots``) with
    P = I_U: let U be the union of the inputs of the read non-parity
    middle gates.  One sweep builds those gates on the 2**|U| inputs
@@ -211,17 +212,15 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     s2 = normalize_output_xor(s1)
 
     n, r = c.n, len(s2.middle)
-    rows = []
-    for g in s2.middle:
-        mask, _ = _kernels.parity_candidate(g.table.bits, g.table.fanin)
-        rows.append(sum(1 << g.inputs[k] for k in bit_indices(mask)))
+    reads = [_kernels.read_parity(g.table.bits, g.table.fanin) for g in s2.middle]
+    rows = [sum(1 << g.inputs[k] for k in bit_indices(mask)) for g, (mask, _, _) in zip(s2.middle, reads)]
     first = Gf2Matrix(r, n, tuple(rows))
     second = Gf2Matrix(
         n, r, tuple(sum(1 << j for j in o.mids) for o in s2.outputs)
     )
     result = LinearDepth2Circuit(first, second)
     matrix = result.operator_matrix()
-    if not _subcube_proof(s2, rows, matrix):
+    if not _subcube_proof(s2, rows, reads, matrix):
         check_operator(collapse(c), matrix)
 
     added_fl = s1.first_level_wires() - c.first_level_wires()
@@ -238,21 +237,21 @@ def linearize(c: Depth2Circuit) -> tuple[LinearDepth2Circuit, LinearizationRepor
     return result, report
 
 
-def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> bool:
+def _subcube_proof(s2: Depth2Circuit, rows: list[int], reads, matrix: Gf2Matrix) -> bool:
     """Whether every output of ``s2``, a pure XOR of its middle gates,
     provably computes x -> matrix * x.
 
     ``rows[j]`` is middle gate j's read-off row, its input row when the
-    gate is a parity.  Let U be the union of the inputs of the read
-    non-parity gates.  Output i XORed with its parity gates (rows and
-    negation bits) is the XOR of its non-parity gates, a function of x_U,
-    so ``agrees_on_pivots`` with P = I_U decides it.  One sweep builds
+    gate is a parity, and ``reads[j]`` its ``_kernels.read_parity``: the
+    mask, the negation bit and whether the gate is that parity.  Let U be
+    the union of the inputs of the read non-parity gates.  Output i XORed
+    with its parity gates (rows and negation bits) is the XOR of its
+    non-parity gates, a function of x_U, so ``agrees_on_pivots`` with
+    P = I_U decides it.  One sweep builds
     those gates on the 2**|U| inputs supported on U, renumbered 0..|U|-1.
     """
     read = sorted({j for o in s2.outputs for j in o.mids})
-    # per read gate: its (mask, negation bit) as a parity, or None
-    forms = {j: _kernels.parity_of(s2.middle[j].table.bits, s2.middle[j].table.fanin) for j in read}
-    tables = [j for j, form in forms.items() if form is None]
+    tables = [j for j in read if not reads[j][2]]
     span = sorted({i for j in tables for i in s2.middle[j].inputs})
     at = {i: k for k, i in enumerate(span)}
     k = len(span)
@@ -267,11 +266,12 @@ def _subcube_proof(s2: Depth2Circuit, rows: list[int], matrix: Gf2Matrix) -> boo
     for o, w in zip(s2.outputs, matrix.row_words):
         got = neg = 0
         for j in o.mids:
-            if forms[j] is None:
-                got ^= vecs[j]
-            else:
+            _, negated, exact = reads[j]
+            if exact:
                 w ^= rows[j]
-                neg ^= forms[j][1]
+                neg ^= negated
+            else:
+                got ^= vecs[j]
         if not agrees_on_pivots(w, kept, got, neg, masks):
             return False
     return True

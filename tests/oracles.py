@@ -4,10 +4,11 @@ Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 per-point certificate decoder runs its own Gauss-Jordan elimination on
 lists of 0/1 entries, so it shares no code with ``gf2.echelon``, which
-the compiled decoder uses.  ``deserialize_per_field`` and
-``row_echelon_gauss_jordan`` are the earlier forms of
-``compress.deserialize`` and ``gf2.row_echelon``, kept as the outcomes
-the faster forms must reproduce.
+the compiled decoder uses.  ``deserialize_per_field``,
+``row_echelon_gauss_jordan`` and ``parity_of_by_shifts`` are the
+earlier forms of ``compress.deserialize``, ``gf2.row_echelon`` and
+``_kernels.read_parity``, kept as the outcomes the faster forms must
+reproduce.
 """
 
 from __future__ import annotations
@@ -43,6 +44,40 @@ def table_from_hex_per_nibble(text: str, fanin: int):
     for k, ch in enumerate(text):
         bits |= int(ch, 16) << (4 * k)
     return TruthTable(fanin, bits)
+
+
+def parity_candidate_by_shifts(table: int, fanin: int) -> tuple[int, int]:
+    """Mask of arguments and negation bit of the parity that agrees with
+    ``table`` on the all-zero and all unit assignments: one shift of the
+    whole table per argument."""
+    neg = table & 1
+    mask = 0
+    for k in range(fanin):
+        if ((table >> (1 << k)) & 1) ^ neg:
+            mask |= 1 << k
+    return mask, neg
+
+
+def parity_table_by_doubling(fanin: int, mask: int, neg: int) -> int:
+    """Truth table of XOR over the arguments in ``mask``, complemented if
+    ``neg``, built as an int in ``fanin`` doubling steps."""
+    t = neg
+    width = 1
+    for k in range(fanin):
+        half = ~t & ((1 << width) - 1) if (mask >> k) & 1 else t
+        t |= half << width
+        width <<= 1
+    return t
+
+
+def parity_of_by_shifts(table: int, fanin: int) -> tuple[int, int] | None:
+    """``parity_candidate_by_shifts`` of the table if the table is that
+    parity, else None."""
+    ones = table.bit_count()
+    if ones and ones != 1 << fanin and ones << 1 != 1 << fanin:  # neither constant nor balanced
+        return None
+    mask, neg = parity_candidate_by_shifts(table, fanin)
+    return (mask, neg) if table == parity_table_by_doubling(fanin, mask, neg) else None
 
 
 def eval_depth2(c, x: list[int]) -> list[int]:

@@ -560,6 +560,58 @@ def test_parity_gates_built_from_their_arguments_cost_no_more_xors(monkeypatch):
         assert [(v >> x) & 1 for v in vecs] == _every_node(c, x), x
 
 
+def test_output_forms_are_built_from_their_nearest_built_form(monkeypatch):
+    # output rows: A = inputs 0..7, A and input 8, A negated, A again,
+    # input 5 alone (A XOR the parity of A's other inputs), zero (A XOR a
+    # second gate on A's inputs), and six XORs of three wide parity gates
+    n = 12
+    rng = random.Random(12)
+    a = tuple(range(8))
+    middle = [MiddleGate(a, TruthTable.parity(8)), MiddleGate((8,), TruthTable.identity()),
+              MiddleGate(tuple(i for i in a if i != 5), TruthTable.parity(7)), MiddleGate(a, TruthTable.parity(8))]
+    middle += [MiddleGate(tuple(sorted(rng.sample(range(n), 9))), TruthTable.parity(9)) for _ in range(3)]
+    outs = [((0,), 0), ((0, 1), 0), ((0,), 1), ((0,), 0), ((0, 2), 0), ((0, 3), 0),
+            ((4,), 0), ((5,), 0), ((4, 5), 0), ((6,), 1), ((4, 6), 0), ((5, 6), 1)]
+    c = Depth2Circuit(n, tuple(middle), tuple(
+        OutputGate(mids, (), TruthTable.parity(len(mids), negated=bool(neg))) for mids, neg in outs))
+    rows = [sum(1 << i for i in m.inputs) for m in middle]
+    forms = set()
+    for mids, neg in outs:
+        row = 0
+        for j in mids:
+            row ^= rows[j]
+        forms.add(row << 1 | neg)
+    assert {2 << 5, 0, 0xFF << 1, 0xFF << 1 | 1, 0x1FF << 1} <= forms
+    from_scratch = sum(max(f.bit_count() - 1, 0) for f in forms)
+    spent = [0]
+    monkeypatch.setattr(_kernels, "_xor", _counted_xor(spent))
+    assert_collapse_matches(c, eval_depth2)
+    assert spent[0] < from_scratch
+
+
+def test_input_masks_of_the_widest_n_serve_every_smaller_n():
+    n = 20
+    kept = _kernels.input_vectors(n)
+    for k in range(n):
+        masks, full = _kernels.input_vectors(k)
+        assert full == (1 << (1 << k)) - 1
+        assert list(masks) == [_kernels.variable_mask(i, k) for i in range(k)], k
+    assert _kernels.input_vectors(n) is kept
+    # a collapse at the kept width fetches the kept masks and builds its
+    # one row: no second set of n masks
+    c = GeneralCircuit(n, (GeneralGate((0, 1, 2, 3), TruthTable.parity(4)),), (n,) * n)
+    _kernels.input_vectors(12)
+    tracemalloc.start()
+    try:
+        table = collapse(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    masks, full = kept
+    assert table.columns[0] == masks[0] ^ masks[1] ^ masks[2] ^ masks[3]
+    assert peak < 4 * sys.getsizeof(full)
+
+
 def test_a_form_of_one_input_or_one_piece_is_that_vector():
     # an identity gate is its input's mask, and a repeated gate, or an
     # identity gate on it, is the first gate's vector: no copy is built

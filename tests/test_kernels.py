@@ -1,13 +1,21 @@
-"""The evaluation kernel: value-vector conventions, agreement of
-``collapse`` with the per-point interpreters, the memory bound of the
-mux tree, and the exhaustive cap checked before any vector exists."""
+"""The evaluation kernel: value-vector conventions, parity decisions
+against the shift-based oracle, agreement of ``collapse`` with the
+per-point interpreters, the memory bound of the mux tree, and the
+exhaustive cap checked before any vector exists."""
 
 import random
 import tracemalloc
 
 import pytest
 
-from oracles import eval_depth2, eval_general, linear_circuit
+from oracles import (
+    eval_depth2,
+    eval_general,
+    linear_circuit,
+    parity_candidate_by_shifts,
+    parity_of_by_shifts,
+    parity_table_by_doubling,
+)
 from wirelab import _kernels
 from wirelab.circuit import (
     Depth2Circuit,
@@ -46,6 +54,41 @@ def test_parity_table_against_popcount():
         t = _kernels.parity_table(fanin, mask, neg)
         for b in range(1 << fanin):
             assert ((t >> b) & 1) == (((b & mask).bit_count() & 1) ^ neg)
+
+
+def _assert_reads_like_the_oracle(table: int, fanin: int):
+    mask, neg, exact = _kernels.read_parity(table, fanin)
+    expected = parity_of_by_shifts(table, fanin)
+    assert (mask, neg) == parity_candidate_by_shifts(table, fanin), (table, fanin)
+    assert exact == (expected is not None), (table, fanin)
+    assert _kernels.parity_of(table, fanin) == expected, (table, fanin)
+    return expected
+
+
+def test_parity_decisions_agree_with_the_shift_oracle_on_every_small_table():
+    # every table of fanin <= 4, the read-off's candidate on non-parities too
+    for fanin in range(5):
+        found = sum(_assert_reads_like_the_oracle(t, fanin) is not None for t in range(1 << (1 << fanin)))
+        assert found == 2 << fanin  # 2**fanin masks, each plain and negated
+
+
+@pytest.mark.parametrize("fanin", range(5, 17))
+def test_parity_decisions_agree_with_the_shift_oracle_on_wide_tables(fanin):
+    rng = random.Random(fanin)
+    for _ in range(6):
+        _assert_reads_like_the_oracle(rng.getrandbits(1 << fanin), fanin)
+        mask, neg = rng.getrandbits(fanin), rng.getrandbits(1)
+        t = _kernels.parity_table(fanin, mask, neg)
+        assert t == parity_table_by_doubling(fanin, mask, neg)
+        assert _assert_reads_like_the_oracle(t, fanin) == (mask, neg)
+        complement = t ^ ((1 << (1 << fanin)) - 1)
+        assert _assert_reads_like_the_oracle(complement, fanin) == (mask, neg ^ 1)
+        for bit in (0, 1 << rng.randrange(fanin), rng.randrange(1 << fanin)):  # bit 0, a probe bit 2**k, any bit
+            assert _assert_reads_like_the_oracle(t ^ (1 << bit), fanin) is None
+        if mask:  # a one and a zero swapped: still balanced, so only the comparison refuses it
+            b = rng.randrange(1 << fanin)
+            swapped = t ^ (1 << b) ^ (1 << (b ^ (mask & -mask)))  # x_k in the mask flips the value
+            assert _assert_reads_like_the_oracle(swapped, fanin) is None
 
 
 def test_apply_table_nonlinear_path():

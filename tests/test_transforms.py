@@ -367,6 +367,11 @@ def test_linearize_proves_n20_without_a_2n_bit_vector():
     assert rep.matrix == a
 
 
+def _reads(s2):
+    """``_kernels.read_parity`` of each middle gate, as ``linearize`` hands them on."""
+    return [_kernels.read_parity(g.table.bits, g.table.fanin) for g in s2.middle]
+
+
 def test_a_matrix_fault_off_the_swept_inputs_fails_part_b():
     # flip bit j of row i for an input j that no read non-parity gate
     # reads: the sweep over U never sets x_j, so only the row-space test
@@ -378,7 +383,7 @@ def test_a_matrix_fault_off_the_swept_inputs_fails_part_b():
     tables = [s2.middle[j] for j in read if is_linear_gate(s2.middle[j].table) is None]
     span = {i for m in tables for i in m.inputs}
     assert span == {1, 3, 4}
-    assert transforms._subcube_proof(s2, rows, rep.matrix)
+    assert transforms._subcube_proof(s2, rows, _reads(s2), rep.matrix)
     table = collapse(c)
     for i in range(c.n):
         for j in set(range(c.n)) - span:
@@ -386,7 +391,7 @@ def test_a_matrix_fault_off_the_swept_inputs_fails_part_b():
             words[i] ^= 1 << j
             flipped = Gf2Matrix(c.n, c.n, tuple(words))
             assert table.first_difference(operator_table_of_matrix(flipped)) == 1 << j
-            assert not transforms._subcube_proof(s2, rows, flipped)
+            assert not transforms._subcube_proof(s2, rows, _reads(s2), flipped)
 
 
 def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
@@ -411,7 +416,7 @@ def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
     assert rep.matrix == Gf2Matrix.identity(n)
     # the same verdict from the subcube proof on its own
     rows = lin.first_level.row_words
-    assert transforms._subcube_proof(rep.stages[1], rows, rep.matrix)
+    assert transforms._subcube_proof(rep.stages[1], rows, _reads(rep.stages[1]), rep.matrix)
     # and the same refusal once the pair no longer cancels
     other = dataclasses.replace(wide, table=wide.table.complement())
     bad = dataclasses.replace(c, middle=c.middle[:-1] + (other,))
@@ -420,7 +425,7 @@ def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
     assert err.value.x == 0
     # a complemented table flips its negation bit and keeps its read-off row
     s2 = normalize_output_xor(remove_direct_wires(bad))
-    assert not transforms._subcube_proof(s2, rows, rep.matrix)
+    assert not transforms._subcube_proof(s2, rows, _reads(s2), rep.matrix)
 
 
 def test_wide_equal_tables_are_swept_over_the_inputs_they_read(monkeypatch):
