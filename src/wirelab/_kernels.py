@@ -184,10 +184,10 @@ def _xor(vecs, neg: int, full: int) -> int:
     return acc ^ full if neg else acc
 
 
-def row_vector(n: int, row: int, neg: int) -> int:
-    """Value vector of the XOR of the inputs in ``row``, complemented if ``neg``."""
+def row_vector(n: int, row: int) -> int:
+    """Value vector of the XOR of the inputs in ``row``."""
     masks, full = input_vectors(n)
-    return _xor((masks[i] for i in range(row.bit_length()) if (row >> i) & 1), neg, full)
+    return _xor((masks[i] for i in range(row.bit_length()) if (row >> i) & 1), 0, full)
 
 
 def apply_table(table: int, argvecs: list[int], full: int) -> int:
@@ -393,17 +393,17 @@ def _nearest_first(todo: list[int], built: list[int]) -> list[tuple[int, int]]:
     return order
 
 
-def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
-    """Value vectors of the nodes in ``outputs`` (every node by default):
-    the n inputs, then each gate in order; gate arguments index the nodes
-    before it.
+def node_vectors_general(
+    n: int, preds: list[tuple[int, ...]], tables: list[int], *, outputs=None
+) -> list[int]:
+    """Value vectors of the nodes in ``outputs``, or of every node: the n
+    inputs, then each gate in order; gate arguments index the nodes
+    before it, and a gate no needed form holds is not built.
 
     The first pass gives each node its affine form (see the module
     docstring); the second builds the pieces that the needed forms hold,
     then the forms themselves.  The cap is checked first, and the input
-    masks are fetched only when a vector is built.  Both public entry
-    points call this directly and never each other, so a wrapper
-    installed on one of them sees each sweep exactly once.
+    masks are fetched only when a vector is built.
     """
     check_exhaustive(n)
     forms = [2 << i for i in range(n)]
@@ -507,14 +507,6 @@ def _sweep(n: int, preds, tables, outputs=None) -> list[int]:
     return vectors(outs)
 
 
-def node_vectors_general(
-    n: int, preds: list[tuple[int, ...]], tables: list[int], *, outputs=None
-) -> list[int]:
-    """Value vectors of the nodes in ``outputs``, or of every node (inputs
-    first, then gates in order); a gate no needed form holds is not built."""
-    return _sweep(n, preds, tables, outputs)
-
-
 def output_vectors_depth2(
     n: int,
     mid_inputs: list[tuple[int, ...]],
@@ -526,12 +518,16 @@ def output_vectors_depth2(
     """Per-output value vectors of a depth-2 circuit over all 2**n inputs.
 
     No library code calls this: ``collapse`` sweeps a depth-2 circuit's
-    node view through ``node_vectors_general``.  Only the benchmark
-    (``perfbench``'s tracer and kernel timings) calls it."""
+    node view through ``node_vectors_general``, and so does this.  Only
+    the benchmark's kernel timings call it, after its tracer is
+    uninstalled: a traced call would also be counted as the
+    ``node_vectors_general`` sweep inside it.  Its deletion waits for
+    ROADMAP item 1b."""
     # middle gate j is node n + j; an output reads its middle gates, then its direct inputs.
     # Lists, not generator expressions: with a generator per output, peak RSS grew
     # with every repeated sweep at n = 18-20 (by about 2 MB over a few thousand).
     r = len(mid_inputs)
     out_args = [[n + j for j in ms] + list(ds) for ms, ds in zip(out_mids, out_directs)]
     outputs = range(n + r, n + r + len(out_args))
-    return _sweep(n, chain(mid_inputs, out_args), chain(mid_tables, out_tables), outputs)
+    preds, tables = chain(mid_inputs, out_args), chain(mid_tables, out_tables)
+    return node_vectors_general(n, preds, tables, outputs=outputs)

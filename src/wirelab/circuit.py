@@ -305,7 +305,7 @@ def operator_table_of_matrix(a: Gf2Matrix) -> OperatorTable:
     n = a.rows
     if a.cols != n:
         raise ValueError("operator matrix must be square")
-    return OperatorTable(n, tuple(_kernels.row_vector(n, w, 0) for w in a.row_words))
+    return OperatorTable(n, tuple(_kernels.row_vector(n, w) for w in a.row_words))
 
 
 def first_difference(c1: Circuit, c2: Circuit) -> int | None:

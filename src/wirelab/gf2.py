@@ -7,12 +7,12 @@ operations are pure functions.
 
 One elimination, ``echelon``, brings row words to echelon form with
 each pivot at its row's lowest set bit; its keys are the first basis of
-the columns (whose size is the rank).  The certificate decoder
-(``compress.decode_matrix``) reads each output's row off it, and the
-subcube lemma (``circuit.agrees_on_pivots``) both paper cases prove
-with reads its rows as they are.  ``row_echelon`` back-substitutes
-those rows into reduced row echelon form, which the first basis and
-span solving read.
+the columns (whose size is the rank).  Every reader goes through it:
+the certificate decoder (``compress.decode_matrix``) reads each
+output's row off it, the subcube lemma (``circuit.agrees_on_pivots``)
+both paper cases prove with reads its rows as they are, the battery's
+gf2-oracles check holds it against list arithmetic, and the first basis
+and span solving read its keys and rows.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ class Gf2Matrix:
         return Gf2Vector(self.cols, self.row_words[i])
 
     def column(self, j: int) -> Gf2Vector:
+        """Column ``j`` as a vector.  Only the tests call this, and the
+        benchmark's tracer names it; its deletion waits for ROADMAP item 1b."""
         if not 0 <= j < self.cols:
             raise ValueError("column index out of range")
         bits = 0
@@ -159,39 +161,16 @@ def echelon(rows) -> dict[int, int]:
     return kept
 
 
-def row_echelon(rows) -> tuple[list[int], list[int]]:
-    """The reduced row echelon form of row words, each row's pivot its
-    lowest set bit.
-
-    Returns ``(pivots, reduced)``: the pivot columns, and the nonzero
-    reduced rows in pivot order.  No other reduced row has a bit at a
-    pivot, so the pivots are the greedy first basis of the columns
-    (column j is a pivot iff it is not in the span of the columns before
-    it), and bit j of ``reduced[k]`` is column j's coefficient on basis
-    element k.  The rows of ``echelon`` are back-substituted, highest
-    pivot first.
-    """
-    kept = echelon(rows)
-    lows = sorted(kept)
-    reduced: list[int] = []
-    for low in reversed(lows):
-        v = kept[low]
-        for w in reduced:  # fully reduced, each with its pivot as lowest bit
-            if v & w & -w:
-                v ^= w
-        reduced.append(v)
-    reduced.reverse()
-    return [low.bit_length() - 1 for low in lows], reduced
-
-
 def first_basis_columns(m: Gf2Matrix) -> list[int]:
     """Indices of the greedily chosen independent columns, scanned left to right.
 
     Column j is kept iff it is not in the span of the kept columns with
     smaller index, so the result is the lexicographically earliest maximal
-    independent column set and its size equals the rank.
+    independent column set and its size equals the rank: ``echelon``'s
+    keys as column indices.  Only the tests call this, and the benchmark's
+    tracer names it; its deletion waits for ROADMAP item 1b.
     """
-    return row_echelon(m.row_words)[0]
+    return sorted(low.bit_length() - 1 for low in echelon(m.row_words))
 
 
 def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
@@ -199,19 +178,26 @@ def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
 
     Returns lambda with XOR_k lambda_k * basis[k] = y.  Raises
     NotInSpanError when ``y`` lies outside the span and ValueError when
-    the claimed basis is dependent or lengths disagree.
+    the claimed basis is dependent or lengths disagree.  Only the tests
+    call this, and the benchmark's tracer names it; its deletion waits
+    for ROADMAP item 1b.
     """
-    t = len(basis)
-    if any(u.length != y.length for u in basis):
+    t, length = len(basis), y.length
+    if any(u.length != length for u in basis):
         raise ValueError("basis/vector length mismatch")
-    # the basis vectors, then y, as the columns of a y.length-by-(t + 1) matrix
-    cols = Gf2Matrix(t + 1, y.length, tuple(u.bits for u in basis) + (y.bits,))
-    pivots, reduced = row_echelon(cols.transpose().row_words)
-    if pivots[:t] != list(range(t)):
+    # basis vector k tagged with bit length + k: a kept row's tags name the
+    # basis vectors it is the XOR of, and a row kept under a tag is a
+    # dependency among them
+    kept = echelon(u.bits | 1 << (length + k) for k, u in enumerate(basis))
+    if max(kept, default=0) >> length:
         raise ValueError("basis vectors are not linearly independent")
-    if len(pivots) > t:
-        raise NotInSpanError("vector is not in the span of the basis")
-    return tuple((w >> t) & 1 for w in reduced)
+    v = y.bits
+    while v & ((1 << length) - 1):
+        w = kept.get(v & -v)
+        if w is None:
+            raise NotInSpanError("vector is not in the span of the basis")
+        v ^= w
+    return tuple((v >> (length + k)) & 1 for k in range(t))
 
 
 def parse_decimal(token: str) -> int:

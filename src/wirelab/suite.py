@@ -34,7 +34,7 @@ from .generators import (
     random_linear_circuit,
     random_matrix,
 )
-from .gf2 import Gf2Vector, matvec, row_echelon
+from .gf2 import Gf2Vector, echelon, matvec
 from .transforms import cap_fanin, linearize
 
 _SEED_STRIDE = 1_000_003  # trial t of a run seeded s draws from s * stride + t
@@ -88,22 +88,6 @@ def _witness(kind: str, text: str, x: Gf2Vector | None, seed: int, error: str | 
 
 def naive_matvec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, v)) % 2 for row in rows]
-
-
-def naive_rank(rows: list[list[int]]) -> int:
-    work = [row[:] for row in rows]
-    cols = len(work[0]) if work else 0
-    rk = 0
-    for j in range(cols):
-        pivot = next((i for i in range(rk, len(work)) if work[i][j]), None)
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and work[i][j]:
-                work[i] = [(a + b) % 2 for a, b in zip(work[i], work[rk])]
-        rk += 1
-    return rk
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +254,35 @@ def run_gf2_oracles(trials: int, dim_max: int, seed: int) -> CheckResult:
     def check(instance):
         m, v = instance
         lists = [list(m.row(i).coords()) for i in range(m.rows)]
-        cols = [list(col) for col in zip(*lists)]
-        # the first basis is the greedy one: each column that raises the rank
-        kept: list[list[int]] = []
+        # the first basis is the greedy one: each column not in the span of
+        # the columns before it, by one elimination on the columns as lists
+        basis: list[tuple[int, list[int]]] = []  # (pivot entry, reduced column)
         greedy = []
-        for j, col in enumerate(cols):
-            if naive_rank(kept + [col]) > len(kept):
-                kept.append(col)
+        for j, col in enumerate(zip(*lists)):
+            col = list(col)
+            for i, b in basis:
+                if col[i]:
+                    col = [a ^ c for a, c in zip(col, b)]
+            if any(col):
+                basis.append((col.index(1), col))
                 greedy.append(j)
-        chosen, reduced = row_echelon(m.row_words)
-        if chosen != greedy:
+        kept = echelon(m.row_words)
+        keys = sorted(low.bit_length() - 1 for low in kept)
+        if keys != greedy:
             return "gf2-oracles", None
-        # each column is the XOR of the basis columns its coefficients select
-        for j, col in enumerate(cols):
-            xor = [0] * m.rows
-            for k, w in enumerate(reduced):
-                if (w >> j) & 1:
-                    xor = [a ^ b for a, b in zip(xor, cols[chosen[k]])]
-            if xor != col:
+        # each kept row has its key as its lowest set bit
+        rows = sorted(
+            (low.bit_length() - 1, [(w >> j) & 1 for j in range(m.cols)]) for low, w in kept.items()
+        )
+        if any(row[:key + 1] != [0] * key + [1] for key, row in rows):
+            return "gf2-oracles", None
+        # the kept rows span every input row: reduced against them in key
+        # order, each leaves nothing
+        for row in lists:
+            for key, w in rows:
+                if row[key]:
+                    row = [a ^ b for a, b in zip(row, w)]
+            if any(row):
                 return "gf2-oracles", None
         if list(matvec(m, v).coords()) != naive_matvec(lists, list(v.coords())):
             return "gf2-oracles", None

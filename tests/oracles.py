@@ -4,11 +4,13 @@ Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 per-point certificate decoder runs its own Gauss-Jordan elimination on
 lists of 0/1 entries, so it shares no code with ``gf2.echelon``, which
-the compiled decoder uses.  ``deserialize_per_field``,
-``row_echelon_gauss_jordan`` and ``parity_of_by_shifts`` are the
-earlier forms of ``compress.deserialize``, ``gf2.row_echelon`` and
-``_kernels.read_parity``, kept as the outcomes the faster forms must
-reproduce.
+the compiled decoder uses.  ``deserialize_per_field`` and
+``parity_of_by_shifts`` are the earlier forms of
+``compress.deserialize`` and ``_kernels.read_parity``, kept as the
+outcomes the faster forms must reproduce.  ``row_echelon_gauss_jordan``
+is the reduced row echelon form, the reference for the rows the
+decoder's fix-up over ``gf2.echelon`` selects, and ``naive_rank`` is
+the rank by list arithmetic.
 """
 
 from __future__ import annotations
@@ -231,9 +233,28 @@ def deserialize_per_field(data: bytes) -> OperatorEncoding:
     return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
 
 
+def naive_rank(rows: list[list[int]]) -> int:
+    """Rank of 0/1 lists by Gauss-Jordan on the lists themselves."""
+    work = [row[:] for row in rows]
+    cols = len(work[0]) if work else 0
+    rk = 0
+    for j in range(cols):
+        pivot = next((i for i in range(rk, len(work)) if work[i][j]), None)
+        if pivot is None:
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        for i in range(len(work)):
+            if i != rk and work[i][j]:
+                work[i] = [(a + b) % 2 for a, b in zip(work[i], work[rk])]
+        rk += 1
+    return rk
+
+
 def row_echelon_gauss_jordan(rows) -> tuple[list[int], list[int]]:
-    """``gf2.row_echelon`` by Gauss-Jordan: each new row is reduced
-    against the rows kept so far and then cleared out of all of them."""
+    """The reduced row echelon form of row words, each row's pivot its
+    lowest set bit: the pivot columns, and the nonzero reduced rows in
+    pivot order.  Each new row is reduced against the rows kept so far
+    and then cleared out of all of them."""
     reduced: list[int] = []
     for v in rows:
         for w in reduced:

@@ -287,11 +287,13 @@ def _complement_output_gate_0(path):
 
 def _count_sweeps(monkeypatch):
     swept = []
-    for name in ("output_vectors_depth2", "node_vectors_general"):
-        def counted(n, *rest, fn=getattr(_kernels, name), **kwargs):
-            swept.append(n)
-            return fn(n, *rest, **kwargs)
-        monkeypatch.setattr(_kernels, name, counted)
+    real = _kernels.node_vectors_general
+
+    def counted(n, *rest, **kwargs):
+        swept.append(n)
+        return real(n, *rest, **kwargs)
+
+    monkeypatch.setattr(_kernels, "node_vectors_general", counted)
     return swept
 
 
@@ -454,10 +456,10 @@ def test_linearize_refuses_a_non_parity_output_before_any_sweep(tmp_path, capsys
         "out 0: mid 0 1 ; direct ; tt 8\nout 1: mid 1 ; direct ; tt 2\n"
     )
 
-    def sweep(*args):
+    def sweep(*args, **kwargs):
         raise AssertionError("linearize swept a circuit it must refuse")
 
-    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    monkeypatch.setattr(_kernels, "node_vectors_general", sweep)
     for src in (random_src, and_src):
         assert cli.main(["linearize", "--in", str(src)]) == 2
         captured = capsys.readouterr()

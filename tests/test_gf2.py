@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_lists, row_echelon_gauss_jordan
+from oracles import matrix_lists, naive_rank, row_echelon_gauss_jordan
 from wirelab.compress import OperatorEncoding, decode_matrix
-from wirelab.suite import naive_matvec, naive_rank
+from wirelab.suite import naive_matvec
 from wirelab.generators import random_matrix
 from wirelab.gf2 import (
     Gf2Matrix,
@@ -15,7 +15,6 @@ from wirelab.gf2 import (
     from_text,
     matmul,
     matvec,
-    row_echelon,
     solve_in_span,
     to_text,
 )
@@ -115,6 +114,9 @@ def test_solve_in_span_rejects_dependent_basis():
     v = Gf2Vector.from_coords([1, 1, 0])
     with pytest.raises(ValueError):
         solve_in_span([v, v], v)
+    # so is a basis that holds the zero vector, though y is in its span
+    with pytest.raises(ValueError, match="^basis vectors are not linearly independent$"):
+        solve_in_span([Gf2Vector.unit(3, 0), Gf2Vector(3, 0)], Gf2Vector.unit(3, 0))
 
 
 def test_matmul_against_entrywise():
@@ -181,39 +183,34 @@ def test_property_solve_recombines_span_members(m, data):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_property_reduce_columns_is_the_greedy_basis_with_coefficients(m):
-    # the row-echelon reduction: its pivots are the greedy first basis of
-    # the columns, and bit j of reduced row k is column j's coefficient on
-    # basis element k
-    chosen, reduced = row_echelon(m.row_words)
-    cols = m.transpose().row_words
-    kept: list[list[int]] = []
+def test_property_echelon_keys_the_greedy_basis_on_rows_that_span(m):
+    # the one elimination against list arithmetic: its keys are the greedy
+    # first basis of the columns, no kept row has a bit below its key, and
+    # the kept rows span every input row
+    kept = echelon(m.row_words)
+    cols: list[list[int]] = []
     greedy = []
     for j in range(m.cols):
         col = list(m.column(j).coords())
-        if naive_rank(kept + [col]) > naive_rank(kept):
-            kept.append(col)
+        if naive_rank(cols + [col]) > naive_rank(cols):
+            cols.append(col)
             greedy.append(j)
-    assert chosen == greedy
-    assert len(reduced) == len(chosen)
-    for j, col in enumerate(cols):
-        acc = 0
-        for k, basis_col in enumerate(chosen):
-            if (reduced[k] >> j) & 1:
-                acc ^= cols[basis_col]
-        assert acc == col
+    assert sorted(low.bit_length() - 1 for low in kept) == greedy
+    rows = {low.bit_length() - 1: list(Gf2Vector(m.cols, w).coords()) for low, w in kept.items()}
+    for key, row in rows.items():
+        assert row[:key + 1] == [0] * key + [1]
+    assert naive_rank(list(rows.values()) + matrix_lists(m)) == len(rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))), st.data())
 def test_property_echelon_rows_fix_up_to_the_selected_reduced_rows(n_rows, data):
-    # the one elimination: row_echelon back-substitutes it to the reduced
-    # form Gauss-Jordan gives, and the decoder's ascending fix-up over its
-    # rows equals the XOR of the reduced rows the stored bits select
+    # the one elimination keys the pivots of the reduced form Gauss-Jordan
+    # gives, and the decoder's ascending fix-up over its rows equals the
+    # XOR of the reduced rows the stored bits select
     n, rows = n_rows
-    pivots, reduced = row_echelon(rows)
-    assert (pivots, reduced) == row_echelon_gauss_jordan(rows)
+    pivots, reduced = row_echelon_gauss_jordan(rows)
     kept = echelon(rows)
     assert sorted(kept) == [1 << p for p in pivots]
     assert all(w & -w == low for low, w in kept.items())

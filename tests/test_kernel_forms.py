@@ -464,7 +464,7 @@ def _peak_of_sweep(n, preds, table):
     _kernels.input_vectors(n)  # the masks are shared by every sweep at this n
     tracemalloc.start()
     try:
-        (vec,) = _kernels._sweep(n, [preds], [table], [n])
+        (vec,) = _kernels.node_vectors_general(n, [preds], [table], outputs=[n])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

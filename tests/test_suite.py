@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import matrix_lists, naive_rank
 from wirelab import _kernels, bounds, cli, compress, suite, transforms
 from wirelab.circuit import depth2_from_text, equivalent, general_from_text
 from wirelab.generators import random_matrix
@@ -60,13 +61,13 @@ def test_weak_vs_full_sweeps_its_full_side(monkeypatch):
     # a kernel fault that sets one bit of the first output: matvec on unit
     # vectors cannot see it, so every agreeing pair must now fail
     assert suite.run_weak_vs_full(20, 5, 45).ok
-    real = _kernels._sweep
+    real = _kernels.node_vectors_general
 
     def flipped(*args, **kwargs):
         vecs = real(*args, **kwargs)
         return [vecs[0] ^ 1] + vecs[1:]
 
-    monkeypatch.setattr(_kernels, "_sweep", flipped)
+    monkeypatch.setattr(_kernels, "node_vectors_general", flipped)
     r = suite.run_weak_vs_full(20, 5, 45)
     assert r.failures > 0 and r.witness.startswith("failed=weak-vs-full\nseed=")
 
@@ -171,28 +172,66 @@ def test_cli_suite_writes_the_witness_and_exits_1(monkeypatch, tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["witness_codec.txt"]
 
 
-def test_gf2_oracles_catch_a_dropped_coefficient_bit(monkeypatch):
-    real = suite.row_echelon
-
-    def row_echelon(rows):
-        # column 0 loses its coefficient bit: it is a unit when column 0 is nonzero
-        pivots, reduced = real(rows)
-        return pivots, [reduced[0] & ~1] + reduced[1:] if reduced else reduced
-
-    monkeypatch.setattr(suite, "row_echelon", row_echelon)
-    trials, dim_max, seed = 30, 6, 46
-    bad = []  # a trial fails when its column 0 is nonzero: it has a bit to drop
+def _gf2_trial_matrices(trials, dim_max, seed):
+    # the matrix each gf2-oracles trial draws, with its trial seed
     for t in range(trials):
         s = suite._trial_seed(seed, t)
         rng = random.Random(s)
         rows_n, cols_n = rng.randint(1, dim_max), rng.randint(1, dim_max)
-        m = random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
-        if any(w & 1 for w in m.row_words):
-            bad.append(s)
+        yield s, random_matrix(rows_n, cols_n, rng.uniform(0.1, 0.9), seed=s)
+
+
+def _gf2_oracles_fail_exactly_on(bad, trials, dim_max, seed):
     assert bad and len(bad) < trials
     r = suite.run_gf2_oracles(trials, dim_max, seed)
     assert (r.trials, r.failures, r.ok) == (trials, len(bad), False)
     assert r.witness.startswith(f"failed=gf2-oracle\nseed={bad[0]}\ncircuit:\nGf2Matrix(")
+
+
+def test_gf2_oracles_catch_a_dropped_coefficient_bit(monkeypatch):
+    real = suite.echelon
+
+    def echelon(rows):
+        # the first kept row, the first nonzero input row, loses its top
+        # bit when that bit is above its key
+        kept = real(rows)
+        low = next(iter(kept), 0)
+        w = kept.get(low, 0)
+        if w != low:
+            kept[low] = w ^ 1 << (w.bit_length() - 1)
+        return kept
+
+    monkeypatch.setattr(suite, "echelon", echelon)
+    trials, dim_max, seed = 30, 6, 46
+    # a trial fails when its first nonzero row r has two bits or more and
+    # the top one's unit row e is outside the row space: the kept rows
+    # then span r ^ e, not r
+    bad = []
+    for s, m in _gf2_trial_matrices(trials, dim_max, seed):
+        lists = matrix_lists(m)
+        r = next((row for row in lists if any(row)), [])
+        if sum(r) > 1:
+            top = max(j for j, a in enumerate(r) if a)
+            e = [int(j == top) for j in range(m.cols)]
+            if naive_rank(lists + [e]) > naive_rank(lists):
+                bad.append(s)
+    _gf2_oracles_fail_exactly_on(bad, trials, dim_max, seed)
+
+
+def test_gf2_oracles_catch_a_dropped_kept_row(monkeypatch):
+    real = suite.echelon
+
+    def echelon(rows):
+        kept = real(rows)
+        if kept:
+            kept.popitem()  # the last row kept
+        return kept
+
+    monkeypatch.setattr(suite, "echelon", echelon)
+    trials, dim_max, seed = 30, 6, 46
+    # a trial fails when its matrix is nonzero: it keeps a row to drop
+    bad = [s for s, m in _gf2_trial_matrices(trials, dim_max, seed) if any(m.row_words)]
+    _gf2_oracles_fail_exactly_on(bad, trials, dim_max, seed)
 
 
 def test_gf2_oracles_catch_a_matvec_fault_in_the_exhaustive_sweep(monkeypatch):
@@ -241,11 +280,11 @@ def test_linearize_trial_sweeps_the_input_and_both_stages(monkeypatch):
     # linearize itself sweeps at most once, its non-parity middle gates
     # over the inputs they read
     calls = []
-    real = _kernels._sweep
+    real = _kernels.node_vectors_general
 
-    def sweep(*args):
+    def sweep(*args, **kwargs):
         calls.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
     inside = []  # per trial: n, and the input counts linearize swept
     real_linearize = suite.linearize
@@ -256,7 +295,7 @@ def test_linearize_trial_sweeps_the_input_and_both_stages(monkeypatch):
         inside.append((c.n, calls[before:]))
         return result
 
-    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    monkeypatch.setattr(_kernels, "node_vectors_general", sweep)
     monkeypatch.setattr(suite, "linearize", linearize)
     trials = 10
     lin, stages = suite.run_linearization(trials, 8, 42)

@@ -316,7 +316,7 @@ def test_linearize_names_a_negated_output_at_the_fanin_cap(monkeypatch):
     mids += tuple(MiddleGate((j % 3,), TruthTable.identity()) for j in range(1, 24))
     c = Depth2Circuit(3, mids, (parity_out(range(24), negated=True), parity_out([1]), parity_out([2])))
     sweeps = []
-    monkeypatch.setattr(_kernels, "_sweep", lambda *args: sweeps.append(args))
+    monkeypatch.setattr(_kernels, "node_vectors_general", lambda *args, **kwargs: sweeps.append(args))
     with pytest.raises(ValueError, match="^output gate 0 .* fanin cap 24$"):
         linearize(c)
     assert sweeps == []
@@ -404,13 +404,13 @@ def test_a_read_nonlinear_gate_of_fanin_n_takes_the_sweep(monkeypatch):
     out0 = parity_out((0, n, n + 1))
     c = Depth2Circuit(n, base.middle + (wide, wide), (out0,) + base.outputs[1:])
     swept = []
-    real = _kernels._sweep
+    real = _kernels.node_vectors_general
 
-    def sweep(*args):
+    def sweep(*args, **kwargs):
         swept.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    monkeypatch.setattr(_kernels, "node_vectors_general", sweep)
     lin, rep = linearize(c)
     assert swept == [n]  # the pair reads every input: its subcube is the whole cube
     assert rep.matrix == Gf2Matrix.identity(n)
@@ -438,13 +438,13 @@ def test_wide_equal_tables_are_swept_over_the_inputs_they_read(monkeypatch):
     assert _kernels.parity_of(wide.table.bits, 12) is None
     c = Depth2Circuit(n, base.middle + (wide, wide), (parity_out((0, n, n + 1)),) + base.outputs[1:])
     swept = []
-    real = _kernels._sweep
+    real = _kernels.node_vectors_general
 
-    def sweep(*args):
+    def sweep(*args, **kwargs):
         swept.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "_sweep", sweep)
+    monkeypatch.setattr(_kernels, "node_vectors_general", sweep)
     _, rep = linearize(c)
     assert swept == [12]
     assert rep.matrix == Gf2Matrix.identity(n)
