@@ -36,11 +36,7 @@ the nearest form already built (``_nearest_first``: the fewest inputs,
 pieces and negation bit apart) with the masks and piece vectors in
 which the two differ, or from scratch, its inputs' masks and its
 pieces' vectors, when that takes fewer XORs; a form of one input or one
-piece is that vector itself.  A sweep uses the forms only when the
-vectors of the forms it must build, each from scratch (an upper bound),
-cost no more big-int XORs than XORing every parity gate's argument
-vectors; otherwise it builds every gate in order, each parity gate from
-its arguments' vectors.  A piece is built one of two ways:
+piece is that vector itself.  A piece is built one of two ways:
 
 * **stretch.**  A piece whose preds are all inputs is its table
   tiled up to 2**n bits (``x |= x << w``), with at most fanin delta
@@ -407,13 +403,10 @@ def node_vectors_general(
     """
     check_exhaustive(n)
     forms = [2 << i for i in range(n)]
-    # in node order, per parity gate: (its form, its argument nodes, None,
-    # its negation bit); per piece: (its form, its argument forms, its
-    # table, its preds)
-    plan = []
-    pieces = []  # the plan's pieces: non-parity gates that repeat no earlier one
+    form_of = forms.__getitem__
+    # per piece, in node order: (its form, its argument forms, its table, its preds)
+    pieces = []  # non-parity gates that repeat no earlier one
     first = {}  # (argument forms, table or its complement, bit 0 clear) -> first gate's form | its bit 0
-    arg_xors = 0  # XORs that building every parity gate from its arguments takes
     decided = {}  # (table, fanin) -> parity_of: gates of one sweep often share a table
     for ps, t in zip(preds, tables):
         d = len(ps)
@@ -422,32 +415,26 @@ def node_vectors_general(
         if parity is False:
             parity = decided[key] = parity_of(t, d)
         if parity is None:
-            fs = tuple([forms[p] for p in ps])
+            fs = tuple(map(form_of, ps))
             if len(set(fs)) < d:
                 t, fs = _fold(t, fs)
                 d = len(fs)
                 parity = parity_of(t, d)
-                if parity is not None:  # the folded gate's arguments as nodes
-                    at = {forms[p]: p for p in ps}
-                    ps = [at[f] for f in fs]
+        else:
+            fs = map(form_of, ps)  # read once, by the XOR below
         if parity is not None:  # repeated arguments cancel in the XOR
-            mask, neg = parity
+            mask, form = parity  # the negation bit, XORed with the forms in the mask
             if mask + 1 != 1 << d:
-                ps = [p for k, p in enumerate(ps) if (mask >> k) & 1]
-            form = neg
-            for p in ps:
-                form ^= forms[p]
-            plan.append((form, ps, None, neg))
-            arg_xors += len(ps)
+                fs = [f for k, f in enumerate(fs) if (mask >> k) & 1]
+            for f in fs:
+                form ^= f
         else:
             low = t & 1
             key = (fs, t ^ ((1 << (1 << d)) - 1) if low else t)
             form = 2 << (n + len(pieces))
             known = first.setdefault(key, form | low)
             if known == form | low:
-                piece = (form, fs, t, ps)
-                pieces.append(piece)
-                plan.append(piece)
+                pieces.append((form, fs, t, ps))
             else:
                 form = known ^ low
         forms.append(form)
@@ -458,19 +445,13 @@ def node_vectors_general(
     need = 0  # bits of the pieces that some needed form holds
     for f in outs:
         need |= f
-    needed = set(outs)
     for form, fs, _, _ in reversed(pieces):
         if need & form:
-            needed.update(fs)
             for f in fs:
                 need |= f
-    todo = pieces
-    if sum((f >> 1).bit_count() for f in needed if f & (f - 1)) > arg_xors:
-        todo, need = plan, -1  # build every gate, each parity gate from its arguments
 
     masks, full = input_vectors(n)
-    vecs = list(masks) + [None] * len(pieces)  # the inputs, then the pieces
-    cache = dict(zip(forms, masks))
+    cache = dict(zip(forms, masks))  # built vectors by form: input i at 2 << i, piece b at 2 << (n + b)
     get = cache.get
     built = []  # the forms of more than one bit in cache
 
@@ -482,28 +463,19 @@ def node_vectors_general(
             return vs
         for f, g in _nearest_first([f for f in dict.fromkeys(fs) if f not in cache], built):
             d = f ^ g
-            apart = [vecs[i] for i in bit_indices(d >> 1)]
+            apart = [cache[2 << i] for i in bit_indices(d >> 1)]
             cache[f] = _xor([cache[g]] + apart if g else apart, d & 1, full)
             if f & (f - 1):
                 built.append(f)
         return [cache[f] for f in fs]
 
-    for form, args, t, x in todo:
-        if t is None:  # a parity gate on nodes args; x is its negation bit
-            if form not in cache:
-                cache[form] = _xor(vectors([forms[p] for p in args]), x, full)
-                if form & (form - 1):
-                    built.append(form)
-        elif need & form:  # a piece on argument forms args
-            if max(x) < n:  # preds x are inputs, so its arguments are distinct inputs
-                ins = [f.bit_length() - 2 for f in args]
-                if _stretch_pays(ins, n):
-                    v = _stretch(t, ins, n, masks)
-                else:
-                    v = _mux_tree(t, [masks[i] for i in ins], full)
+    for form, fs, t, ps in pieces:
+        if need & form:
+            ins = [f.bit_length() - 2 for f in fs]  # its arguments' inputs, if preds ps are inputs
+            if max(ps) < n and _stretch_pays(ins, n):
+                cache[form] = _stretch(t, ins, n, masks)
             else:
-                v = _mux_tree(t, vectors(args), full)
-            vecs[form.bit_length() - 2] = cache[form] = v
+                cache[form] = _mux_tree(t, vectors(fs), full)
     return vectors(outs)
 
 

@@ -117,17 +117,15 @@ def cap_fanin(c: GeneralCircuit) -> GeneralCircuit:
     sweeps all 2**n inputs, so n is capped like ``collapse``.
     """
     n = c.n
-    if all(len(g.preds) <= n for g in c.gates):
+    wide = [k for k, g in enumerate(c.gates) if len(g.preds) > n]
+    if not wide:
         return c
     preds, tables, _ = c._nodes
-    vecs = _kernels.node_vectors_general(n, preds, tables)
+    vecs = _kernels.node_vectors_general(n, preds, tables, outputs=[n + k for k in wide])
+    gates = list(c.gates)
     all_inputs = tuple(range(n))
-    gates = []
-    for k, g in enumerate(c.gates):
-        if len(g.preds) <= n:
-            gates.append(g)
-        else:
-            gates.append(GeneralGate(all_inputs, TruthTable(n, vecs[n + k])))
+    for k, v in zip(wide, vecs):
+        gates[k] = GeneralGate(all_inputs, TruthTable(n, v))
     return GeneralCircuit(n, tuple(gates), c.outputs)
 
 

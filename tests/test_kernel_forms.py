@@ -217,8 +217,8 @@ def test_mixed_general_dags(c):
 @settings(max_examples=100, deadline=None)
 @given(mixed_dags())
 def test_every_node_of_mixed_dags(c):
-    # with every node an output, a sweep often builds each parity gate
-    # from its arguments instead of from its form
+    # with every node an output, a sweep builds every parity gate from its
+    # form, each form from the nearest one already built
     assert_every_node_matches(c)
 
 
@@ -444,6 +444,20 @@ def test_cap_fanin_rewired_gates_need_no_mux_tree(monkeypatch):
     assert muxes == []
 
 
+def test_cap_fanin_builds_only_the_gates_it_rewires(monkeypatch):
+    # the fanin-7 gate folds to a stretch of inputs 0..2 and never reads
+    # the AND gate, so the sweep that rewires it needs no mux tree
+    n = 6
+    rng = random.Random(6)
+    wide = GeneralGate((0, 1, 2, 0, 1, 2, 0), TruthTable(7, rng.getrandbits(1 << 7)))
+    c = GeneralCircuit(n, (GeneralGate((3, 4, 5), TruthTable(3, 0b10000000)), wide), (n, n + 1, 0, 1, 2, 3))
+    muxes = _spy(monkeypatch, "_mux_tree")
+    capped = cap_fanin(c)
+    assert muxes == []
+    assert capped.gates[0] == c.gates[0] and capped.gates[1].preds == tuple(range(n))
+    assert collapse(capped) == collapse(c)
+
+
 def test_all_parity_depth2_never_builds_its_middle_layer():
     # n masks, the all-ones vector and n outputs, and the sum being built;
     # a vector's size is that of the int object, 30-bit digits and all
@@ -532,10 +546,11 @@ def test_row_words_never_cost_more_xors_than_argument_vectors(monkeypatch):
 def test_parity_gates_built_from_their_arguments_cost_no_more_xors(monkeypatch):
     # gate k XORs gate k - 1 with input k + 1, so the chain's forms hold
     # 2, 3, ..., n inputs: about n**2 / 2 XORs from the masks, where each
-    # gate from its two arguments takes one.  Past the chain, one parity
-    # gate XORs an AND gate in and the next XORs it out again: the AND gate
-    # cancels in the forms, but building those gates from their arguments
-    # reads it.  The last gate is a non-parity gate on the chain.
+    # gate from its two arguments takes one.  Nearest-first reuse holds
+    # that bound: each form is built from the one before it with one XOR.
+    # Past the chain, one parity gate XORs an AND gate in and the next XORs
+    # it out again, so the AND gate cancels in the forms.  The last gate is
+    # a non-parity gate on the chain.
     n = 12
     gates = [GeneralGate((0, 1), TruthTable.parity(2))]
     gates += [GeneralGate((n + k - 1, k + 1), TruthTable.parity(2)) for k in range(1, n - 1)]
@@ -558,6 +573,25 @@ def test_parity_gates_built_from_their_arguments_cost_no_more_xors(monkeypatch):
     for x in [0] + rng.sample(range(1 << n), 64):
         assert list(table.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)]), x
         assert [(v >> x) & 1 for v in vecs] == _every_node(c, x), x
+
+
+def test_a_gate_no_output_reads_is_not_built(monkeypatch):
+    # every gate of a 12-input XOR chain is an output, and so each chain
+    # form is one XOR from the one before it; the AND gate after the chain
+    # is read by no output, so its mux tree is never built
+    n = 12
+    gates = [GeneralGate((0, 1), TruthTable.parity(2))]
+    gates += [GeneralGate((n + k - 1, k + 1), TruthTable.parity(2)) for k in range(1, n - 1)]
+    gates.append(GeneralGate((0, 1), TruthTable(2, 0b1000)))
+    c = GeneralCircuit(n, tuple(gates), tuple(range(n, 2 * n - 1)) + (2 * n - 2,))
+    muxes = _spy(monkeypatch, "_mux_tree")
+    spent = [0]
+    monkeypatch.setattr(_kernels, "_xor", _counted_xor(spent))
+    table = collapse(c)
+    assert muxes == [] and spent[0] == n - 1
+    rng = random.Random(12)
+    for x in [0] + rng.sample(range(1 << n), 64):
+        assert list(table.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)]), x
 
 
 def test_output_forms_are_built_from_their_nearest_built_form(monkeypatch):
@@ -630,10 +664,10 @@ def test_a_form_of_one_input_or_one_piece_is_that_vector():
 def test_a_gate_that_folds_to_a_parity_reads_its_distinct_arguments():
     # a 4-input table that is no parity, but is the parity of arguments
     # 0..2 wherever arguments 1 and 3 agree; it reads input 2 both through
-    # an identity gate and directly, so it folds to that parity.  With
-    # every node an output, the parity chain before it has long forms and
-    # the sweep builds each parity gate, the folded one too, from its
-    # arguments' vectors; collapse builds the last gate from its form
+    # an identity gate and directly, so it folds to that parity, whose
+    # form XORs the forms of its distinct arguments.  With every node an
+    # output, the parity chain before it has long forms, each built from
+    # the one before it; collapse builds only the last gate's form
     n = 8
     rng = random.Random(5)
     bits = 0
