@@ -1,19 +1,17 @@
-#!/usr/bin/env python3
-"""Time the evaluation kernel on five fixed workloads.
+"""Fixed kernel workloads for perfbench.
 
-Times exhaustive evaluation (all 2**n inputs) of random depth-2 and
-general circuits and prints one table row per workload.  Run as
-``python benchmarks/bench_kernels.py``.
+``perfbench/workloads.py`` loads this file by path: its ``exhaustive``
+workload draws depth-2 circuits with ``bounded_depth2``, and
+``perfbench/run.py --trace 1`` times the kernel on five fixed circuits,
+reported as ``kernels.bk.*``, through ``depth2_args`` and
+``general_args``.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
-from wirelab import _kernels
 from wirelab.circuit import Depth2Circuit, MiddleGate, OutputGate, TruthTable
-from wirelab.generators import random_general
 
 
 def bounded_depth2(n: int, r: int, fanin: int, seed: int) -> Depth2Circuit:
@@ -34,17 +32,6 @@ def bounded_depth2(n: int, r: int, fanin: int, seed: int) -> Depth2Circuit:
     return Depth2Circuit(n, mids, outs)
 
 
-def time_call(fn, *args, min_time=0.3):
-    reps = 0
-    t0 = time.perf_counter()
-    while True:
-        fn(*args)
-        reps += 1
-        elapsed = time.perf_counter() - t0
-        if elapsed >= min_time:
-            return elapsed / reps
-
-
 def depth2_args(c):
     return (
         c.n,
@@ -59,21 +46,3 @@ def depth2_args(c):
 def general_args(c):
     return c.n, [g.preds for g in c.gates], [g.table.bits for g in c.gates]
 
-
-def main() -> None:
-    workloads = []
-    for n, r, fanin in ((8, 12, 5), (12, 24, 6), (16, 32, 8)):
-        c = bounded_depth2(n, r, fanin, seed=n)
-        workloads.append((f"depth2 n={n} r={r} d={fanin}", depth2_args(c), "output_vectors_depth2"))
-    for n, g in ((8, 16), (12, 24)):
-        c = random_general(n, g, seed=n)
-        workloads.append((f"general n={n} gates={g}", general_args(c), "node_vectors_general"))
-
-    print(f"{'workload':24} {'time':>12}")
-    for name, args, fn_name in workloads:
-        t = time_call(getattr(_kernels, fn_name), *args)
-        print(f"{name:24} {t * 1e3:10.3f}ms")
-
-
-if __name__ == "__main__":
-    main()

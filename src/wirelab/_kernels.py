@@ -38,13 +38,15 @@ which the two differ, or from scratch, its inputs' masks and its
 pieces' vectors, when that takes fewer XORs; a form of one input or one
 piece is that vector itself.  A piece is built one of two ways:
 
-* **stretch.**  A piece whose preds are all inputs is its table
-  tiled up to 2**n bits (``x |= x << w``), with at most fanin delta
-  swaps against the input masks that move table variable k to input
-  ``ps[k]``.  The sweep stretches a piece only when a work estimate from
-  its fanin and its swaps (``_stretch_pays``) beats the mux tree's
-  cost; a gate wired to inputs ``0..n-1`` in order, as every gate
-  ``cap_fanin`` rewires, is its table.
+* **stretch.**  A piece whose argument forms are all single inputs is
+  its table tiled up to 2**n bits (``x |= x << w``), with at most fanin
+  delta swaps against the input masks that move table variable k to
+  the input of argument k.  An identity gate has its input's form, so a
+  gate that reads inputs through identity gates stretches too.  The
+  sweep stretches a piece only when a work estimate from its fanin and
+  its swaps (``_stretch_pays``) beats the mux tree's cost; a gate wired
+  to inputs ``0..n-1`` in order, as every gate ``cap_fanin`` rewires, is
+  its table.
 * **mux tree** (``_mux_tree``) for every other piece: each table nibble
   is looked up as one of 16 functions of the first two arguments, so the
   tree does 2**(fanin-2) - 1 merges, the lowest 2**(fanin-3) of them
@@ -404,7 +406,7 @@ def node_vectors_general(
     check_exhaustive(n)
     forms = [2 << i for i in range(n)]
     form_of = forms.__getitem__
-    # per piece, in node order: (its form, its argument forms, its table, its preds)
+    # per piece, in node order: (its form, its argument forms, its table)
     pieces = []  # non-parity gates that repeat no earlier one
     first = {}  # (argument forms, table or its complement, bit 0 clear) -> first gate's form | its bit 0
     decided = {}  # (table, fanin) -> parity_of: gates of one sweep often share a table
@@ -434,7 +436,7 @@ def node_vectors_general(
             form = 2 << (n + len(pieces))
             known = first.setdefault(key, form | low)
             if known == form | low:
-                pieces.append((form, fs, t, ps))
+                pieces.append((form, fs, t))
             else:
                 form = known ^ low
         forms.append(form)
@@ -445,7 +447,7 @@ def node_vectors_general(
     need = 0  # bits of the pieces that some needed form holds
     for f in outs:
         need |= f
-    for form, fs, _, _ in reversed(pieces):
+    for form, fs, _ in reversed(pieces):
         if need & form:
             for f in fs:
                 need |= f
@@ -469,10 +471,11 @@ def node_vectors_general(
                 built.append(f)
         return [cache[f] for f in fs]
 
-    for form, fs, t, ps in pieces:
+    single = set(forms[:n])  # the forms of one input each, 2 << i
+    for form, fs, t in pieces:
         if need & form:
-            ins = [f.bit_length() - 2 for f in fs]  # its arguments' inputs, if preds ps are inputs
-            if max(ps) < n and _stretch_pays(ins, n):
+            ins = [f.bit_length() - 2 for f in fs]  # its arguments' inputs, if each form is one input
+            if single.issuperset(fs) and _stretch_pays(ins, n):
                 cache[form] = _stretch(t, ins, n, masks)
             else:
                 cache[form] = _mux_tree(t, vectors(fs), full)

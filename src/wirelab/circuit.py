@@ -2,12 +2,13 @@
 arbitrary gates, plus evaluation, wire counts, gate parity checks and
 text serialization.
 
-A general or depth-2 circuit has one node view, ``_nodes``: the preds
-and table bits of each gate, in node order after the n inputs, and the
-output nodes.  The kernel (``collapse``, ``first_difference``'s miter,
-``transforms.cap_fanin``) sweeps it, and ``_interpret``, the per-point
-interpreter behind both ``eval`` methods, reads it one input at a time
-with no kernel code.
+Every circuit has one node view, ``_nodes``: the preds and table bits
+of each gate, in node order after the n inputs, and the output nodes;
+an all-parity circuit's is its depth-2 form's, built once.  The kernel
+(``collapse``, ``first_difference``'s miter, ``transforms.cap_fanin``)
+sweeps it, and ``_interpret``, the per-point interpreter behind the
+general and depth-2 ``eval`` methods, reads it one input at a time with
+no kernel code.
 
 Conventions used throughout:
 
@@ -250,6 +251,11 @@ class LinearDepth2Circuit:
         outs = tuple(OutputGate(bit_indices(w), (), TruthTable.parity(w.bit_count())) for w in second)
         return Depth2Circuit(self.n, mids, outs)
 
+    @cached_property
+    def _nodes(self) -> tuple[list, list, range]:
+        """Its depth-2 form's node view."""
+        return self.to_depth2()._nodes
+
 
 Circuit = GeneralCircuit | Depth2Circuit | LinearDepth2Circuit
 
@@ -274,6 +280,9 @@ class OperatorTable:
                 raise ValueError("value vector has bits beyond 2**n entries")
 
     def value_at(self, x: int) -> Gf2Vector:
+        """The output on input ``x``, read one bit per column: the
+        per-point oracle of the tests and of the benchmark's checks (no
+        library code calls it)."""
         if not 0 <= x < (1 << self.n):
             raise ValueError("input index out of range")
         bits = 0
@@ -296,7 +305,7 @@ def collapse(c: Circuit) -> OperatorTable:
     ``ExhaustiveCapError`` before any value vector is built."""
     if isinstance(c, LinearDepth2Circuit):
         return operator_table_of_matrix(c.operator_matrix())
-    preds, tables, outputs = _node_view(c)
+    preds, tables, outputs = c._nodes
     return OperatorTable(c.n, tuple(_kernels.node_vectors_general(c.n, preds, tables, outputs=outputs)))
 
 
@@ -321,8 +330,8 @@ def first_difference(c1: Circuit, c2: Circuit) -> int | None:
     if c1.n != c2.n:
         raise ValueError("circuits have different input counts")
     n = c1.n
-    preds1, tables1, outputs1 = _node_view(c1)
-    preds2, tables2, outputs2 = _node_view(c2)
+    preds1, tables1, outputs1 = c1._nodes
+    preds2, tables2, outputs2 = c2._nodes
     shift = len(preds1)  # c2's node n + k becomes n + shift + k
 
     def moved(p: int) -> int:
@@ -336,15 +345,6 @@ def first_difference(c1: Circuit, c2: Circuit) -> int | None:
     for v in _kernels.node_vectors_general(n, preds, tables, outputs=range(top - n, top)):
         diff |= v
     return (diff & -diff).bit_length() - 1 if diff else None
-
-
-def _node_view(c: Circuit):
-    """The node view of a circuit, an all-parity one's through its depth-2 form."""
-    if isinstance(c, (GeneralCircuit, Depth2Circuit)):
-        return c._nodes
-    if isinstance(c, LinearDepth2Circuit):
-        return c.to_depth2()._nodes
-    raise TypeError(f"not a circuit: {type(c).__name__}")
 
 
 def equivalent(c1: Circuit, c2: Circuit) -> bool:

@@ -14,7 +14,7 @@ forward elimination of B_i (``gf2.echelon``), once per certificate;
 runs the same elimination, builds each output on the 2**rho_i inputs
 supported on B_i's pivots, reads its basis values off that vector and
 proves the certificate through ``decode_matrix`` by the subcube lemma
-(``circuit.agrees_on_pivots``) with P = B_i (``_subcube_proof``).  Only
+(``circuit.agrees_on_pivots``) with P = B_i, once per output.  Only
 when that proof fails does one sweep of the circuit on all 2**n inputs
 name the lowest input where the decoded matrix disagrees with it.
 
@@ -111,11 +111,12 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
     The circuit must have no direct wires and every middle gate must XOR
     exactly its wires (no negation, no ignored wire).  Output i's basis
     values are its table at the middle values of its chosen unit vectors.
-    The certificate is proven on a subcube (``_subcube_proof``); when
-    that proof fails, one sweep of ``c`` on all 2**n inputs names the
-    first input where the matrix the certificate decodes to disagrees
-    with it (NotLinearError).  Middle gates feeding no output are omitted
-    from the certificate; they cannot influence it.
+    The certificate is proven on a subcube: output i computes x -> a_i * x
+    by ``agrees_on_pivots`` with P = B_i.  When that proof fails, one
+    sweep of ``c`` on all 2**n inputs names the first input where the
+    matrix the certificate decodes to disagrees with it (NotLinearError).
+    Middle gates feeding no output are omitted from the certificate; they
+    cannot influence it.
     """
     check_exhaustive(c.n)  # before any work: a refusal sweeps all 2**n inputs
     for o in c.outputs:
@@ -146,16 +147,9 @@ def encode(c: Depth2Circuit) -> OperatorEncoding:
         basis_bits.append(tuple((got >> (1 << k)) & 1 for k in range(len(kept))))
     enc = OperatorEncoding(c.n, len(used), b_rows, c_rows, tuple(basis_bits))
     a = decode_matrix(enc)
-    if not _subcube_proof(proofs, a, masks):
+    if not all(agrees_on_pivots(row, kept, got, 0, masks) for (kept, got), row in zip(proofs, a.row_words)):
         check_operator(collapse(c), a)
     return enc
-
-
-def _subcube_proof(proofs, a: Gf2Matrix, masks) -> bool:
-    """Whether every output i provably computes x -> a_i * x, by
-    ``agrees_on_pivots`` with P = B_i: ``proofs[i]`` holds B_i's rows as
-    ``echelon`` keeps them and the output on the subcube of their pivots."""
-    return all(agrees_on_pivots(row, kept, got, 0, masks) for (kept, got), row in zip(proofs, a.row_words))
 
 
 def decode_matrix(enc: OperatorEncoding) -> Gf2Matrix:

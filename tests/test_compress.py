@@ -399,16 +399,16 @@ def test_a_decoder_fault_off_the_chosen_inputs_fails_part_b(monkeypatch):
 
     # what the sweep reports: the lowest input where c differs from the faulty matrix
     swept = operator_table_of_matrix(flipped(encode(c))).first_difference(collapse(c))
-    proofs = []
-    real_proof = compress._subcube_proof
+    verdicts = []
+    real_lemma = compress.agrees_on_pivots
 
-    def subcube_proof(*args):
-        proofs.append(real_proof(*args))
-        return proofs[-1]
+    def agrees_on_pivots(*args):
+        verdicts.append(real_lemma(*args))
+        return verdicts[-1]
 
     monkeypatch.setattr(compress, "decode_matrix", flipped)
-    monkeypatch.setattr(compress, "_subcube_proof", subcube_proof)
+    monkeypatch.setattr(compress, "agrees_on_pivots", agrees_on_pivots)
     with pytest.raises(NotLinearError) as err:
         encode(c)
-    assert proofs == [False]
+    assert verdicts == [True] * i + [False]  # all() stops at the faulty output i
     assert err.value.x == swept == 1 << j

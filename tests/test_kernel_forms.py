@@ -311,8 +311,7 @@ def circuit_pairs(draw):
 
 def _at(c, x: int) -> list[int]:
     """Outputs of ``c`` on input ``x`` from the per-point interpreter."""
-    view = c.to_depth2()._nodes if isinstance(c, LinearDepth2Circuit) else c._nodes
-    return list(_interpret(c.n, view, Gf2Vector(c.n, x)).coords())
+    return list(_interpret(c.n, c._nodes, Gf2Vector(c.n, x)).coords())
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,6 +427,25 @@ def test_wide_input_level_gate_needs_no_mux_tree(monkeypatch):
     assert muxes == [] and len(stretches) == 1
     for x in rng.sample(range(1 << n), 64):
         assert list(table.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)])
+
+
+def test_a_gate_reading_inputs_through_identity_gates_needs_no_mux_tree(monkeypatch):
+    # an identity gate has its input's form, so the wide gate's argument
+    # forms are all single inputs and it stretches like the same gate
+    # wired straight to them
+    n, fanin = 14, 11
+    rng = random.Random(14)
+    ins = tuple(rng.sample(range(n), fanin))  # unsorted
+    table = TruthTable(fanin, rng.getrandbits(1 << fanin))
+    identities = tuple(GeneralGate((i,), TruthTable.identity()) for i in ins)
+    wide = GeneralGate(tuple(range(n, n + fanin)), table)
+    c = GeneralCircuit(n, identities + (wide,), (n + fanin,) * n)
+    muxes = _spy(monkeypatch, "_mux_tree")
+    got = collapse(c)
+    assert muxes == []
+    assert got == collapse(GeneralCircuit(n, (GeneralGate(ins, table),), (n,) * n))
+    for x in rng.sample(range(1 << n), 64):
+        assert list(got.value_at(x).coords()) == eval_general(c, [(x >> i) & 1 for i in range(n)])
 
 
 def test_cap_fanin_rewired_gates_need_no_mux_tree(monkeypatch):
