@@ -497,7 +497,7 @@ def output_vectors_depth2(
     the benchmark's kernel timings call it, after its tracer is
     uninstalled: a traced call would also be counted as the
     ``node_vectors_general`` sweep inside it.  Its deletion waits for
-    ROADMAP item 1b."""
+    ROADMAP item 2."""
     # middle gate j is node n + j; an output reads its middle gates, then its direct inputs.
     # Lists, not generator expressions: with a generator per output, peak RSS grew
     # with every repeated sweep at n = 18-20 (by about 2 MB over a few thousand).

@@ -20,19 +20,20 @@ name the lowest input where the decoded matrix disagrees with it.
 
 Binary format ``OPE1`` (bit-packed, MSB first inside each field)::
 
-    magic "OPE1"                                  32 bits
-    n, r                                          16 bits each
-    |B|, then |B| (row, col) pairs                16 + |B| * 2w bits
-    |C|, then |C| (row, col) pairs                16 + |C| * 2w bits
-    per output i = 0..n-1: t_i, then t_i bits     16 + t_i bits
+    magic "OPE1"                                   32 bits
+    n, r                                           16 bits each
+    |B|, then |B| 2w-bit keys row*2**w + col,      16 + |B| * 2w bits
+        strictly increasing
+    |C|, then |C| 2w-bit keys row*2**w + col,      16 + |C| * 2w bits
+        strictly increasing
+    per output i = 0..n-1: t_i, then t_i bits      16 + t_i bits
     zero padding to a byte boundary
 
-with w = ceil(log2(max(n, r) + 1)) and position pairs sorted row-major;
-``deserialize`` reads each pair as one 2w-bit key row*2**w + col and
-checks that the keys strictly increase.  That makes 96 + 16n +
+with w = ceil(log2(max(n, r) + 1)).  As col < 2**w, increasing keys are
+the positions in row-major order without repeats.  That makes 96 + 16n +
 2*w*(|B|+|C|) + sum(t_i) content bits in all.  ``_layout`` is the one
 statement of this layout: ``serialize`` writes its fields and
-``bit_length`` sums their widths.
+``bit_length`` sums their widths; ``deserialize`` is its one reader.
 """
 
 from __future__ import annotations
@@ -195,25 +196,26 @@ def decode(enc: OperatorEncoding, x: Gf2Vector) -> Gf2Vector:
     return matvec(decode_matrix(enc), x)
 
 
-def _pairs(words):
-    """Row-major (row, col) pairs of the 1-entries, flattened."""
+def _pairs(words, w):
+    """Row-major keys ``i << w | j`` of the 1-entries (i, j); as j < 2**w,
+    row-major order is key order."""
     for i, word in enumerate(words):
         for j in bit_indices(word):
-            yield i
-            yield j
+            yield i << w | j
 
 
 def _layout(enc: OperatorEncoding) -> list[tuple[str, int, int, object]]:
-    """The stream's fields in order, as runs ``(name, width, count, values)``.
+    """The stream's fields in order, as runs ``(name, width, count, values)``:
+    one 2w-bit key per wire, one bit per basis value.
 
     ``serialize`` writes the values; ``bit_length`` reads only widths and
-    counts, so it never builds the pairs, which are generated lazily.
+    counts, so it never builds the keys, which are generated lazily.
     """
     w = enc.field_width()
     runs = [("magic", 8, len(MAGIC), MAGIC), ("n", _FIELD, 1, (enc.n,)), ("r", _FIELD, 1, (enc.r,))]
     for name, words in (("B", enc.b_rows), ("C", enc.c_rows)):
         count = sum(word.bit_count() for word in words)
-        runs += [(f"|{name}|", _FIELD, 1, (count,)), (f"{name} pair", w, 2 * count, _pairs(words))]
+        runs += [(f"|{name}|", _FIELD, 1, (count,)), (f"{name} pair", 2 * w, count, _pairs(words, w))]
     for i, bits in enumerate(enc.basis_bits):
         runs += [(f"t_{i}", _FIELD, 1, (len(bits),)), ("basis bit", 1, len(bits), bits)]
     return runs
@@ -223,40 +225,6 @@ def bit_length(enc: OperatorEncoding) -> int:
     """Exact number of content bits in the serialized stream (the byte
     stream only adds zero padding to the next byte boundary)."""
     return sum(width * count for _, width, count, _ in _layout(enc))
-
-
-class _BitReader:
-    """Reads MSB-first fields from a stream.
-
-    The stream becomes one string of '0'/'1' characters up front, so a
-    field costs time in its own width, not in the stream's length (an
-    untrusted stream may be long).
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self.total = 8 * len(data)
-        self.bits = format(int.from_bytes(data, "big"), f"0{self.total}b") if data else ""
-        self.pos = 0
-
-    def read(self, width: int, what: str, *index: int) -> int:
-        """A ``width``-bit field; ``what`` names it, formatted with
-        ``index`` only when the field is truncated."""
-        end = self.pos + width
-        if end > self.total:
-            raise EncodingFormatError(f"stream truncated while reading {what.format(*index)}", self.pos)
-        value = int(self.bits[self.pos : end] or "0", 2)
-        self.pos = end
-        return value
-
-    def read_bits(self, count: int, what: str, *index: int) -> tuple[int, ...]:
-        """``count`` one-bit fields, named like ``read``'s; truncation is
-        reported at the first bit past the end of the stream."""
-        end = self.pos + count
-        if end > self.total:
-            raise EncodingFormatError(f"stream truncated while reading {what.format(*index)}", self.total)
-        bits = tuple(map(int, self.bits[self.pos : end]))
-        self.pos = end
-        return bits
 
 
 def serialize(enc: OperatorEncoding) -> bytes:
@@ -272,24 +240,42 @@ def serialize(enc: OperatorEncoding) -> bytes:
 
 
 def deserialize(data: bytes) -> OperatorEncoding:
-    r = _BitReader(data)
+    """The certificate an ``OPE1`` stream names, or ``EncodingFormatError``
+    at the bit offset of the first bad field.
+
+    The stream becomes one string of '0'/'1' characters up front, so a
+    field costs time in its own width, not in the stream's length (an
+    untrusted stream may be long).
+    """
+    total = 8 * len(data)
+    bits = format(int.from_bytes(data, "big"), f"0{total}b") if data else ""
+    pos = 0
+
+    def read(width: int, what: str, *index: int) -> int:
+        """A ``width``-bit field; ``what`` names it, formatted with
+        ``index`` only when the field is truncated."""
+        nonlocal pos
+        if pos + width > total:
+            raise EncodingFormatError(f"stream truncated while reading {what.format(*index)}", pos)
+        pos += width
+        return int(bits[pos - width : pos] or "0", 2)
+
     for k, expected in enumerate(MAGIC):
-        if r.read(8, "magic") != expected:
+        if read(8, "magic") != expected:
             raise EncodingFormatError("bad magic, expected OPE1", 8 * k)
-    n = r.read(_FIELD, "n")
+    n = read(_FIELD, "n")
     if n < 1:
-        raise EncodingFormatError("n must be at least 1", r.pos - _FIELD)
-    rr = r.read(_FIELD, "r")
+        raise EncodingFormatError("n must be at least 1", pos - _FIELD)
+    rr = read(_FIELD, "r")
     w = max(n, rr).bit_length()
+    step, mask = 2 * w, (1 << w) - 1
     levels = []
     for name, rows, cols in (("B", rr, n), ("C", n, rr)):
-        count = r.read(_FIELD, f"|{name}|")
+        count = read(_FIELD, f"|{name}|")
         words = [0] * rows
-        # each pair is one 2w-bit key row * 2**w + col, so row-major
-        # order is key order
-        bits, step, mask, start, prev = r.bits, 2 * w, (1 << w) - 1, r.pos, -1
-        whole = min(count, (r.total - start) // step)
-        for at in range(start, start + whole * step, step):
+        prev = -1
+        whole = min(count, (total - pos) // step)
+        for at in range(pos, pos + whole * step, step):
             key = int(bits[at : at + step], 2)
             row, col = key >> w, key & mask
             if row >= rows or col >= cols:
@@ -299,21 +285,22 @@ def deserialize(data: bytes) -> OperatorEncoding:
                 raise EncodingFormatError(f"{name} positions out of order", at)
             prev = key
             words[row] |= 1 << col
-        r.pos = start + whole * step
-        if whole < count:  # a pair cut short: one of its fields is truncated
-            r.read(w, f"{name} row")
-            r.read(w, f"{name} col")
+        pos += whole * step
+        if whole < count:  # a pair cut short: one of its halves is truncated
+            read(w, f"{name} row")
+            read(w, f"{name} col")
         levels.append(tuple(words))
     basis_bits = []
     for i, wires in enumerate(levels[1]):
-        at = r.pos
-        t = r.read(_FIELD, "t_{}", i)
+        t = read(_FIELD, "t_{}", i)
         if t > wires.bit_count():
-            raise EncodingFormatError(f"output {i} stores more basis bits than wires", at)
-        basis_bits.append(r.read_bits(t, "basis bit of output {}", i))
-    at = r.pos
-    if r.total - r.pos >= 8:
-        raise EncodingFormatError("trailing data after encoding", at)
-    if r.read(r.total - r.pos, "padding"):
-        raise EncodingFormatError("nonzero padding bits", at)
+            raise EncodingFormatError(f"output {i} stores more basis bits than wires", pos - _FIELD)
+        if pos + t > total:  # reported at the first bit past the end
+            raise EncodingFormatError(f"stream truncated while reading basis bit of output {i}", total)
+        basis_bits.append(tuple(map(int, bits[pos : pos + t])))
+        pos += t
+    if total - pos >= 8:
+        raise EncodingFormatError("trailing data after encoding", pos)
+    if "1" in bits[pos:]:
+        raise EncodingFormatError("nonzero padding bits", pos)
     return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))

@@ -95,7 +95,7 @@ class Gf2Matrix:
 
     def column(self, j: int) -> Gf2Vector:
         """Column ``j`` as a vector.  Only the tests call this, and the
-        benchmark's tracer names it; its deletion waits for ROADMAP item 1b."""
+        benchmark's tracer names it; its deletion waits for ROADMAP item 2."""
         if not 0 <= j < self.cols:
             raise ValueError("column index out of range")
         bits = 0
@@ -168,7 +168,7 @@ def first_basis_columns(m: Gf2Matrix) -> list[int]:
     smaller index, so the result is the lexicographically earliest maximal
     independent column set and its size equals the rank: ``echelon``'s
     keys as column indices.  Only the tests call this, and the benchmark's
-    tracer names it; its deletion waits for ROADMAP item 1b.
+    tracer names it; its deletion waits for ROADMAP item 2.
     """
     return sorted(low.bit_length() - 1 for low in echelon(m.row_words))
 
@@ -180,7 +180,7 @@ def solve_in_span(basis: list[Gf2Vector], y: Gf2Vector) -> tuple[int, ...]:
     NotInSpanError when ``y`` lies outside the span and ValueError when
     the claimed basis is dependent or lengths disagree.  Only the tests
     call this, and the benchmark's tracer names it; its deletion waits
-    for ROADMAP item 1b.
+    for ROADMAP item 2.
     """
     t, length = len(basis), y.length
     if any(u.length != length for u in basis):

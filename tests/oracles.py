@@ -4,13 +4,17 @@ Everything here works point by point, on plain Python lists where it
 can, independent of the library's batch-evaluation paths.  The
 per-point certificate decoder runs its own Gauss-Jordan elimination on
 lists of 0/1 entries, so it shares no code with ``gf2.echelon``, which
-the compiled decoder uses.  ``deserialize_per_field`` and
-``parity_of_by_shifts`` are the earlier forms of
-``compress.deserialize`` and ``_kernels.read_parity``, kept as the
-outcomes the faster forms must reproduce.  ``row_echelon_gauss_jordan``
-is the reduced row echelon form, the reference for the rows the
-decoder's fix-up over ``gf2.echelon`` selects, and ``naive_rank`` is
-the rank by list arithmetic.
+the compiled decoder uses.  ``ope1_stream`` writes an ``OPE1`` stream
+field by field, without ``compress.serialize``, and
+``deserialize_per_field`` reads one with its own reader: one field at a
+time, by shift and mask of the whole stream as one int, where
+``compress.deserialize`` slices one bit string and reads each position
+as one 2w-bit key.  ``parity_of_by_shifts`` is the earlier form of
+``_kernels.read_parity``, kept as the outcome the faster form must
+reproduce.  ``row_echelon_gauss_jordan`` is the reduced row echelon
+form, the reference for the rows the decoder's fix-up over
+``gf2.echelon`` selects, and ``naive_rank`` is the rank by list
+arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from wirelab.compress import (
     CorruptEncodingError,
     EncodingFormatError,
     OperatorEncoding,
-    _BitReader,
 )
 from wirelab.gf2 import Gf2Matrix, Gf2Vector
 
@@ -192,43 +195,56 @@ def ope1_stream(n, r, b_pairs, c_pairs, basis):
 
 
 def deserialize_per_field(data: bytes) -> OperatorEncoding:
-    """``compress.deserialize`` reading every stream field on its own:
-    each position pair is two w-bit reads, ordered as (row, col) tuples."""
-    r = _BitReader(data)
+    """``compress.deserialize`` reading every stream field on its own, by
+    shift and mask of the whole stream as one int: each position is a
+    row and a col read apart, ordered as (row, col) tuples, and each
+    basis value is a one-bit read, so a run cut short fails at the first
+    bit past the end."""
+    total = 8 * len(data)
+    stream = int.from_bytes(data, "big")
+    pos = 0
+
+    def read(width, what):
+        nonlocal pos
+        if pos + width > total:
+            raise EncodingFormatError(f"stream truncated while reading {what}", pos)
+        pos += width
+        return (stream >> (total - pos)) & ((1 << width) - 1)
+
     for k, expected in enumerate(MAGIC):
-        if r.read(8, "magic") != expected:
+        if read(8, "magic") != expected:
             raise EncodingFormatError("bad magic, expected OPE1", 8 * k)
-    n = r.read(_FIELD, "n")
+    n = read(_FIELD, "n")
     if n < 1:
-        raise EncodingFormatError("n must be at least 1", r.pos - _FIELD)
-    rr = r.read(_FIELD, "r")
+        raise EncodingFormatError("n must be at least 1", pos - _FIELD)
+    rr = read(_FIELD, "r")
     w = max(n, rr).bit_length()
     levels = []
     for name, rows, cols in (("B", rr, n), ("C", n, rr)):
-        count = r.read(_FIELD, f"|{name}|")
+        count = read(_FIELD, f"|{name}|")
         words = [0] * rows
         prev = None
         for _ in range(count):
-            at = r.pos
-            pos = (r.read(w, f"{name} row"), r.read(w, f"{name} col"))
-            if not (pos[0] < rows and pos[1] < cols):
-                raise EncodingFormatError(f"{name} position {pos} out of range", at)
-            if prev is not None and pos <= prev:
+            at = pos
+            pair = (read(w, f"{name} row"), read(w, f"{name} col"))
+            if not (pair[0] < rows and pair[1] < cols):
+                raise EncodingFormatError(f"{name} position {pair} out of range", at)
+            if prev is not None and pair <= prev:
                 raise EncodingFormatError(f"{name} positions out of order", at)
-            prev = pos
-            words[pos[0]] |= 1 << pos[1]
+            prev = pair
+            words[pair[0]] |= 1 << pair[1]
         levels.append(tuple(words))
     basis_bits = []
     for i, wires in enumerate(levels[1]):
-        at = r.pos
-        t = r.read(_FIELD, f"t_{i}")
+        at = pos
+        t = read(_FIELD, f"t_{i}")
         if t > wires.bit_count():
             raise EncodingFormatError(f"output {i} stores more basis bits than wires", at)
-        basis_bits.append(r.read_bits(t, f"basis bit of output {i}"))
-    at = r.pos
-    if r.total - r.pos >= 8:
+        basis_bits.append(tuple(read(1, f"basis bit of output {i}") for _ in range(t)))
+    at = pos
+    if total - pos >= 8:
         raise EncodingFormatError("trailing data after encoding", at)
-    if r.read(r.total - r.pos, "padding"):
+    if read(total - pos, "padding"):
         raise EncodingFormatError("nonzero padding bits", at)
     return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
 

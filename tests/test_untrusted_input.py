@@ -4,14 +4,16 @@ Circuit files, matrix files, truth-table hex and ``OPE1`` streams come
 from outside the program.  On any mutation of a valid input a parser
 either accepts it or raises a ``ValueError`` subclass (which the CLI
 turns into exit code 2); an accepted stream is canonical, and generated
-circuits, matrices and certificates round-trip.  On a mutated ``OPE1``
-stream, ``deserialize`` and the per-field reader of ``oracles`` return
-equal encodings or raise the same error at the same bit offset.
+circuits, matrices and certificates round-trip.  ``serialize`` writes
+the same bytes as the field-by-field writer of ``oracles``, and on a
+mutated ``OPE1`` stream, ``deserialize`` and the per-field reader of
+``oracles`` return equal encodings or raise the same error at the same
+bit offset.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import deserialize_per_field
+from oracles import deserialize_per_field, ope1_stream
 
 from wirelab.circuit import (
     TruthTable,
@@ -173,6 +175,19 @@ def test_certificate_stream_round_trips_and_accepts_only_canonical_streams(enc, 
     got = _parse_or_none(deserialize, mutated)
     if got is not None:
         assert serialize(got) == mutated
+
+
+def _positions(words, cols):
+    """Row-major (row, col) positions of the 1-entries of row words."""
+    return [(i, j) for i, word in enumerate(words) for j in range(cols) if word >> j & 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(encodings())
+def test_serialize_writes_the_stream_the_field_by_field_writer_writes(enc):
+    b_pairs = _positions(enc.b_rows, enc.n)
+    c_pairs = _positions(enc.c_rows, enc.r)
+    assert serialize(enc) == ope1_stream(enc.n, enc.r, b_pairs, c_pairs, enc.basis_bits)
 
 
 def _outcome(parse, data):
