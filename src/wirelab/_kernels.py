@@ -287,9 +287,25 @@ def _swap(x: int, i: int, j: int, mi: int, mj: int) -> int:
     return x ^ t ^ (t << delta)
 
 
-def _fold(table: int, ps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+class _Masks(dict):
+    """``variable_mask(i, width)`` by i, each built on first use: the fold
+    masks of one sweep.  A narrower table takes them as they are, since
+    its own bits above are zero."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, i: int) -> int:
+        self[i] = mask = variable_mask(i, self.width)
+        return mask
+
+
+def _fold(table: int, ps: tuple[int, ...], masks: _Masks) -> tuple[int, tuple[int, ...]]:
     """The same gate with every repeated argument folded into its first
-    occurrence; ``ps`` names the arguments, by node or by affine form."""
+    occurrence; ``ps`` names the arguments, by node or by affine form,
+    and ``masks`` holds the variable masks over at least ``len(ps)``
+    variables."""
     ps = list(ps)
     first: dict[int, int] = {}
     k = 0
@@ -300,12 +316,12 @@ def _fold(table: int, ps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
             continue
         top = len(ps) - 1
         if k != top:  # the repeat becomes the top variable
-            table = _swap(table, k, top, variable_mask(k, top + 1), variable_mask(top, top + 1))
+            table = _swap(table, k, top, masks[k], masks[top])
             ps[k] = ps[top]
         ps.pop()
         half = 1 << top
         lo, hi = table & ((1 << half) - 1), table >> half
-        table = lo ^ ((lo ^ hi) & variable_mask(f, top))  # hi where the first occurrence is 1
+        table = lo ^ ((lo ^ hi) & masks[f])  # hi where the first occurrence is 1
     return table, tuple(ps)
 
 
@@ -410,6 +426,7 @@ def node_vectors_general(
     pieces = []  # non-parity gates that repeat no earlier one
     first = {}  # (argument forms, table or its complement, bit 0 clear) -> first gate's form | its bit 0
     decided = {}  # (table, fanin) -> parity_of: gates of one sweep often share a table
+    fold_masks = None  # built when a gate first repeats an argument
     for ps, t in zip(preds, tables):
         d = len(ps)
         key = t, d
@@ -419,7 +436,9 @@ def node_vectors_general(
         if parity is None:
             fs = tuple(map(form_of, ps))
             if len(set(fs)) < d:
-                t, fs = _fold(t, fs)
+                if fold_masks is None:
+                    fold_masks = _Masks(max(map(len, preds)))
+                t, fs = _fold(t, fs, fold_masks)
                 d = len(fs)
                 parity = parity_of(t, d)
         else:

@@ -89,7 +89,7 @@ def _fraction(token: str) -> float:
 def _parse_x(text: str, n: int) -> Gf2Vector:
     if len(text) != n or set(text) - {"0", "1"}:
         raise UsageError(f"--x must be {n} characters of 0/1")
-    return Gf2Vector.from_coords(int(ch) for ch in text)
+    return Gf2Vector(n, int(text[::-1], 2))  # coordinate 0 comes first
 
 
 def _parse_circuit(text: str) -> Depth2Circuit | GeneralCircuit:

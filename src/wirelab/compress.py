@@ -33,7 +33,10 @@ with w = ceil(log2(max(n, r) + 1)).  As col < 2**w, increasing keys are
 the positions in row-major order without repeats.  That makes 96 + 16n +
 2*w*(|B|+|C|) + sum(t_i) content bits in all.  ``_layout`` is the one
 statement of this layout: ``serialize`` writes its fields and
-``bit_length`` sums their widths; ``deserialize`` is its one reader.
+``bit_length`` sums their widths; ``deserialize`` is its one reader.  It
+converts each key run in chunks of at most ``_CHUNK`` keys, shifting
+each key out of its chunk, and each basis run in one slice, so a field
+costs time in its own width, not in the stream's length.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ from .gf2 import Gf2Matrix, Gf2Vector, bit_indices, echelon, matvec
 
 MAGIC = b"OPE1"
 _FIELD = 16  # width of the count fields (n, r, |B|, |C|, t_i)
+_CHUNK = 64  # keys per int that deserialize shifts them out of
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' characters to bit values
 
 
 class EncodingFormatError(ValueError):
@@ -243,9 +248,13 @@ def deserialize(data: bytes) -> OperatorEncoding:
     """The certificate an ``OPE1`` stream names, or ``EncodingFormatError``
     at the bit offset of the first bad field.
 
-    The stream becomes one string of '0'/'1' characters up front, so a
-    field costs time in its own width, not in the stream's length (an
-    untrusted stream may be long).
+    The stream becomes one string of '0'/'1' characters up front.  A key
+    run is read in chunks of at most ``_CHUNK`` keys: one ``int`` of the
+    chunk's slice, then each key by shift and mask.  A basis run is one
+    slice of the string's bytes mapped to 0/1.  A key's shift stays within
+    its chunk, so a field costs time in its own width, not in the stream's
+    length (an untrusted stream may be long; shifting the whole stream per
+    field would be quadratic).
     """
     total = 8 * len(data)
     bits = format(int.from_bytes(data, "big"), f"0{total}b") if data else ""
@@ -268,28 +277,34 @@ def deserialize(data: bytes) -> OperatorEncoding:
         raise EncodingFormatError("n must be at least 1", pos - _FIELD)
     rr = read(_FIELD, "r")
     w = max(n, rr).bit_length()
-    step, mask = 2 * w, (1 << w) - 1
+    step = 2 * w
+    mask, keymask, span = (1 << w) - 1, (1 << step) - 1, _CHUNK * step
     levels = []
     for name, rows, cols in (("B", rr, n), ("C", n, rr)):
         count = read(_FIELD, f"|{name}|")
         words = [0] * rows
         prev = -1
         whole = min(count, (total - pos) // step)
-        for at in range(pos, pos + whole * step, step):
-            key = int(bits[at : at + step], 2)
-            row, col = key >> w, key & mask
-            if row >= rows or col >= cols:
-                raise EncodingFormatError(f"{name} position {(row, col)} out of range", at)
-            # the only guard against a repeated pair: |= below would absorb it
-            if key <= prev:
-                raise EncodingFormatError(f"{name} positions out of order", at)
-            prev = key
-            words[row] |= 1 << col
-        pos += whole * step
+        end = pos + whole * step
+        for a in range(pos, end, span):
+            b = min(a + span, end)
+            chunk = int(bits[a:b], 2)
+            for shift in range(b - a - step, -1, -step):
+                key = (chunk >> shift) & keymask
+                row, col = key >> w, key & mask
+                if row >= rows or col >= cols:
+                    raise EncodingFormatError(f"{name} position {(row, col)} out of range", b - step - shift)
+                # the only guard against a repeated pair: |= below would absorb it
+                if key <= prev:
+                    raise EncodingFormatError(f"{name} positions out of order", b - step - shift)
+                prev = key
+                words[row] |= 1 << col
+        pos = end
         if whole < count:  # a pair cut short: one of its halves is truncated
             read(w, f"{name} row")
             read(w, f"{name} col")
         levels.append(tuple(words))
+    raw = bits.encode().translate(_DIGITS)
     basis_bits = []
     for i, wires in enumerate(levels[1]):
         t = read(_FIELD, "t_{}", i)
@@ -297,7 +312,7 @@ def deserialize(data: bytes) -> OperatorEncoding:
             raise EncodingFormatError(f"output {i} stores more basis bits than wires", pos - _FIELD)
         if pos + t > total:  # reported at the first bit past the end
             raise EncodingFormatError(f"stream truncated while reading basis bit of output {i}", total)
-        basis_bits.append(tuple(map(int, bits[pos : pos + t])))
+        basis_bits.append(tuple(raw[pos : pos + t]))
         pos += t
     if total - pos >= 8:
         raise EncodingFormatError("trailing data after encoding", pos)

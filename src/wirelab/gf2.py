@@ -66,7 +66,8 @@ class Gf2Vector:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.length))
+        # coordinate 0 first; format writes "0" for an empty vector
+        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ the compiled decoder uses.  ``ope1_stream`` writes an ``OPE1`` stream
 field by field, without ``compress.serialize``, and
 ``deserialize_per_field`` reads one with its own reader: one field at a
 time, by shift and mask of the whole stream as one int, where
-``compress.deserialize`` slices one bit string and reads each position
-as one 2w-bit key.  ``parity_of_by_shifts`` is the earlier form of
-``_kernels.read_parity``, kept as the outcome the faster form must
-reproduce.  ``row_echelon_gauss_jordan`` is the reduced row echelon
-form, the reference for the rows the decoder's fix-up over
-``gf2.echelon`` selects, and ``naive_rank`` is the rank by list
-arithmetic.
+``compress.deserialize`` converts each key run in bounded chunks of its
+bit string, shifts each 2w-bit key out of its chunk, and maps each basis
+run to bytes in one slice.  ``vector_text_per_coordinate`` and
+``vector_from_text_per_coordinate`` write and read the ``--x``/``z=``
+text of a vector one coordinate at a time, where ``Gf2Vector.__str__``
+and ``cli._parse_x`` convert it in one call.  ``parity_of_by_shifts`` is
+the earlier form of ``_kernels.read_parity``, kept as the outcome the
+faster form must reproduce.  ``row_echelon_gauss_jordan`` is the
+reduced row echelon form, the reference for the rows the decoder's
+fix-up over ``gf2.echelon`` selects, and ``naive_rank`` is the rank by
+list arithmetic.
 """
 
 from __future__ import annotations
@@ -247,6 +251,26 @@ def deserialize_per_field(data: bytes) -> OperatorEncoding:
     if read(total - pos, "padding"):
         raise EncodingFormatError("nonzero padding bits", at)
     return OperatorEncoding(n, rr, levels[0], levels[1], tuple(basis_bits))
+
+
+def vector_text_per_coordinate(v: Gf2Vector) -> str:
+    """The text of a vector, coordinate 0 first, one character per
+    coordinate."""
+    return "".join("1" if (v.bits >> i) & 1 else "0" for i in range(v.length))
+
+
+def vector_from_text_per_coordinate(text: str, n: int) -> Gf2Vector | None:
+    """The vector whose coordinate i is character i of ``text``, read one
+    character at a time, or None unless ``text`` is n characters of 0/1."""
+    if len(text) != n:
+        return None
+    bits = 0
+    for i, ch in enumerate(text):
+        if ch not in ("0", "1"):
+            return None
+        if ch == "1":
+            bits |= 1 << i
+    return Gf2Vector(n, bits)
 
 
 def naive_rank(rows: list[list[int]]) -> int:

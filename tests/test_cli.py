@@ -1,9 +1,10 @@
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 
-from oracles import eval_depth2, linear_circuit, ope1_stream
+from oracles import eval_depth2, linear_circuit, ope1_stream, vector_from_text_per_coordinate
 from wirelab import _kernels, circuit, cli, suite
 from wirelab.circuit import (
     Depth2Circuit,
@@ -138,6 +139,28 @@ def test_bad_input_vector_and_matrix_are_usage_errors(tmp_path, capsys):
     mat.write_text(to_text(Gf2Matrix.identity(2)))
     assert cli.main(["verify-weak", "--in", str(src), "--matrix", str(mat)]) == 2
     assert capsys.readouterr().err == f"error: {mat}: matrix must be 3-by-3, got 2-by-2\n"
+
+
+def test_input_vector_text_is_read_as_the_per_coordinate_reader_reads_it():
+    for n in range(1, 25):
+        rng = random.Random(n)
+        texts = ["0" * n, "1" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1"]
+        texts += ["".join(rng.choice("01") for _ in range(n)) for _ in range(8)]
+        for text in texts:
+            assert cli._parse_x(text, n) == vector_from_text_per_coordinate(text, n), text
+
+
+@pytest.mark.parametrize("text, n", [
+    ("1_0", 3), (" 10", 3), ("10 ", 3), ("10+", 3), ("\u0661\u0660", 2),
+    ("10", 3), ("1010", 3), ("", 1),
+])
+def test_input_vector_text_is_refused_unless_it_is_n_characters_of_0_1(text, n):
+    assert vector_from_text_per_coordinate(text, n) is None
+    if len(text) == n:
+        int(text[::-1], 2)  # the one-call conversion alone would take it
+    with pytest.raises(cli.UsageError) as e:
+        cli._parse_x(text, n)
+    assert str(e.value) == f"--x must be {n} characters of 0/1"
 
 
 def test_malformed_circuit_lines_are_usage_errors(tmp_path, capsys):

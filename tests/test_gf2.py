@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_lists, naive_rank, row_echelon_gauss_jordan
+from oracles import matrix_lists, naive_rank, row_echelon_gauss_jordan, vector_text_per_coordinate
 from wirelab.compress import OperatorEncoding, decode_matrix
 from wirelab.suite import naive_matvec
 from wirelab.generators import random_matrix
@@ -24,6 +26,21 @@ def test_matvec_identity():
     m = Gf2Matrix.identity(4)
     v = Gf2Vector.from_coords([1, 0, 1, 1])
     assert matvec(m, v) == v
+
+
+def _patterns(length: int) -> list[int]:
+    """Bit patterns of one length: none, all, alternating, the top bit
+    alone and a few seeded draws."""
+    full = (1 << length) - 1
+    rng = random.Random(length)
+    return [0, full, 0x555555 & full, (1 << length) >> 1] + [rng.getrandbits(length) for _ in range(8)]
+
+
+def test_vector_text_is_the_per_coordinate_text():
+    for length in range(25):
+        for bits in _patterns(length):
+            v = Gf2Vector(length, bits)
+            assert str(v) == vector_text_per_coordinate(v), (length, bits)
 
 
 def test_matvec_zero_matrix():

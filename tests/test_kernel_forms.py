@@ -394,7 +394,8 @@ def test_stretch_agrees_with_the_mux_tree(n, data):
 def test_fold_agrees_with_the_mux_tree(n, data):
     ps = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9))
     table = data.draw(st.integers(0, (1 << (1 << len(ps))) - 1))
-    folded, fps = _kernels._fold(table, tuple(ps))
+    wider = data.draw(st.integers(0, 2))  # masks longer than the table serve it as well
+    folded, fps = _kernels._fold(table, tuple(ps), _kernels._Masks(len(ps) + wider))
     assert sorted(fps) == sorted(set(ps))
     masks, full = _kernels.input_vectors(n)
     want = _kernels._mux_tree(table, [masks[p] for p in ps], full)

@@ -6,9 +6,9 @@ either accepts it or raises a ``ValueError`` subclass (which the CLI
 turns into exit code 2); an accepted stream is canonical, and generated
 circuits, matrices and certificates round-trip.  ``serialize`` writes
 the same bytes as the field-by-field writer of ``oracles``, and on a
-mutated ``OPE1`` stream, ``deserialize`` and the per-field reader of
-``oracles`` return equal encodings or raise the same error at the same
-bit offset.
+mutated ``OPE1`` stream, and on every byte-length cut of a few streams,
+``deserialize`` and the per-field reader of ``oracles`` return equal
+encodings or raise the same error at the same bit offset.
 """
 
 from hypothesis import given, settings
@@ -204,3 +204,27 @@ def _outcome(parse, data):
 def test_deserialize_and_the_per_field_reader_agree_on_mutated_streams(enc, edits):
     mutated = _edit_bytes(serialize(enc), edits)
     assert _outcome(deserialize, mutated) == _outcome(deserialize_per_field, mutated)
+
+
+def _cut_certificates():
+    """Certificates with basis runs of up to 10 bits, so that runs cross
+    byte boundaries; the last is hand-built with one wide basis run."""
+    encs = [encode(linear_middle_instance(n, r, 0.5, seed)[0])
+            for n, r, seed in ((6, 4, 1), (8, 6, 2), (10, 8, 3), (12, 10, 4))]
+    wide = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1)
+    encs.append(OperatorEncoding(2, 12, (3,) * 11 + (1,), (0, (1 << 12) - 1), ((), wide)))
+    return encs
+
+
+def test_deserialize_and_the_per_field_reader_agree_on_every_cut_of_a_stream():
+    """Byte-aligned edits seldom cut a stream inside a basis run of a few
+    bits, so every byte length of a few streams is tried."""
+    inside_basis_runs = 0
+    for enc in _cut_certificates():
+        data = serialize(enc)
+        for cut in range(len(data) + 1):
+            got = _outcome(deserialize, data[:cut])
+            assert got == _outcome(deserialize_per_field, data[:cut]), (enc, cut)
+            inside_basis_runs += "while reading basis bit" in str(got)
+    # cuts at or inside a basis run; one inside is reported at the first bit past the end
+    assert inside_basis_runs >= 10
